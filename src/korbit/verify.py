@@ -153,6 +153,26 @@ def _unsupported(name: str, what: str) -> CheckResult:
     )
 
 
+def _fold_worst(
+    worst: float,
+    worst_sample: tuple[float, ...] | None,
+    residual: np.ndarray,
+    points: np.ndarray,
+) -> tuple[float, tuple[float, ...] | None]:
+    """Fold one batch of per-sample residuals into the running worst residual
+    and the sample that attains it.
+
+    NaN ranks above every number and the first NaN is kept, so a non-finite
+    residual becomes the worst and fails the ``worst <= tol`` test instead
+    of losing every comparison.
+    """
+    i = int(np.argmax(residual))
+    top = float(residual[i])
+    if math.isnan(worst) or not (math.isnan(top) or top > worst):
+        return worst, worst_sample
+    return top, tuple(float(x) for x in points[i])
+
+
 def exact_params(params: tuple[Real, ...]) -> tuple[Fraction, ...]:
     """Exact rational images of the parameters (floats convert exactly)."""
     return tuple(Fraction(p) for p in params)
@@ -508,10 +528,7 @@ def golden_exponential_result(
         residual = np.abs(numeric - gold) / (1.0 + np.abs(gold))
         residual = np.where(checked, residual, 0.0)
         per_draw = residual.reshape(samples, -1).max(axis=1)
-        top = float(per_draw.max())
-        if top > worst:
-            worst = top
-            worst_sample = tuple(float(v) for v in u[int(np.argmax(per_draw))])
+        worst, worst_sample = _fold_worst(worst, worst_sample, per_draw, u)
         count += samples
     return CheckResult(
         name="golden_exponential",
@@ -785,10 +802,7 @@ def flow_result(
         closed = foliation.flow_closed(family, params, index, t, v)
         numeric = foliation.flow_numeric(fields[index - 1], t, v, steps)
         gap = np.abs(closed - numeric).max(axis=-1)
-        top = float(gap.max())
-        if top > worst:
-            worst = top
-            worst_sample = tuple(float(x) for x in v[int(np.argmax(gap))])
+        worst, worst_sample = _fold_worst(worst, worst_sample, gap, v)
     return CheckResult(
         name="flow_equivalence",
         passed=worst <= tol,
@@ -871,10 +885,7 @@ def leaf_roundtrip_result(
             residual = np.abs(back - batch).max(axis=-1) / (
                 1.0 + np.abs(batch).max(axis=-1)
             )
-            top = float(residual.max())
-            if top > worst:
-                worst = top
-                worst_sample = tuple(float(x) for x in batch[int(np.argmax(residual))])
+            worst, worst_sample = _fold_worst(worst, worst_sample, residual, batch)
             count += batch.shape[0]
     return CheckResult(
         name=f"leaf_roundtrip_{map_name}",
@@ -1041,10 +1052,7 @@ def check_fibration(samples: int = 1000, seed: int = 0, tol: float = 1e-6) -> Ch
         points = points[keep][:samples]
         norms = np.linalg.norm(topology.fibration_gradient(t, points), axis=-1)
         residual = 1.0 / norms
-        top = float(residual.max())
-        if top > worst:
-            worst = top
-            worst_sample = tuple(float(x) for x in points[int(np.argmax(residual))])
+        worst, worst_sample = _fold_worst(worst, worst_sample, residual, points)
         count += points.shape[0]
     return CheckResult(
         name="fibration",

@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from korbit import catalog, coadjoint, foliation, rng, topology
+from korbit import catalog, coadjoint, foliation, rng, topology, verify
 from korbit.liecore import DomainError, UnsupportedFamilyError
 
 HALF = Fraction(1, 2)
 FLOW_TOL = 1e-9
+RK4_ORACLE_ATOL = 1e-11
 INVOLUTIVITY_TOL = 1e-9
 
 
@@ -74,6 +77,98 @@ def test_closed_flows_match_numeric_integration():
             closed = foliation.flow_closed(family, params, index, t, v)
             numeric = foliation.flow_numeric(fields[index - 1], t, v, steps=400)
             np.testing.assert_allclose(closed, numeric, atol=2e-8)
+
+
+def _rk4_loop(field, t, v, steps):
+    """Reference: the step-by-step RK4 loop that flow_numeric must equal."""
+    v = np.asarray(v, dtype=float)
+    t = np.asarray(t, dtype=float)
+    y = np.array(np.broadcast_to(v, np.broadcast_shapes(t.shape + (1,), v.shape)), copy=True)
+    h = (np.broadcast_to(t, y.shape[:-1]) / steps)[..., None]
+    for _ in range(steps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def test_flow_numeric_matches_rk4_loop():
+    """The powered step matrix equals the step-by-step RK4 loop for every
+    field of four families, at step counts that are and are not powers of
+    two."""
+    for family in ("G4", "G12", "G13", "G16"):
+        params = _representative(family)
+        t = rng.generator(6, "t", family).uniform(-1, 1, 12)
+        v = rng.sample_coordinates(6, 12, "start", family)
+        for field in foliation.system_fields(family, params):
+            for steps in (1, 2, 7, 400, 512, 1000):
+                np.testing.assert_allclose(
+                    foliation.flow_numeric(field, t, v, steps),
+                    _rk4_loop(field, t, v, steps),
+                    rtol=0,
+                    atol=RK4_ORACLE_ATOL,
+                )
+
+
+def test_flow_numeric_broadcasts_like_rk4_loop():
+    """Scalar, negative and 2-D times broadcast against the starts exactly
+    as the loop does, and a zero time returns the starts unchanged."""
+    field = foliation.system_fields("G13", (HALF,))[2]
+    v = rng.sample_coordinates(7, 4, "broadcast")
+    for t in (0.7, -0.9, np.array([[0.3], [-0.5], [1.0]])):
+        numeric = foliation.flow_numeric(field, t, v, 7)
+        expected = _rk4_loop(field, t, v, 7)
+        assert numeric.shape == expected.shape
+        np.testing.assert_allclose(numeric, expected, rtol=0, atol=RK4_ORACLE_ATOL)
+    assert foliation.flow_numeric(field, -0.4, v[0], 9).shape == (7,)
+    np.testing.assert_array_equal(foliation.flow_numeric(field, 0.0, v, 512), v)
+    with pytest.raises(ValueError):
+        foliation.flow_numeric(field, 0.5, v, steps=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    t=st.floats(min_value=-1.0, max_value=1.0),
+    steps=st.integers(min_value=1, max_value=64),
+)
+def test_flow_numeric_matches_rk4_loop_on_random_affine_fields(seed, t, steps):
+    """Any affine field with entries in [-1, 1] integrates like the loop,
+    relative to the size of the endpoint."""
+    gen = np.random.default_rng(seed)
+    field = foliation.LinearVectorField(gen.uniform(-1, 1, (7, 7)), gen.uniform(-1, 1, 7))
+    v = gen.uniform(-2, 2, (5, 7))
+    expected = _rk4_loop(field, t, v, steps)
+    scale = 1.0 + float(np.abs(expected).max())
+    np.testing.assert_allclose(
+        foliation.flow_numeric(field, t, v, steps), expected, rtol=0, atol=RK4_ORACLE_ATOL * scale
+    )
+
+
+def test_flow_result_fails_on_a_nan_residual(monkeypatch):
+    """A NaN endpoint fails the flow check and is reported as the worst
+    sample, even after finite residuals from earlier fields."""
+    family, params, starts, planted = "G13", (HALF,), 20, 13
+    real = foliation.flow_numeric
+    calls = []
+
+    def flow_with_nan(field, t, v, steps=1000):
+        out = real(field, t, v, steps)
+        calls.append(field)
+        if len(calls) == 4:
+            out[planted, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(foliation, "flow_numeric", flow_with_nan)
+    result = verify.flow_result(family, params, starts=starts)
+    v = rng.sample_coordinates(0, starts, "flow-start", family, *params)
+    assert len(calls) == 6
+    assert not result.passed
+    assert math.isnan(result.max_residual)
+    assert result.worst_sample == tuple(float(x) for x in v[planted])
+    assert result.n_evaluated == 6 * starts
 
 
 def test_flow_group_property():
