@@ -22,11 +22,9 @@ from .catalog import (
 )
 from .coadjoint import (
     OrbitType,
-    action_matrix,
     coadjoint_act,
     condition_margin,
     jacobian_check,
-    kirillov_form,
     orbit_dimension,
     orbit_type,
     rank_condition,
@@ -94,7 +92,6 @@ __all__ = [
     "OrbitType",
     "ParameterError",
     "UnsupportedFamilyError",
-    "action_matrix",
     "boundary_margin",
     "build",
     "classify",
@@ -114,7 +111,6 @@ __all__ = [
     "invariant",
     "involutivity_residual",
     "jacobian_check",
-    "kirillov_form",
     "leaf_map",
     "manifold_of",
     "numeric_rank",

@@ -48,6 +48,11 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite_or_none(x: float) -> float | None:
+    """A residual for the JSON report, where null states a non-finite one."""
+    return x if math.isfinite(x) else None
+
+
 def _to_json(value: Any, indent: int = 0) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
@@ -223,7 +228,7 @@ def _run_report(
                 "name": r.name,
                 "passed": r.passed,
                 "graded": r.graded,
-                "max_residual": float(r.max_residual),
+                "max_residual": _finite_or_none(float(r.max_residual)),
                 "tolerance": float(r.tolerance),
                 "n_evaluated": r.n_evaluated,
                 "worst_sample": list(r.worst_sample) if r.worst_sample is not None else None,
@@ -244,8 +249,10 @@ def _human_report(report: dict[str, Any], results: Sequence[verify.CheckResult])
     ]
     for r in results:
         verdict = "PASS" if r.passed else ("FIND" if r.graded else "FAIL")
+        residual = float(r.max_residual)
+        shown = _format_float(residual) if math.isfinite(residual) else str(residual)
         line = (
-            f"{verdict} {r.name:<24} residual={_format_float(float(r.max_residual))}"
+            f"{verdict} {r.name:<24} residual={shown}"
             f" tol={_format_float(float(r.tolerance))} n={r.n_evaluated}"
         )
         if r.details and (not r.passed or r.n_evaluated == 0):

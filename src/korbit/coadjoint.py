@@ -20,19 +20,9 @@ RANK_CONDITION_FAMILIES: frozenset[str] = frozenset(
 )
 
 
-def kirillov_form(algebra: LieAlgebra7, f: np.ndarray) -> np.ndarray:
-    """Pairing matrix of the functional f, batched over leading axes."""
-    return algebra.kirillov(f)
-
-
 def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     """Dimension of the coadjoint orbit through f (rank of the pairing)."""
     return numeric_rank(algebra.kirillov(f), tol)
-
-
-def action_matrix(algebra: LieAlgebra7, u: np.ndarray) -> np.ndarray:
-    """Matrix sending a functional to its image under the element exp(u)."""
-    return np.swapaxes(exp_matrix(algebra.ad(u)), -1, -2)
 
 
 def coadjoint_act(algebra: LieAlgebra7, u: np.ndarray, f: np.ndarray) -> np.ndarray:

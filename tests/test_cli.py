@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
-from korbit import cli
+from korbit import cli, coadjoint
 
 VERIFY_FAST = ["--samples", "60", "--seed", "0"]
 
@@ -95,6 +96,33 @@ def test_verify_graded_finding_does_not_fail_the_run(capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     finding = by_name["leaf_constancy_h11"]
     assert finding["graded"] and not finding["passed"]
+
+
+def test_verify_reports_a_nan_residual_as_a_failure(capsys, monkeypatch):
+    """A NaN residual prints as a FAIL line and as null in JSON, and the
+    finite residuals of the other checks are still numbers."""
+    exact = coadjoint.jacobian_check
+
+    def jacobian_with_nan(algebra, u):
+        det, exp_trace = exact(algebra, u)
+        det = np.array(det, dtype=float)
+        det[3] = np.nan
+        return det, exp_trace
+
+    monkeypatch.setattr(coadjoint, "jacobian_check", jacobian_with_nan)
+    argv = ["verify", "--family", "G4", "--l1", "0", "--l2", "2", *VERIFY_FAST]
+    code, out, _ = _run(argv, capsys)
+    assert code == 1
+    line = next(l for l in out.splitlines() if "measure_invariance" in l)
+    assert line.startswith("FAIL ") and "residual=nan " in line
+
+    code, out, _ = _run([*argv, "--json"], capsys)
+    assert code == 1
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    planted = by_name.pop("measure_invariance")
+    assert planted["max_residual"] is None and not planted["passed"]
+    assert planted["worst_sample"] is not None
+    assert all(isinstance(c["max_residual"], (int, float)) for c in by_name.values())
 
 
 def test_verify_rejects_invalid_parameters(capsys):
