@@ -51,6 +51,7 @@ from .liecore import (
     UnsupportedFamilyError,
     exp_matrix,
     numeric_rank,
+    pairing_rank,
     phi1,
     verify_jacobi,
 )
@@ -116,6 +117,7 @@ __all__ = [
     "numeric_rank",
     "orbit_dimension",
     "orbit_type",
+    "pairing_rank",
     "phi1",
     "rank_condition",
     "run_family_suite",

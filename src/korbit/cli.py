@@ -390,8 +390,8 @@ def _positive_int(value: str) -> int:
 
 def _positive_float(value: str) -> float:
     x = float(value)
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not (x > 0.0 and math.isfinite(x)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return x
 
 

@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from . import rng, topology
-from .liecore import DomainError, LieAlgebra7, UnsupportedFamilyError, exp_matrix, numeric_rank
+from .liecore import DomainError, LieAlgebra7, UnsupportedFamilyError, exp_matrix, pairing_rank
 
 #: Families with a cataloged closed-form rank-six predicate.
 RANK_CONDITION_FAMILIES: frozenset[str] = frozenset(
@@ -21,8 +21,13 @@ RANK_CONDITION_FAMILIES: frozenset[str] = frozenset(
 
 
 def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
-    """Dimension of the coadjoint orbit through f (rank of the pairing)."""
-    return numeric_rank(algebra.kirillov(f), tol)
+    """Dimension of the coadjoint orbit through f (rank of the pairing).
+
+    The rank of the Kirillov form comes from liecore.pairing_rank, which
+    certifies rank six by the form's principal Pfaffians and sends every
+    other form to the SVD of numeric_rank, with the same result.
+    """
+    return pairing_rank(algebra.kirillov(f), tol)
 
 
 def coadjoint_act(algebra: LieAlgebra7, u: np.ndarray, f: np.ndarray) -> np.ndarray:

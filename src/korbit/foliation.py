@@ -16,7 +16,14 @@ from numbers import Real
 import numpy as np
 
 from . import catalog, topology
-from .liecore import DIM, DomainError, LieAlgebra7, UnsupportedFamilyError, numeric_rank
+from .liecore import (
+    DIM,
+    DomainError,
+    LieAlgebra7,
+    UnsupportedFamilyError,
+    numeric_rank,
+    pairing_rank,
+)
 
 #: Families with a cataloged generating system of vector fields.
 SYSTEM_FAMILIES: frozenset[str] = frozenset(
@@ -314,7 +321,11 @@ def distribution_equiv(
     """Whether the generating fields span the orbit tangent space at v.
 
     True when the stacked field values, the pairing matrix of v, and their
-    concatenation all have numeric rank six.  Batched over leading axes.
+    concatenation all have numeric rank six.  The two non-antisymmetric
+    stacks are ranked by the SVD of liecore.numeric_rank; the pairing
+    matrix by liecore.pairing_rank, which certifies rank six by its
+    principal Pfaffians and gives the same rank.  Batched over leading
+    axes.
     """
     fields = system_fields(algebra.family, algebra.params)
     v = np.asarray(v, dtype=float)
@@ -325,7 +336,7 @@ def distribution_equiv(
     stacked = np.concatenate([span, pairing], axis=-2)
     ok = (
         (numeric_rank(span, tol) == 6)
-        & (numeric_rank(pairing, tol) == 6)
+        & (pairing_rank(pairing, tol) == 6)
         & (numeric_rank(stacked, tol) == 6)
     )
     if np.ndim(ok) == 0:

@@ -222,3 +222,152 @@ def numeric_rank(m: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     if np.ndim(rank) == 0:
         return int(rank)
     return rank
+
+
+def _expand(indices: tuple[int, ...]):
+    """Expansion of a Pfaffian along its first index.
+
+    Pf(A) = sum over partners j of (-1)^pos a_{first, j} Pf(A without
+    first and j), where pos counts the indices between the two.  Yields
+    (sign, (first, j), remaining indices).
+    """
+    first, rest = indices[0], indices[1:]
+    for pos, partner in enumerate(rest):
+        yield (-1) ** pos, (first, partner), rest[:pos] + rest[pos + 1 :]
+
+
+def _matchings(indices: tuple[int, ...]):
+    """Signed perfect matchings of an even index tuple: the Pfaffian's terms."""
+    if not indices:
+        yield 1, ()
+        return
+    for sign, pair, remaining in _expand(indices):
+        for inner, pairs in _matchings(remaining):
+            yield sign * inner, (pair,) + pairs
+
+
+#: Flat positions (7i + j) of the 21 entries above the diagonal, of their
+#: mirror images below it, and of the diagonal.
+_UPPER_PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
+_UPPER = np.array([DIM * i + j for i, j in _UPPER_PAIRS])
+_LOWER = np.array([DIM * j + i for i, j in _UPPER_PAIRS])
+_DIAG = np.arange(DIM) * (DIM + 1)
+
+
+def _pfaffian_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables for the seven principal 6x6 Pfaffians of a 7x7 form.
+
+    Principal Pfaffian i omits index i and carries the sign (-1)^i, so that
+    the Pfaffians make the vector p with adj K = p p^T.  Each is expanded
+    once along its first index into five entries times 4x4 Pfaffians; the
+    4x4 minors that occur are the fifteen 4-subsets of indices 1..6, each a
+    sum of three matched products, so the 105 terms share their products.
+    Entries index the signed upper triangle (+u, -u), which folds every
+    sign into a factor.  All four tables are term-major: row t holds the
+    t-th term of every 4x4 or 6x6 Pfaffian.
+    """
+    position = {pair: n for n, pair in enumerate(_UPPER_PAIRS)}
+
+    def signed(sign: int, pair: tuple[int, int]) -> int:
+        return position[pair] + (len(_UPPER_PAIRS) if sign < 0 else 0)
+
+    expansions = [
+        [((-1) ** omit * sign, pair, minor) for sign, pair, minor in _expand(
+            tuple(i for i in range(DIM) if i != omit)
+        )]
+        for omit in range(DIM)
+    ]
+    minors = sorted({minor for terms in expansions for _, _, minor in terms})
+    matched = [list(_matchings(minor)) for minor in minors]
+    minor_left = [[signed(s, pairs[0]) for s, pairs in terms] for terms in matched]
+    minor_right = [[position[pairs[1]] for _, pairs in terms] for terms in matched]
+    entry = [[signed(s, pair) for s, pair, _ in terms] for terms in expansions]
+    entry_minor = [[minors.index(m) for _, _, m in terms] for terms in expansions]
+    tables = (minor_left, minor_right, entry, entry_minor)
+    return tuple(np.array(table).T.copy() for table in tables)
+
+
+_MINOR_LEFT, _MINOR_RIGHT, _PF_ENTRY, _PF_MINOR = _pfaffian_tables()
+
+
+def _principal_pfaffians(u: np.ndarray) -> np.ndarray:
+    """The vector p with adj K = p p^T, from the upper triangle of K.
+
+    ``u`` holds the 21 entries above the diagonal on its first axis, in
+    row-major order, and one column per matrix; the result has shape
+    (7, columns).
+    """
+    signed = np.concatenate([u, -u])
+    products = signed[_MINOR_LEFT]
+    products *= u[_MINOR_RIGHT]
+    minors = products.sum(axis=0)
+    terms = signed[_PF_ENTRY]
+    terms *= minors[_PF_MINOR]
+    return terms.sum(axis=0)
+
+
+#: Smallest rank tolerance at which pairing_rank certifies.  In units of
+#: the largest entry, |p| is computed to about 400 eps (1e-13), and the
+#: singular values LAPACK returns are those of a matrix within a small
+#: multiple of eps |K| of K.  At tol >= 1e-12 (about 4500 eps) a certified
+#: form therefore has s5 >= 1.9 tol s1, and its computed s5 and s6 stay
+#: above tol s1 while s7 stays below.  A fixed constant, not a setting.
+PAIRING_TOL_FLOOR = 1e-12
+
+#: Forms per chunk in pairing_rank: the gathered products of 1,024 forms
+#: (45 and 35 rows of 8 kB) stay in a 2 MB L2 cache.  On a 2-core x86-64
+#: machine the certificate took 3.1-3.5 ms per 10k G13 forms at 1,024 and
+#: 4.4-5.0 ms at 256.
+_PAIRING_CHUNK = 1024
+
+
+def pairing_rank(k: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
+    """numeric_rank of antisymmetric 7x7 forms, certifying rank six cheaply.
+
+    For antisymmetric 7x7 K the singular values pair up,
+    s1 = s2 >= s3 = s4 >= s5 = s6, with s7 = 0, and the seven principal
+    6x6 Pfaffians form a vector p with adj K = p p^T, so that
+    |p| = s1 s3 s5.  With s3 <= s1 and s1^2 <= |K|_F^2 / 2 this gives
+
+        s5 / s1 >= |p| / s1^3 >= 2^(3/2) |p| / |K|_F^3.
+
+    A form whose bound exceeds 2 tol gets rank six without an SVD: by
+    Weyl's bound on perturbed singular values (Golub & Van Loan, *Matrix
+    Computations*, section 8.6), the SVD of such a form keeps s5 and s6
+    above tol s1 and s7 below it, for tol at or above PAIRING_TOL_FLOOR.
+    The Pfaffians are computed on the form divided by its largest entry,
+    so they neither overflow nor underflow.  Every other form goes to
+    numeric_rank unchanged: ranks 0, 2 and 4, forms that are not exactly
+    antisymmetric or not finite, and forms near the bound.  Below the
+    floor every form goes to numeric_rank.  The result therefore equals
+    numeric_rank(k, tol) form by form.
+
+    Accepts stacks of 7x7 matrices on leading axes.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.shape[-2:] != (DIM, DIM):
+        raise ValueError(f"pairing_rank expects 7x7 matrices, got shape {k.shape}")
+    if not tol >= PAIRING_TOL_FLOOR:
+        return numeric_rank(k, tol)
+    flat = k.reshape(-1, DIM * DIM)
+    certified = np.empty(len(flat), dtype=bool)
+    # Zero and non-finite forms, and forms whose largest entry is
+    # subnormal, turn into NaN or inf here and fail the comparison, which
+    # sends them to numeric_rank.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        for start in range(0, len(flat), _PAIRING_CHUNK):
+            t = flat[start : start + _PAIRING_CHUNK].T
+            u = t[_UPPER]
+            exact = ~np.any(u + t[_LOWER], axis=0) & ~np.any(t[_DIAG], axis=0)
+            u *= 1.0 / np.abs(u).max(axis=0)
+            half_square_norm = np.einsum("ij,ij->j", u, u)
+            p = _principal_pfaffians(u)
+            # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
+            bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
+            certified[start : start + _PAIRING_CHUNK] = exact & bound
+    rank = np.full(len(flat), 6)
+    if not certified.all():
+        rank[~certified] = numeric_rank(flat[~certified].reshape(-1, DIM, DIM), tol)
+    if k.ndim == 2:
+        return int(rank[0])
+    return rank.reshape(k.shape[:-2])

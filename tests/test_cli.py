@@ -154,6 +154,18 @@ def test_samples_must_be_positive(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--rank-tol", "--inv-tol", "--flow-tol"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-9"])
+def test_tolerances_must_be_positive_and_finite(flag, value, capsys):
+    """A tolerance that is not a positive finite number is a usage error,
+    not a traceback from the report writer."""
+    argv = ["verify", "--family", "G4", "--l1", "0", "--l2", "2", "--samples", "10"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [f"{flag}={value}"])
+    assert "positive and finite" in capsys.readouterr().err
+    assert exc.value.code == 2
+
+
 def test_orbit_reports_type_and_invariant(capsys):
     code, out, _ = _run(
         ["orbit", "G4", "1", "2", "3", "0.5", "1.5", "0", "0", "--l1", "0", "--l2", "2"],

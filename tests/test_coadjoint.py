@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from korbit import catalog, coadjoint, rng
-from korbit.liecore import UnsupportedFamilyError
+from korbit import catalog, coadjoint, rng, verify
+from korbit.liecore import UnsupportedFamilyError, numeric_rank
 
 HALF = Fraction(1, 2)
 REL = 1e-12
@@ -78,6 +78,52 @@ def test_orbit_dimension_zero_at_origin():
     """The zero functional is a fixed point."""
     algebra = catalog.build("G7", ())
     assert int(coadjoint.orbit_dimension(algebra, np.zeros(7))) == 0
+
+
+def _rank_pool(seed, n, *key):
+    """Uniform functionals, the rank campaigns' planted zeros in
+    coordinates (3,), (4,) and (2, 4), and the zero functional."""
+    pool = [rng.sample_functionals(seed, n, "pairing-oracle", *key), np.zeros((1, 7))]
+    for pattern in ((3,), (4,), (2, 4)):
+        probe = rng.sample_functionals(seed, n // 4, "pairing-probe", *key, *pattern)
+        probe[:, list(pattern)] = 0.0
+        pool.append(probe)
+    return np.concatenate(pool)
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_orbit_dimension_equals_svd_rank_on_every_grid_entry(family):
+    """The Pfaffian-certified orbit dimension equals the SVD rank of the
+    Kirillov form row by row, at the representative parameters and at
+    every default grid entry, planted zeros and the origin included."""
+    grid = (verify.REPRESENTATIVE_PARAMS[family],) + catalog.default_parameter_grid(family)
+    for params in grid:
+        algebra = catalog.build(family, params)
+        f = _rank_pool(0, 800, family, *params)
+        np.testing.assert_array_equal(
+            coadjoint.orbit_dimension(algebra, f),
+            numeric_rank(algebra.kirillov(f)),
+            err_msg=f"{family} {params}",
+        )
+
+
+@pytest.mark.parametrize("lam", [0, 1])
+def test_orbit_dimension_equals_svd_rank_on_first_family_hypersurface(lam):
+    """On a3 a4 = a2 a5, where the G1 rank drops to four, the certificate
+    stays silent and the SVD decides, planted exactly or to rounding."""
+    algebra = catalog.build("G1", (Fraction(lam),))
+    gen = np.random.default_rng(29)
+    exact = gen.integers(-8, 9, (400, 7)).astype(float)
+    exact[:, 1] = gen.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0], 400)
+    exact[:, 4] = exact[:, 2] * exact[:, 3] / exact[:, 1]
+    rounded = gen.uniform(-3.0, 3.0, (400, 7))
+    rounded[:, 4] = rounded[:, 2] * rounded[:, 3] / rounded[:, 1]
+    assert np.all(exact[:, 2] * exact[:, 3] == exact[:, 1] * exact[:, 4])
+    assert np.all(np.asarray(coadjoint.orbit_dimension(algebra, exact)) < 6)
+    for f in (exact, rounded):
+        np.testing.assert_array_equal(
+            coadjoint.orbit_dimension(algebra, f), numeric_rank(algebra.kirillov(f))
+        )
 
 
 def test_rank_condition_matches_rank_on_random_draws():

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from korbit import catalog, rng, verify
+from korbit import catalog, liecore, rng, verify
 from korbit.liecore import (
     DIM,
+    PAIRING_TOL_FLOOR,
     DomainError,
     LieAlgebra7,
     exp_matrix,
     numeric_rank,
+    pairing_rank,
     phi1,
     verify_jacobi,
 )
@@ -26,6 +28,9 @@ EXP_RTOL = 1e-12
 #: the term-by-term loop by at most this factor.
 DET_GAP_FACTOR = 1.5
 INVERSE_RTOL = 1e-12
+#: |p| = s1 s3 s5 holds to rounding; the Pfaffians are computed to a few
+#: hundred eps of the largest entry.
+PFAFFIAN_RTOL = 1e-12
 #: Without squaring the two evaluations differ by rounding alone, which
 #: leaves room to see a lost term of degree 12 or more (about 5e-13).
 UNSCALED_RTOL = 1e-14
@@ -192,6 +197,166 @@ def test_numeric_rank_counts_significant_singular_values():
     assert int(numeric_rank(m)) == 3
     batch = np.stack([m, np.eye(DIM)])
     np.testing.assert_array_equal(numeric_rank(batch), [3, 7])
+
+
+def _antisymmetric(sigmas, seed):
+    """Q blockdiag(s J, ...) Q^T for a random orthogonal Q: an antisymmetric
+    7x7 matrix whose singular values are the given pairs and a zero."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(DIM, DIM)))
+    core = np.zeros((DIM, DIM))
+    for n, s in enumerate(sigmas):
+        core[2 * n, 2 * n + 1], core[2 * n + 1, 2 * n] = s, -s
+    k = q @ core @ q.T
+    return (k - k.T) / 2
+
+
+def _adjugate(m):
+    """Transposed cofactor matrix, one 6x6 determinant per entry."""
+    out = np.empty_like(m)
+    for i in range(DIM):
+        for j in range(DIM):
+            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
+            out[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    return out
+
+
+def _pfaffians(k):
+    """The vector p of principal Pfaffians, as pairing_rank computes it."""
+    k = np.asarray(k, dtype=float).reshape(-1, DIM * DIM)
+    return liecore._principal_pfaffians(k.T[liecore._UPPER])
+
+
+def test_principal_pfaffians_norm_is_product_of_paired_singular_values():
+    """|p| = s1 s3 s5 and adj K = p p^T, on matrices of known spectrum."""
+    gen = np.random.default_rng(23)
+    for seed in range(50):
+        sigmas = np.sort(gen.uniform(0.5, 2.0, 3))[::-1]
+        k = _antisymmetric(sigmas, seed)
+        p = _pfaffians(k)[:, 0]
+        assert math.isclose(np.linalg.norm(p), np.prod(sigmas), rel_tol=PFAFFIAN_RTOL)
+        np.testing.assert_allclose(np.outer(p, p), _adjugate(k), atol=1e-12)
+
+
+def test_principal_pfaffians_norm_matches_svd_on_kirillov_forms():
+    """|p| = s1 s3 s5 against the SVD on well-conditioned Kirillov forms of
+    every family."""
+    for family in catalog.FAMILIES:
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        k = algebra.kirillov(rng.sample_functionals(0, 500, "pfaffian-identity", family))
+        s = np.linalg.svd(k, compute_uv=False)
+        conditioned = s[:, 4] > 1e-2 * s[:, 0]
+        assert np.count_nonzero(conditioned) > 100, family
+        norm = np.linalg.norm(_pfaffians(k[conditioned]), axis=0)
+        product = (s[:, 0] * s[:, 2] * s[:, 4])[conditioned]
+        assert np.abs(norm / product - 1.0).max() <= PFAFFIAN_RTOL, family
+
+
+def _sent_to_svd(monkeypatch):
+    """Record the number of matrices each numeric_rank call receives."""
+    sent = []
+
+    def counting(m, tol=1e-9):
+        sent.append(math.prod(np.shape(m)[:-2]))
+        return numeric_rank(m, tol)
+
+    monkeypatch.setattr(liecore, "numeric_rank", counting)
+    return sent
+
+
+def test_pairing_rank_certifies_most_generic_forms(monkeypatch):
+    """Generic G13 forms are certified without SVD; those that are not go
+    to numeric_rank, and the ranks agree row by row."""
+    algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    k = algebra.kirillov(rng.sample_functionals(0, 5000, "pairing-certified"))
+    expected = numeric_rank(k)
+    sent = _sent_to_svd(monkeypatch)
+    np.testing.assert_array_equal(pairing_rank(k), expected)
+    assert sum(sent) < 0.05 * len(k)
+
+
+def test_pairing_rank_below_floor_sends_every_form_to_svd(monkeypatch):
+    """At tol = 1e-15, below the floor, every form goes to numeric_rank."""
+    assert PAIRING_TOL_FLOOR > 1e-15
+    algebra = catalog.build("G8", verify.REPRESENTATIVE_PARAMS["G8"])
+    k = algebra.kirillov(rng.sample_functionals(0, 2000, "pairing-floor"))
+    expected = numeric_rank(k, 1e-15)
+    sent = _sent_to_svd(monkeypatch)
+    np.testing.assert_array_equal(pairing_rank(k, 1e-15), expected)
+    assert sent == [len(k)]
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_pairing_rank_equals_numeric_rank_on_scaled_forms(scale, monkeypatch):
+    """Forms scaled by 1e+-150 get their SVD ranks, and are certified as
+    often as unscaled ones: the Pfaffians of the form divided by its
+    largest entry neither overflow nor underflow."""
+    for family in catalog.FAMILIES:
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        f = rng.sample_functionals(0, 300, "pairing-scaled", family)
+        f[:100, [3, 4]] = 0.0
+        k = algebra.kirillov(f)
+        expected = numeric_rank(k * scale)
+        with monkeypatch.context() as patch:
+            sent = _sent_to_svd(patch)
+            np.testing.assert_array_equal(pairing_rank(k * scale), expected, err_msg=family)
+            pairing_rank(k)
+        assert sent[0] == sent[1], family
+
+
+def test_pairing_rank_non_finite_forms_behave_as_numeric_rank():
+    """A NaN form makes the SVD fail as it does in numeric_rank; an
+    infinite form gets numeric_rank's rank."""
+    algebra = catalog.build("G4", verify.REPRESENTATIVE_PARAMS["G4"])
+    k = algebra.kirillov(rng.sample_functionals(0, 20, "pairing-nan"))
+    k[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        numeric_rank(k)
+    with pytest.raises(np.linalg.LinAlgError):
+        pairing_rank(k)
+    k[3] = 0.0
+    k[3, 0, 1], k[3, 1, 0] = np.inf, -np.inf
+    np.testing.assert_array_equal(pairing_rank(k), numeric_rank(k))
+
+
+def test_pairing_rank_sends_non_antisymmetric_matrices_to_svd():
+    """The certificate holds only for antisymmetric forms; a nonzero
+    diagonal entry or a broken mirror entry keeps the SVD's answer."""
+    k = _antisymmetric([2.0, 1.0, 0.5], seed=1)
+    diagonal, mirror = k.copy(), k.copy()
+    diagonal[6, 6] = 1.0
+    mirror[0, 1] += 1e-3
+    stack = np.stack([k, diagonal, mirror, np.random.default_rng(2).normal(size=(DIM, DIM))])
+    np.testing.assert_array_equal(pairing_rank(stack), numeric_rank(stack))
+    assert pairing_rank(diagonal) == 7
+
+
+def test_pairing_rank_shapes():
+    """One form gives an int, stacks keep their leading axes, and anything
+    but 7x7 is refused."""
+    k = _antisymmetric([2.0, 1.0, 0.5], seed=3)
+    assert pairing_rank(k) == 6 and isinstance(pairing_rank(k), int)
+    assert pairing_rank(np.zeros((DIM, DIM))) == 0
+    stack = np.stack([k, np.zeros((DIM, DIM)), _antisymmetric([1.0, 1.0, 0.0], seed=4)])
+    np.testing.assert_array_equal(pairing_rank(stack.reshape(1, 3, DIM, DIM)), [[6, 0, 4]])
+    assert pairing_rank(np.zeros((0, DIM, DIM))).shape == (0,)
+    with pytest.raises(ValueError):
+        pairing_rank(np.zeros((6, 6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=-10.0, max_value=-8.0),
+    st.floats(min_value=1e-3, max_value=1.0),
+    st.floats(min_value=1e-100, max_value=1e100),
+)
+def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, middle, scale):
+    """Q blockdiag(s1 J, s3 J, s5 J, 0) Q^T with s5 / s1 from 1e-10 to
+    1e-8, around tol = 1e-9: certified or not, the rank is the SVD's."""
+    sigmas = scale * np.array([1.0, max(middle, 10.0**log_gap), 10.0**log_gap])
+    k = _antisymmetric(sigmas, seed)
+    assert pairing_rank(k) == numeric_rank(k)
+    assert pairing_rank(k, 1e-12) == numeric_rank(k, 1e-12)
 
 
 def test_verify_jacobi_is_exactly_zero_on_catalog_members():
