@@ -2,38 +2,101 @@
 
 Every family extends the same five-dimensional nilradical, whose only
 nonzero brackets are [e1, e2] = e4 and [e1, e3] = e5, by two commuting
-derivations (up to a central correction in one family).  Each entry below
+derivations (up to a central correction in one family).  derivation_pair
 records how the two extra generators act on the nilradical, row j giving
-the image of nilradical generator j.
+the image of nilradical generator j.  record holds the other per-family
+facts that several modules read, and the module-level tables are views of
+those records.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
-from .liecore import DIM, LieAlgebra7, ParameterError, UnsupportedFamilyError
+from .liecore import LieAlgebra7, ParameterError, UnsupportedFamilyError
 
-FAMILIES: tuple[str, ...] = tuple(f"G{k}" for k in range(1, 17))
 
-PARAM_ARITY: dict[str, int] = {
-    "G1": 1, "G2": 0, "G3": 0, "G4": 2, "G5": 0, "G6": 1, "G7": 0, "G8": 1,
-    "G9": 0, "G10": 1, "G11": 0, "G12": 1, "G13": 1, "G14": 2, "G15": 0, "G16": 1,
+@dataclass(frozen=True)
+class FamilyRecord:
+    """The catalog facts about one family that the other modules read.
+
+    ``manifold`` names the foliated manifold (V1, V2 or V3), which
+    topology maps to its enum.  ``cataloged`` says whether the family has
+    a closed-form rank-six predicate and a generating field system.
+    ``swapped`` says whether the printed field system lists the second
+    derivation of derivation_pair before the first.
+    """
+
+    param_names: tuple[str, ...] = ()
+    constraint: str = ""
+    representative: tuple[Fraction, ...] = ()
+    grid: tuple[tuple[Fraction, ...], ...] = ((),)
+    manifold: str = "V1"
+    exponential: bool = True
+    cataloged: bool = True
+    swapped: bool = False
+
+    @property
+    def arity(self) -> int:
+        return len(self.param_names)
+
+
+_ZERO, _HALF, _ONE, _TWO = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
+_SCALE = (_ZERO, _HALF, _ONE, _TWO)
+_LINE = tuple((s,) for s in _SCALE)
+_PLANE = tuple((l1, l2) for l1 in _SCALE for l2 in _SCALE)
+#: G4's grid drops the catalog violations and the rank-degenerate diagonal.
+_G4_GRID = tuple((l1, l2) for l1, l2 in _PLANE if l2 != l1 + 1 and l1 != l2)
+_L = ("λ",)
+_L12 = ("λ1", "λ2")
+
+_RECORDS: dict[str, FamilyRecord] = {
+    "G1": FamilyRecord(_L, "λ ∈ R", (_ONE,), ((_ZERO,), (_ONE,)), swapped=True),
+    "G2": FamilyRecord(cataloged=False),
+    "G3": FamilyRecord(cataloged=False),
+    "G4": FamilyRecord(_L12, "(λ1,λ2) ≠ (−1,0); λ2 ≠ λ1 + 1", (_ZERO, _TWO), _G4_GRID),
+    "G5": FamilyRecord(),
+    "G6": FamilyRecord(_L, "λ ∈ R", (_HALF,), _LINE, swapped=True),
+    "G7": FamilyRecord(),
+    "G8": FamilyRecord(_L, "λ ∈ R", (_HALF,), _LINE),
+    "G9": FamilyRecord(cataloged=False),
+    "G10": FamilyRecord(_L, "λ ∈ R", (_HALF,), _LINE, cataloged=False),
+    "G11": FamilyRecord(),
+    "G12": FamilyRecord(_L, "λ ≠ −1", (_HALF,), _LINE, manifold="V2"),
+    "G13": FamilyRecord(_L, "λ ≥ 0", (_HALF,), _LINE, manifold="V3", exponential=False),
+    "G14": FamilyRecord(
+        _L12, "λ1 ≠ −1; λ2 ≥ 0", (_HALF, _ONE), _PLANE, manifold="V3", exponential=False
+    ),
+    "G15": FamilyRecord(manifold="V3", exponential=False),
+    "G16": FamilyRecord(_L, "λ ≥ 0", (_HALF,), _LINE, manifold="V3", exponential=False),
 }
+
+FAMILIES: tuple[str, ...] = tuple(_RECORDS)
+
+PARAM_ARITY: dict[str, int] = {name: r.arity for name, r in _RECORDS.items()}
 
 PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "G1": ("λ",), "G4": ("λ1", "λ2"), "G6": ("λ",), "G8": ("λ",), "G10": ("λ",),
-    "G12": ("λ",), "G13": ("λ",), "G14": ("λ1", "λ2"), "G16": ("λ",),
+    name: r.param_names for name, r in _RECORDS.items() if r.param_names
 }
 
-def _check_family(family: str) -> None:
-    if family not in FAMILIES:
-        raise UnsupportedFamilyError(f"unknown family {family!r}")
+#: Families with a cataloged rank-six predicate and generating field system.
+CATALOGED_FAMILIES: frozenset[str] = frozenset(
+    name for name, r in _RECORDS.items() if r.cataloged
+)
+
+
+def record(family: str) -> FamilyRecord:
+    """The catalog record of a family."""
+    try:
+        return _RECORDS[family]
+    except KeyError:
+        raise UnsupportedFamilyError(f"unknown family {family!r}") from None
 
 
 def validate_params(family: str, params: tuple[Real, ...]) -> None:
     """Raise ParameterError naming the violated catalog condition."""
-    _check_family(family)
-    arity = PARAM_ARITY[family]
+    arity = record(family).arity
     if len(params) != arity:
         raise ParameterError(f"{family} takes {arity} parameter(s), got {len(params)}")
     if family == "G4":
@@ -180,31 +243,9 @@ def build(family: str, params: tuple[Real, ...] = ()) -> LieAlgebra7:
     return LieAlgebra7(family=family, params=params, brackets=brackets)
 
 
-_HALF = Fraction(1, 2)
-_SCALE = (Fraction(0), _HALF, Fraction(1), Fraction(2))
-
-
 def default_parameter_grid(family: str) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact parameter tuples used by the verification campaigns.
-
-    The two-parameter grids exclude catalog violations, and the first
-    family with a rank-degenerate parameter diagonal excludes it as well.
-    """
-    _check_family(family)
-    if family == "G1":
-        return ((Fraction(0),), (Fraction(1),))
-    if family == "G4":
-        return tuple(
-            (l1, l2)
-            for l1 in _SCALE
-            for l2 in _SCALE
-            if l2 != l1 + 1 and l1 != l2
-        )
-    if family in ("G6", "G8", "G10", "G12", "G13", "G16"):
-        return tuple((s,) for s in _SCALE)
-    if family == "G14":
-        return tuple((l1, l2) for l1 in _SCALE for l2 in _SCALE)
-    return ((),)
+    """Exact parameter tuples used by the verification campaigns."""
+    return record(family).grid
 
 
 def grid_algebras(family: str) -> tuple[LieAlgebra7, ...]:

@@ -20,22 +20,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import catalog, coadjoint, foliation, rng, topology, verify
+from . import catalog, coadjoint, foliation, topology, verify
 from .liecore import DomainError, ParameterError, UnsupportedFamilyError
 
 SCHEMA_VERSION = 1
-
-_CONSTRAINTS: dict[str, str] = {
-    "G1": "λ ∈ R",
-    "G4": "(λ1,λ2) ≠ (−1,0); λ2 ≠ λ1 + 1",
-    "G6": "λ ∈ R",
-    "G8": "λ ∈ R",
-    "G10": "λ ∈ R",
-    "G12": "λ ≠ −1",
-    "G13": "λ ≥ 0",
-    "G14": "λ1 ≠ −1; λ2 ≥ 0",
-    "G16": "λ ≥ 0",
-}
 
 _NILRADICAL = "g5,2"
 
@@ -143,14 +131,14 @@ def _fraction_argument(value: str) -> Fraction:
 def _catalog_rows() -> list[dict[str, Any]]:
     rows = []
     for family in catalog.FAMILIES:
-        arity = catalog.PARAM_ARITY[family]
+        fam = catalog.record(family)
         rows.append(
             {
                 "family": family,
-                "arity": arity,
-                "parameters": list(catalog.PARAM_NAMES.get(family, ())),
-                "constraint": _CONSTRAINTS.get(family, ""),
-                "class": "non-exponential" if family in ("G13", "G14", "G15", "G16") else "exponential",
+                "arity": fam.arity,
+                "parameters": list(fam.param_names),
+                "constraint": fam.constraint,
+                "class": "exponential" if fam.exponential else "non-exponential",
                 "nilradical": _NILRADICAL,
             }
         )
@@ -336,15 +324,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             keep = topology.contains(topology.manifold_of(family), points)
             locus = verify.INVARIANT_LOCUS.get(family)
             if locus is not None:
-                kind_code, axis = locus
-                edge = math.pi / 2 if kind_code == "a" else 0.0
-                gen = rng.generator(args.seed, "orbit", family, *algebra.params)
-                u = gen.uniform(-rng.COORDINATE_RADIUS, rng.COORDINATE_RADIUS, (args.n, 7))
-                phase = math.atan2(f[3], f[4])
-                shifted = phase + u[:, axis]
-                keep &= np.floor((phase - edge) / math.pi) == np.floor(
-                    (shifted - edge) / math.pi
-                )
+                u = coadjoint.orbit_elements(algebra, args.n, args.seed)
+                keep &= verify.same_branch(f, u, locus)
             values = np.full(args.n, np.nan)
             if np.any(keep):
                 with np.errstate(
@@ -386,6 +367,13 @@ def _positive_int(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return n
+
+
+def _finite_float(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value!r}")
+    return x
 
 
 def _positive_float(value: str) -> float:
@@ -451,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument("family", type=_family_argument)
     p_orbit.add_argument(
         "functional",
-        type=float,
+        type=_finite_float,
         nargs=7,
         metavar="F",
         help="seven coordinates of the starting functional",

@@ -2,8 +2,8 @@
 
 The simply connected group acts on functionals through transposed matrix
 exponentials of adjoint representatives.  Orbit dimension is the numeric
-rank of the pairing form, and twelve families carry a closed-form predicate
-for where that rank reaches six.
+rank of the pairing form, and the families whose catalog record is marked
+cataloged carry a closed-form predicate for where that rank reaches six.
 """
 from __future__ import annotations
 
@@ -11,13 +11,11 @@ import enum
 
 import numpy as np
 
-from . import rng, topology
+from . import catalog, rng, topology
 from .liecore import DomainError, LieAlgebra7, UnsupportedFamilyError, exp_matrix, pairing_rank
 
 #: Families with a cataloged closed-form rank-six predicate.
-RANK_CONDITION_FAMILIES: frozenset[str] = frozenset(
-    {"G1", "G4", "G5", "G6", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16"}
-)
+RANK_CONDITION_FAMILIES: frozenset[str] = catalog.CATALOGED_FAMILIES
 
 
 def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
@@ -69,7 +67,7 @@ def rank_condition(family: str, f: np.ndarray) -> np.ndarray | bool:
     elif family in ("G13", "G14", "G15", "G16"):
         out = np.hypot(a4, a5) != 0
     else:
-        topology.manifold_of(family)
+        catalog.record(family)
         raise UnsupportedFamilyError(f"no cataloged rank condition for {family}")
     if np.ndim(out) == 0:
         return bool(out)
@@ -101,7 +99,7 @@ def condition_margin(family: str, f: np.ndarray) -> np.ndarray:
     if family in ("G13", "G14", "G15", "G16"):
         norm = np.hypot(a4, a5)
         return np.where(norm == 0, np.inf, norm)
-    topology.manifold_of(family)
+    catalog.record(family)
     raise UnsupportedFamilyError(f"no cataloged rank condition for {family}")
 
 
@@ -146,8 +144,7 @@ def sample_orbit(
     f = np.asarray(f, dtype=float)
     if f.shape != (7,):
         raise ValueError("sample_orbit expects a single functional")
-    gen = rng.generator(seed, "orbit", algebra.family, *algebra.params)
-    u = gen.uniform(-radius, radius, size=(n, 7))
+    u = orbit_elements(algebra, n, seed, radius)
     with np.errstate(over="ignore", invalid="ignore"):
         points = np.einsum("...ij,...i->...j", _safe_exp(algebra, u), f)
     bad = ~np.all(np.isfinite(points), axis=-1)
@@ -155,6 +152,18 @@ def sample_orbit(
         culprit = u[np.argmax(bad)]
         raise DomainError(f"orbit point overflowed for algebra element {culprit.tolist()}")
     return points
+
+
+def orbit_elements(
+    algebra: LieAlgebra7,
+    n: int,
+    seed: int,
+    radius: float = rng.COORDINATE_RADIUS,
+) -> np.ndarray:
+    """The n algebra elements whose exponentials sample_orbit applies, in
+    the order of its points."""
+    gen = rng.generator(seed, "orbit", algebra.family, *algebra.params)
+    return gen.uniform(-radius, radius, size=(n, 7))
 
 
 def _safe_exp(algebra: LieAlgebra7, u: np.ndarray) -> np.ndarray:

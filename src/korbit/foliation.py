@@ -1,10 +1,12 @@
 """Generating vector fields of the orbit foliations and orbit invariants.
 
-Each supported family carries a system of six affine vector fields on
-orbit space whose span at every point of the foliated manifold equals the
-tangent space of the orbit through that point.  Three of the fields are
-coordinate translations; the other three are linear, with a common sparsity
-pattern confined to the second through fifth coordinates.  The module also
+Each family with a cataloged generating system carries six affine vector
+fields on orbit space whose span at every point of the foliated manifold
+equals the tangent space of the orbit through that point.  Three of the
+fields are coordinate translations and one is a fixed shear; the other two
+are derived, not transcribed: they are the family's two derivations from
+catalog.derivation_pair acting on the second through fifth coordinates,
+in the order the catalog record gives.  The module also
 evaluates the closed-form flows printed for three representative families
 and the scalar invariant that labels the leaves of each foliation.
 """
@@ -26,9 +28,7 @@ from .liecore import (
 )
 
 #: Families with a cataloged generating system of vector fields.
-SYSTEM_FAMILIES: frozenset[str] = frozenset(
-    {"G1", "G4", "G5", "G6", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16"}
-)
+SYSTEM_FAMILIES: frozenset[str] = catalog.CATALOGED_FAMILIES
 
 #: Families with a cataloged closed-form orbit invariant.
 INVARIANT_FAMILIES: frozenset[str] = frozenset(
@@ -71,59 +71,10 @@ def _constant_field(index: int) -> LinearVectorField:
     return LinearVectorField(np.zeros((DIM, DIM)), const)
 
 
-def _block_field(block: list[list[float]]) -> LinearVectorField:
+def _derivation_field(derivation: list[list[Real]]) -> LinearVectorField:
     linear = np.zeros((DIM, DIM))
-    linear[1:5, 1:5] = np.asarray(block, dtype=float)
+    linear[1:5, 1:5] = np.asarray(derivation, dtype=float)[1:5, 1:5]
     return LinearVectorField(linear, np.zeros(DIM))
-
-
-def _diag_block(*vals: float) -> list[list[float]]:
-    return [[vals[i] if i == j else 0.0 for j in range(4)] for i in range(4)]
-
-
-def _middle_blocks(family: str, params: tuple[Real, ...]):
-    """4×4 blocks of the second and third fields on coordinates 2..5."""
-    if family == "G1":
-        return _diag_block(0, 1, 0, 1), _diag_block(-1, 0, 0, 1)
-    if family == "G4":
-        l1, l2 = (float(p) for p in params)
-        return _diag_block(0, l1, 1, 1 + l1), _diag_block(1, l2, 1, l2)
-    if family == "G5":
-        return _diag_block(0, 1, 0, 1), _diag_block(1, 0, 2, 1)
-    if family == "G6":
-        (lam,) = (float(p) for p in params)
-        return _diag_block(0, 1, 0, 1), _diag_block(1, lam, 2, 1 + lam)
-    if family == "G7":
-        return _diag_block(1, 1, 1, 1), [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]
-    if family == "G8":
-        (lam,) = (float(p) for p in params)
-        m3 = [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        return _diag_block(1 + lam, lam, 2 + lam, 1 + lam), m3
-    if family == "G11":
-        m3 = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-        return _diag_block(1, 1, 1, 1), m3
-    if family == "G12":
-        (lam,) = (float(p) for p in params)
-        m3 = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]
-        return _diag_block(lam, lam, 1 + lam, 1 + lam), m3
-    if family == "G13":
-        (lam,) = (float(p) for p in params)
-        m3 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, lam, 1], [0, 0, -1, lam]]
-        return _diag_block(1, 1, 1, 1), m3
-    if family == "G14":
-        l1, l2 = (float(p) for p in params)
-        m3 = [[l2, 1, 0, 0], [-1, l2, 0, 0], [0, 0, l2, 1], [0, 0, -1, l2]]
-        return _diag_block(l1, l1, 1 + l1, 1 + l1), m3
-    if family == "G15":
-        m2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-        m3 = [[1, 0, 0, 1], [0, 1, -1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        return m2, m3
-    if family == "G16":
-        (lam,) = (float(p) for p in params)
-        m2 = [[0, 1, 0, 1], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-        m3 = [[1, 0, 0, lam], [0, 1, -lam, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-        return m2, m3
-    raise UnsupportedFamilyError(f"no cataloged generating system for {family}")
 
 
 def system_fields(family: str, params: tuple[Real, ...] = ()) -> tuple[LinearVectorField, ...]:
@@ -131,17 +82,22 @@ def system_fields(family: str, params: tuple[Real, ...] = ()) -> tuple[LinearVec
 
     Fields one, five, and six translate the first, sixth, and seventh
     coordinates; field four shears the second and third by the fourth and
-    fifth; fields two and three carry the family-specific blocks.
+    fifth; fields two and three are the family's two derivations from
+    catalog.derivation_pair, restricted to coordinates two through five,
+    in the order of the catalog record.
     """
-    catalog.validate_params(family, tuple(params))
-    m2, m3 = _middle_blocks(family, tuple(params))
+    a, b, _ = catalog.derivation_pair(family, tuple(params))
+    fam = catalog.record(family)
+    if not fam.cataloged:
+        raise UnsupportedFamilyError(f"no cataloged generating system for {family}")
+    m2, m3 = (b, a) if fam.swapped else (a, b)
     shear = np.zeros((DIM, DIM))
     shear[1, 3] = 1.0
     shear[2, 4] = 1.0
     return (
         _constant_field(0),
-        _block_field(m2),
-        _block_field(m3),
+        _derivation_field(m2),
+        _derivation_field(m3),
         LinearVectorField(shear, np.zeros(DIM)),
         _constant_field(5),
         _constant_field(6),

@@ -16,7 +16,7 @@ from numbers import Real
 import numpy as np
 
 from . import catalog
-from .liecore import DomainError, UnsupportedFamilyError
+from .liecore import DomainError
 
 
 class Manifold(Enum):
@@ -56,13 +56,7 @@ MANIFOLD_OF_TYPE: dict[FoliationType, Manifold] = {
 
 def manifold_of(family: str) -> Manifold:
     """Foliated manifold carrying the family's generic orbits."""
-    if family not in catalog.FAMILIES:
-        raise UnsupportedFamilyError(f"unknown family {family!r}")
-    if family == "G12":
-        return Manifold.V2
-    if family in ("G13", "G14", "G15", "G16"):
-        return Manifold.V3
-    return Manifold.V1
+    return Manifold(catalog.record(family).manifold)
 
 
 def classify(family: str) -> FoliationType:

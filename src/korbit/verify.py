@@ -44,22 +44,7 @@ _HALF = Fraction(1, 2)
 #: Default parameters used when a single member of a family must stand in
 #: for the whole family.
 REPRESENTATIVE_PARAMS: dict[str, tuple[Fraction, ...]] = {
-    "G1": (Fraction(1),),
-    "G2": (),
-    "G3": (),
-    "G4": (Fraction(0), Fraction(2)),
-    "G5": (),
-    "G6": (_HALF,),
-    "G7": (),
-    "G8": (_HALF,),
-    "G9": (),
-    "G10": (_HALF,),
-    "G11": (),
-    "G12": (_HALF,),
-    "G13": (_HALF,),
-    "G14": (_HALF, Fraction(1)),
-    "G15": (),
-    "G16": (_HALF,),
+    family: catalog.record(family).representative for family in catalog.FAMILIES
 }
 
 #: Families whose invariant campaign the constancy criterion covers, in
@@ -591,6 +576,19 @@ def _derived_value(
     return value
 
 
+def same_branch(f: np.ndarray, u: np.ndarray, locus: tuple[str, int]) -> np.ndarray:
+    """Whether the coadjoint image of f under exp(u) stays in the branch bin
+    of f for an angle-valued invariant with branch ``locus`` (see
+    INVARIANT_LOCUS).  The phase shift is exactly the ``locus`` coordinate
+    of u.  Broadcasts over leading axes of ``f`` and ``u``.
+    """
+    kind, axis = locus
+    edge = math.pi / 2 if kind == "a" else 0.0
+    phase = np.arctan2(f[..., 3], f[..., 4])
+    shifted = phase + u[..., axis]
+    return np.floor((phase - edge) / math.pi) == np.floor((shifted - edge) / math.pi)
+
+
 def _constancy_campaign(
     algebra: LieAlgebra7,
     f: np.ndarray,
@@ -612,11 +610,7 @@ def _constancy_campaign(
     if extra is not None:
         keep &= extra(images)
     if locus is not None:
-        kind, axis = locus
-        edge = math.pi / 2 if kind == "a" else 0.0
-        phase = np.arctan2(f[:, 3], f[:, 4])[None, :]
-        shifted = phase + u[:, axis][:, None]
-        keep &= np.floor((phase - edge) / math.pi) == np.floor((shifted - edge) / math.pi)
+        keep &= same_branch(f[None, :, :], u[:, None, :], locus)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         base = value(f)
         moved = np.full(keep.shape, np.nan)

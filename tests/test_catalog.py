@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from korbit import catalog
+from korbit import catalog, coadjoint, foliation, topology, verify
 from korbit.liecore import ParameterError, UnsupportedFamilyError
 
 HALF = Fraction(1, 2)
@@ -138,3 +138,34 @@ def test_derivation_pair_diagonal_example():
     assert [a[i][i] for i in range(5)] == [1, 0, HALF, 1, Fraction(3, 2)]
     assert [b[i][i] for i in range(5)] == [0, 1, 2, 1, 2]
     assert central == [0, 0, 0, 0, 0]
+
+
+def test_record_rejects_unknown_family():
+    """The record accessor names an unknown family."""
+    with pytest.raises(UnsupportedFamilyError, match="G17"):
+        catalog.record("G17")
+
+
+def test_representative_params_validate_and_lie_in_the_grid():
+    """Each family's representative member is valid and on its default grid."""
+    for family in catalog.FAMILIES:
+        params = catalog.record(family).representative
+        catalog.validate_params(family, params)
+        assert params in catalog.default_parameter_grid(family)
+
+
+def test_derived_views_of_the_records():
+    """The module tables read from the records keep their cataloged values."""
+    assert catalog.CATALOGED_FAMILIES == {
+        "G1", "G4", "G5", "G6", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16",
+    }
+    assert coadjoint.RANK_CONDITION_FAMILIES is catalog.CATALOGED_FAMILIES
+    assert foliation.SYSTEM_FAMILIES is catalog.CATALOGED_FAMILIES
+    assert catalog.PARAM_ARITY == {
+        "G1": 1, "G2": 0, "G3": 0, "G4": 2, "G5": 0, "G6": 1, "G7": 0, "G8": 1,
+        "G9": 0, "G10": 1, "G11": 0, "G12": 1, "G13": 1, "G14": 2, "G15": 0, "G16": 1,
+    }
+    assert list(verify.REPRESENTATIVE_PARAMS) == list(catalog.FAMILIES)
+    manifolds = [topology.manifold_of(family) for family in catalog.FAMILIES]
+    counts = [manifolds.count(m) for m in topology.Manifold]
+    assert counts == [11, 1, 4]

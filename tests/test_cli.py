@@ -181,6 +181,29 @@ def test_orbit_reports_type_and_invariant(capsys):
     assert len(payload["points"]) == payload["n"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_orbit_functional_must_be_finite(value, capsys):
+    """A non-finite functional coordinate is a usage error, not an
+    overflow blamed on a group element."""
+    argv = ["orbit", "G4", "--l1", "0", "--l2", "2", "--", value, "1", "1", "1", "1", "0", "0"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert "must be finite" in capsys.readouterr().err
+    assert exc.value.code == 2
+
+
+def test_orbit_rejects_pairs_across_the_branch_locus(capsys):
+    """G13's angle-valued invariant is compared only on orbit points in
+    the functional's branch bin, and agrees there."""
+    code, out, _ = _run(
+        ["orbit", "G13", "1", "1", "1", "1", "1", "0", "0", "--l", "1/2"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert 0 < payload["n_deviation_evaluated"] < payload["n"]
+    assert payload["max_invariant_deviation"] <= 1e-7
+
+
 def test_orbit_requires_parameters_for_parameterful_family(capsys):
     code, _, err = _run(["orbit", "G4", "1", "1", "1", "1", "1", "0", "0"], capsys)
     assert code == 2

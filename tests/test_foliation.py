@@ -18,21 +18,26 @@ RK4_ORACLE_ATOL = 1e-11
 INVOLUTIVITY_TOL = 1e-9
 
 
-def _representative(family):
-    return {
-        "G1": (1,), "G4": (0, 2), "G6": (HALF,), "G8": (HALF,), "G10": (HALF,),
-        "G12": (HALF,), "G13": (HALF,), "G14": (HALF, 1), "G16": (HALF,),
-    }.get(family, ())
-
-
 def test_system_has_six_affine_fields():
     """Every supported family generates with exactly six affine fields."""
     for family in sorted(foliation.SYSTEM_FAMILIES):
-        fields = foliation.system_fields(family, _representative(family))
+        fields = foliation.system_fields(family, verify.REPRESENTATIVE_PARAMS[family])
         assert len(fields) == 6
         for field in fields:
             assert field.linear.shape == (7, 7)
             assert field.const.shape == (7,)
+
+
+def test_middle_fields_are_the_derivations_in_record_order():
+    """Fields two and three are the derivations on coordinates 2..5; G1
+    lists the second derivation first."""
+    fields = foliation.system_fields("G1", (1,))
+    np.testing.assert_array_equal(fields[1].linear[1:5, 1:5], np.diag([0.0, 1.0, 0.0, 1.0]))
+    np.testing.assert_array_equal(fields[2].linear[1:5, 1:5], np.diag([-1.0, 0.0, 0.0, 1.0]))
+    for field in fields[1:3]:
+        linear = field.linear.copy()
+        linear[1:5, 1:5] = 0.0
+        assert not linear.any() and not field.const.any()
 
 
 def test_translation_fields_are_constant():
@@ -69,7 +74,7 @@ def test_closed_flow_known_values():
 def test_closed_flows_match_numeric_integration():
     """Closed-form flows track Runge-Kutta integration of the fields."""
     for family in sorted(foliation.FLOW_FAMILIES):
-        params = _representative(family)
+        params = verify.REPRESENTATIVE_PARAMS[family]
         fields = foliation.system_fields(family, params)
         t = rng.generator(4, "t", family).uniform(-1, 1, 20)
         v = rng.sample_coordinates(4, 20, "start", family)
@@ -99,7 +104,7 @@ def test_flow_numeric_matches_rk4_loop():
     field of four families, at step counts that are and are not powers of
     two."""
     for family in ("G4", "G12", "G13", "G16"):
-        params = _representative(family)
+        params = verify.REPRESENTATIVE_PARAMS[family]
         t = rng.generator(6, "t", family).uniform(-1, 1, 12)
         v = rng.sample_coordinates(6, 12, "start", family)
         for field in foliation.system_fields(family, params):
@@ -228,7 +233,7 @@ def test_invariant_constant_along_closed_flows():
 def test_distribution_matches_pairing_rank():
     """Field span equals the pairing image at generic points."""
     for family in sorted(foliation.SYSTEM_FAMILIES):
-        params = _representative(family)
+        params = verify.REPRESENTATIVE_PARAMS[family]
         algebra = catalog.build(family, params)
         v = rng.sample_coordinates(7, 300, "span", family)
         keep = topology.boundary_margin(topology.manifold_of(family), v) > 0.05
@@ -239,7 +244,7 @@ def test_distribution_matches_pairing_rank():
 def test_involutivity_residual_small_on_generic_points():
     """All fifteen field brackets stay in the span at sampled points."""
     for family in ("G1", "G11", "G13", "G16"):
-        params = _representative(family)
+        params = verify.REPRESENTATIVE_PARAMS[family]
         v = rng.sample_coordinates(8, 200, "involutivity", family)
         keep = topology.boundary_margin(topology.manifold_of(family), v) > 0.05
         residual = foliation.involutivity_residual(family, params, v[keep])
