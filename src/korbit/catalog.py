@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
+from typing import Callable
 
 from .liecore import LieAlgebra7, ParameterError, UnsupportedFamilyError
 
@@ -21,6 +22,9 @@ from .liecore import LieAlgebra7, ParameterError, UnsupportedFamilyError
 class FamilyRecord:
     """The catalog facts about one family that the other modules read.
 
+    ``clauses`` pairs the text of each parameter constraint with the
+    predicate, taking the parameters as arguments, that it states; the
+    listing joins the texts and validate_params quotes the violated one.
     ``manifold`` names the foliated manifold (V1, V2 or V3), which
     topology maps to its enum.  ``cataloged`` says whether the family has
     a closed-form rank-six predicate and a generating field system.
@@ -29,7 +33,7 @@ class FamilyRecord:
     """
 
     param_names: tuple[str, ...] = ()
-    constraint: str = ""
+    clauses: tuple[tuple[str, Callable[..., bool]], ...] = ()
     representative: tuple[Fraction, ...] = ()
     grid: tuple[tuple[Fraction, ...], ...] = ((),)
     manifold: str = "V1"
@@ -41,6 +45,11 @@ class FamilyRecord:
     def arity(self) -> int:
         return len(self.param_names)
 
+    @property
+    def constraint(self) -> str:
+        """The listing text of the parameter constraints."""
+        return "; ".join(text for text, _ in self.clauses)
+
 
 _ZERO, _HALF, _ONE, _TWO = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
 _SCALE = (_ZERO, _HALF, _ONE, _TWO)
@@ -50,26 +59,43 @@ _PLANE = tuple((l1, l2) for l1 in _SCALE for l2 in _SCALE)
 _G4_GRID = tuple((l1, l2) for l1, l2 in _PLANE if l2 != l1 + 1 and l1 != l2)
 _L = ("λ",)
 _L12 = ("λ1", "λ2")
+_REAL = (("λ ∈ R", lambda lam: True),)
+_NONNEGATIVE = (("λ ≥ 0", lambda lam: lam >= 0),)
 
 _RECORDS: dict[str, FamilyRecord] = {
-    "G1": FamilyRecord(_L, "λ ∈ R", (_ONE,), ((_ZERO,), (_ONE,)), swapped=True),
+    "G1": FamilyRecord(_L, _REAL, (_ONE,), ((_ZERO,), (_ONE,)), swapped=True),
     "G2": FamilyRecord(cataloged=False),
     "G3": FamilyRecord(cataloged=False),
-    "G4": FamilyRecord(_L12, "(λ1,λ2) ≠ (−1,0); λ2 ≠ λ1 + 1", (_ZERO, _TWO), _G4_GRID),
+    "G4": FamilyRecord(
+        _L12,
+        (
+            ("(λ1,λ2) ≠ (−1,0)", lambda l1, l2: (l1, l2) != (-1, 0)),
+            ("λ2 ≠ λ1 + 1", lambda l1, l2: l2 != l1 + 1),
+        ),
+        (_ZERO, _TWO),
+        _G4_GRID,
+    ),
     "G5": FamilyRecord(),
-    "G6": FamilyRecord(_L, "λ ∈ R", (_HALF,), _LINE, swapped=True),
+    "G6": FamilyRecord(_L, _REAL, (_HALF,), _LINE, swapped=True),
     "G7": FamilyRecord(),
-    "G8": FamilyRecord(_L, "λ ∈ R", (_HALF,), _LINE),
+    "G8": FamilyRecord(_L, _REAL, (_HALF,), _LINE),
     "G9": FamilyRecord(cataloged=False),
-    "G10": FamilyRecord(_L, "λ ∈ R", (_HALF,), _LINE, cataloged=False),
+    "G10": FamilyRecord(_L, _REAL, (_HALF,), _LINE, cataloged=False),
     "G11": FamilyRecord(),
-    "G12": FamilyRecord(_L, "λ ≠ −1", (_HALF,), _LINE, manifold="V2"),
-    "G13": FamilyRecord(_L, "λ ≥ 0", (_HALF,), _LINE, manifold="V3", exponential=False),
+    "G12": FamilyRecord(
+        _L, (("λ ∈ R \\ {−1}", lambda lam: lam != -1),), (_HALF,), _LINE, manifold="V2"
+    ),
+    "G13": FamilyRecord(_L, _NONNEGATIVE, (_HALF,), _LINE, manifold="V3", exponential=False),
     "G14": FamilyRecord(
-        _L12, "λ1 ≠ −1; λ2 ≥ 0", (_HALF, _ONE), _PLANE, manifold="V3", exponential=False
+        _L12,
+        (("λ1 ≠ −1", lambda l1, l2: l1 != -1), ("λ2 ≥ 0", lambda l1, l2: l2 >= 0)),
+        (_HALF, _ONE),
+        _PLANE,
+        manifold="V3",
+        exponential=False,
     ),
     "G15": FamilyRecord(manifold="V3", exponential=False),
-    "G16": FamilyRecord(_L, "λ ≥ 0", (_HALF,), _LINE, manifold="V3", exponential=False),
+    "G16": FamilyRecord(_L, _NONNEGATIVE, (_HALF,), _LINE, manifold="V3", exponential=False),
 }
 
 FAMILIES: tuple[str, ...] = tuple(_RECORDS)
@@ -96,30 +122,12 @@ def record(family: str) -> FamilyRecord:
 
 def validate_params(family: str, params: tuple[Real, ...]) -> None:
     """Raise ParameterError naming the violated catalog condition."""
-    arity = record(family).arity
-    if len(params) != arity:
-        raise ParameterError(f"{family} takes {arity} parameter(s), got {len(params)}")
-    if family == "G4":
-        l1, l2 = params
-        if l1 == -1 and l2 == 0:
-            raise ParameterError("G4 requires (λ1,λ2) ≠ (−1,0)")
-        if l2 == l1 + 1:
-            raise ParameterError("G4 requires λ2 ≠ λ1 + 1")
-    elif family == "G12":
-        if params[0] == -1:
-            raise ParameterError("G12 requires λ ∈ R \\ {−1}")
-    elif family == "G13":
-        if params[0] < 0:
-            raise ParameterError("G13 requires λ ≥ 0")
-    elif family == "G14":
-        l1, l2 = params
-        if l1 == -1:
-            raise ParameterError("G14 requires λ1 ≠ −1")
-        if l2 < 0:
-            raise ParameterError("G14 requires λ2 ≥ 0")
-    elif family == "G16":
-        if params[0] < 0:
-            raise ParameterError("G16 requires λ ≥ 0")
+    fam = record(family)
+    if len(params) != fam.arity:
+        raise ParameterError(f"{family} takes {fam.arity} parameter(s), got {len(params)}")
+    for text, holds in fam.clauses:
+        if not holds(*params):
+            raise ParameterError(f"{family} requires {text}")
 
 
 def _zeros5() -> list[list[Real]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -383,8 +384,24 @@ def _positive_float(value: str) -> float:
     return x
 
 
+#: Arguments read as negative numbers, not options: argparse's own pattern
+#: misses scientific notation and ``-inf``.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that passes every _NEGATIVE_NUMBER to the argument's
+    type, which accepts or refuses it; subcommand parsers inherit the class."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="korbit",
         description=(
             "Numerical verification of coadjoint-orbit geometry for the "

@@ -6,7 +6,8 @@ frozen coefficient tables for the pairing forms and matrix exponentials,
 SVD ranks against the closed-form predicates, numerically integrated
 flows against the printed ones, and Monte Carlo constancy of the orbit
 invariants under the coadjoint action.  Campaign functions return
-CheckResult records suitable for report assembly.
+CheckResult records suitable for report assembly; every sampled campaign
+reports through one tally of its worst residual, sample and count.
 
 Sampling policy: functionals are drawn uniformly from [-2, 2]^7 and
 algebra elements from [-1.5, 1.5]^7 with counter-based generators keyed
@@ -138,24 +139,53 @@ def _unsupported(name: str, what: str) -> CheckResult:
     )
 
 
-def _fold_worst(
-    worst: float,
-    worst_sample: tuple[float, ...] | None,
-    residual: np.ndarray,
-    points: np.ndarray,
-) -> tuple[float, tuple[float, ...] | None]:
-    """Fold one batch of per-sample residuals into the running worst residual
-    and the sample that attains it.
+class _Tally:
+    """Running worst residual, its sample and the evaluated count of one
+    campaign, which reports through ``result``.
 
+    The first non-empty batch records its argmax sample, even at residual
+    zero; a later batch replaces it only with a strictly larger residual.
     NaN ranks above every number and the first NaN is kept, so a non-finite
     residual becomes the worst and fails the ``worst <= tol`` test instead
-    of losing every comparison.
+    of losing every comparison.  An empty batch changes nothing.  Checks
+    that count failures fold only their failing samples (residual one), so
+    their sample stays None when nothing fails.
     """
-    i = int(np.argmax(residual))
-    top = float(residual[i])
-    if math.isnan(worst) or not (math.isnan(top) or top > worst):
-        return worst, worst_sample
-    return top, tuple(float(x) for x in points[i])
+
+    def __init__(self) -> None:
+        self.worst = 0.0
+        self.sample: tuple[float, ...] | None = None
+        self.count = 0
+
+    def fold(self, residual: np.ndarray, points: np.ndarray, evaluated: int | None = None) -> None:
+        """Fold a batch of residuals; ``points`` holds one sample per entry
+        of the trailing axes of ``residual``, broadcast over the leading
+        ones.  ``evaluated`` counts the batch when not every entry is an
+        evaluated sample (default: the size of ``residual``)."""
+        residual = np.asarray(residual)
+        self.count += residual.size if evaluated is None else evaluated
+        if residual.size == 0:
+            return
+        index = np.unravel_index(int(np.argmax(residual)), residual.shape)
+        top = float(residual[index])
+        if self.sample is None or (
+            not math.isnan(self.worst) and (math.isnan(top) or top > self.worst)
+        ):
+            self.worst = top
+            at = index[residual.ndim - points.ndim + 1:]
+            self.sample = tuple(float(x) for x in points[at])
+
+    def result(self, name: str, tol: float = 0.0, **overrides) -> CheckResult:
+        """The campaign's CheckResult; ``passed`` defaults to ``worst <= tol``."""
+        fields = {
+            "name": name,
+            "passed": self.worst <= tol,
+            "max_residual": self.worst,
+            "tolerance": tol,
+            "n_evaluated": self.count,
+            "worst_sample": self.sample,
+        }
+        return CheckResult(**(fields | overrides))
 
 
 def exact_params(params: tuple[Real, ...]) -> tuple[Fraction, ...]:
@@ -307,36 +337,24 @@ def golden_pairing_result(
         return _unsupported("golden_pairing", "pairing matrix")
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
-    worst = 0.0
-    count = 0
-    worst_sample: tuple[float, ...] | None = None
-    exact = True
+    tally = _Tally()
+    basis = np.eye(7)
     for params in params_list:
         algebra = catalog.build(family, params)
         table = _golden_pairing(family, params)
+        diff = np.zeros(7)
         for k in range(1, 8):
             golden = np.zeros((7, 7))
             for (i, j), poly in table.items():
                 coeff = float(poly.get(k, 0))
                 golden[i - 1, j - 1] += coeff
                 golden[j - 1, i - 1] -= coeff
-            f = np.zeros(7)
-            f[k - 1] = 1.0
-            computed = algebra.kirillov(f)
-            diff = float(np.abs(computed - golden).max())
-            if diff > worst:
-                worst = diff
-                worst_sample = tuple(f)
-            exact &= bool((computed == golden).all())
-            count += 1
-    return CheckResult(
-        name="golden_pairing",
-        passed=exact,
-        max_residual=worst,
-        tolerance=0.0,
-        n_evaluated=count,
-        worst_sample=worst_sample,
-        details=f"{count} basis functionals across {len(params_list)} parameter choice(s)",
+            diff[k - 1] = np.abs(algebra.kirillov(basis[k - 1]) - golden).max()
+        bad = diff != 0.0
+        tally.fold(diff[bad], basis[bad], evaluated=7)
+    return tally.result(
+        "golden_pairing",
+        details=f"{tally.count} basis functionals across {len(params_list)} parameter choice(s)",
     )
 
 
@@ -353,28 +371,20 @@ def rank_bound_result(
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
     per = max(samples // len(params_list), 1)
-    max_rank = 0
+    tally = _Tally()
     attained = False
-    worst_sample: tuple[float, ...] | None = None
-    count = 0
     for params in params_list:
         algebra = catalog.build(family, params)
         f = rng.sample_functionals(seed, per, "rank-bound", family, *params)
         ranks = np.asarray(coadjoint.orbit_dimension(algebra, f, rank_tol))
-        top = int(ranks.max())
-        if top > max_rank:
-            max_rank = top
-            worst_sample = tuple(float(x) for x in f[int(np.argmax(ranks))])
+        tally.fold(ranks - 6.0, f)
         attained = attained or bool(np.any(ranks == 6))
-        count += per
-    return CheckResult(
-        name="rank_bound",
-        passed=max_rank <= 6 and attained,
-        max_residual=float(max(max_rank - 6, 0)),
-        tolerance=0.0,
-        n_evaluated=count,
-        worst_sample=worst_sample,
-        details=f"max rank {max_rank}; rank six attained: {attained}",
+    excess = tally.worst
+    return tally.result(
+        "rank_bound",
+        passed=excess <= 0 and attained,
+        max_residual=max(excess, 0.0),
+        details=f"max rank {6 + int(excess)}; rank six attained: {attained}",
     )
 
 
@@ -397,9 +407,8 @@ def rank_agreement_result(
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
     per = max(samples // len(params_list), 1)
+    tally = _Tally()
     disagreements = 0
-    count = 0
-    worst_sample: tuple[float, ...] | None = None
     for params in params_list:
         algebra = catalog.build(family, params)
         pool = [rng.sample_functionals(seed, per, "rank-agree", family, *params)]
@@ -414,18 +423,13 @@ def rank_agreement_result(
         predicted = np.asarray(coadjoint.rank_condition(family, kept))
         observed = np.asarray(coadjoint.orbit_dimension(algebra, kept, rank_tol)) == 6
         bad = predicted != observed
-        if np.any(bad) and worst_sample is None:
-            worst_sample = tuple(float(x) for x in kept[int(np.argmax(bad))])
-        disagreements += int(np.count_nonzero(bad))
-        count += kept.shape[0]
-    return CheckResult(
-        name="rank_agreement",
-        passed=disagreements == 0,
+        failed = int(np.count_nonzero(bad))
+        tally.fold(np.ones(failed), kept[bad], evaluated=kept.shape[0])
+        disagreements += failed
+    return tally.result(
+        "rank_agreement",
         max_residual=float(disagreements),
-        tolerance=0.0,
-        n_evaluated=count,
-        worst_sample=worst_sample,
-        details=f"{disagreements} disagreement(s) on {count} margin-filtered functionals",
+        details=f"{disagreements} disagreement(s) on {tally.count} margin-filtered functionals",
     )
 
 
@@ -502,9 +506,7 @@ def golden_exponential_result(
         return _unsupported("golden_exponential", "exponential table")
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
-    worst = 0.0
-    count = 0
-    worst_sample: tuple[float, ...] | None = None
+    tally = _Tally()
     for params in params_list:
         algebra = catalog.build(family, params)
         u = rng.sample_coordinates(seed, samples, "exp-golden", family, *params)
@@ -512,16 +514,10 @@ def golden_exponential_result(
         gold, checked = _golden_exp(family, params, u)
         residual = np.abs(numeric - gold) / (1.0 + np.abs(gold))
         residual = np.where(checked, residual, 0.0)
-        per_draw = residual.reshape(samples, -1).max(axis=1)
-        worst, worst_sample = _fold_worst(worst, worst_sample, per_draw, u)
-        count += samples
-    return CheckResult(
-        name="golden_exponential",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=count,
-        worst_sample=worst_sample,
+        tally.fold(residual.reshape(samples, -1).max(axis=1), u)
+    return tally.result(
+        "golden_exponential",
+        tol,
         details=f"{int(checked.sum())} cells per draw, {len(params_list)} parameter choice(s)",
     )
 
@@ -596,15 +592,16 @@ def _constancy_campaign(
     value: Callable[[np.ndarray], np.ndarray],
     locus: tuple[str, int] | None = None,
     extra: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[float, int, tuple[float, ...] | None]:
-    """Worst relative deviation of ``value`` between functionals ``f`` and
-    their coadjoint images under every element of ``u``.
+) -> _Tally:
+    """Tally of the relative deviation of ``value`` between functionals
+    ``f`` and their coadjoint images under every element of ``u``.
 
     Pairs are dropped when the image misses the manifold margin, fails
     ``extra``, crosses the branch ``locus``, or evaluates non-finite.
     """
+    tally = _Tally()
     if f.size == 0:
-        return 0.0, 0, None
+        return tally
     images = coadjoint.coadjoint_act(algebra, u[:, None, :], f[None, :, :])
     keep = topology.boundary_margin(topology.manifold_of(algebra.family), images) > MARGIN
     if extra is not None:
@@ -621,10 +618,9 @@ def _constancy_campaign(
     residual = np.zeros(keep.shape)
     residual[ok] = np.abs(moved[ok] - spread[ok]) / (1.0 + np.abs(spread[ok]))
     evaluated = int(np.count_nonzero(ok))
-    if evaluated == 0:
-        return 0.0, 0, None
-    _, col = np.unravel_index(int(np.argmax(residual)), residual.shape)
-    return float(residual.max()), evaluated, tuple(float(x) for x in f[col])
+    if evaluated:
+        tally.fold(residual, f, evaluated)
+    return tally
 
 
 def invariant_constancy_result(
@@ -641,16 +637,12 @@ def invariant_constancy_result(
     algebra = catalog.build(family, params)
     f = _generic_functionals(family, params, functionals, seed, "invariant", None)
     u = rng.sample_coordinates(seed, group_samples, "invariant-u", family, *params)
-    worst, evaluated, worst_sample = _constancy_campaign(
+    tally = _constancy_campaign(
         algebra, f, u, _printed_value(family, params), INVARIANT_LOCUS.get(family)
     )
-    return CheckResult(
-        name="invariant_constancy",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=evaluated,
-        worst_sample=worst_sample,
+    return tally.result(
+        "invariant_constancy",
+        tol,
         details=f"{f.shape[0]} functionals x {group_samples} group elements after rejection",
     )
 
@@ -668,16 +660,12 @@ def orbit_constancy_result(
     algebra = catalog.build(family, params)
     f = _generic_functionals(family, params, 64, seed, "orbit-base", None)[:1]
     u = rng.sample_coordinates(seed, group_samples, "orbit-u", family, *params)
-    worst, evaluated, worst_sample = _constancy_campaign(
+    tally = _constancy_campaign(
         algebra, f, u, _printed_value(family, params), INVARIANT_LOCUS.get(family)
     )
-    return CheckResult(
-        name="orbit_constancy",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=evaluated,
-        worst_sample=worst_sample,
+    return tally.result(
+        "orbit_constancy",
+        tol,
         details=f"single generic functional, {group_samples} group elements",
     )
 
@@ -709,18 +697,13 @@ def distribution_result(
         return _unsupported("distribution_span", "generating system")
     algebra = catalog.build(family, params)
     points = _foliation_points(family, params, samples, seed, "distribution")
-    ok = np.asarray(foliation.distribution_equiv(algebra, points, rank_tol))
-    failures = int(np.count_nonzero(~ok))
-    worst = None
-    if failures:
-        worst = tuple(float(x) for x in points[int(np.argmax(~ok))])
-    return CheckResult(
-        name="distribution_span",
-        passed=failures == 0,
+    bad = ~np.asarray(foliation.distribution_equiv(algebra, points, rank_tol))
+    failures = int(np.count_nonzero(bad))
+    tally = _Tally()
+    tally.fold(np.ones(failures), points[bad], evaluated=points.shape[0])
+    return tally.result(
+        "distribution_span",
         max_residual=float(failures),
-        tolerance=0.0,
-        n_evaluated=points.shape[0],
-        worst_sample=worst,
         details=f"{failures} span failure(s) on {points.shape[0]} generic points",
     )
 
@@ -736,19 +719,9 @@ def involutivity_result(
     if family not in foliation.SYSTEM_FAMILIES:
         return _unsupported("involutivity", "generating system")
     points = _foliation_points(family, params, samples, seed, "distribution")
-    residual = foliation.involutivity_residual(family, params, points)
-    worst = float(residual.max()) if residual.size else 0.0
-    worst_sample = None
-    if residual.size:
-        worst_sample = tuple(float(x) for x in points[int(np.argmax(residual))])
-    return CheckResult(
-        name="involutivity",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=points.shape[0],
-        worst_sample=worst_sample,
-    )
+    tally = _Tally()
+    tally.fold(foliation.involutivity_residual(family, params, points), points)
+    return tally.result("involutivity", tol)
 
 
 # --- Measure invariance and flows ------------------------------------------
@@ -764,16 +737,9 @@ def measure_invariance_result(
     algebra = catalog.build(family, params)
     u = rng.sample_coordinates(seed, samples, "measure", family, *params)
     det, exp_trace = coadjoint.jacobian_check(algebra, u)
-    residual = np.abs(det - exp_trace) / np.abs(exp_trace)
-    worst = float(residual.max())
-    return CheckResult(
-        name="measure_invariance",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=samples,
-        worst_sample=tuple(float(x) for x in u[int(np.argmax(residual))]),
-    )
+    tally = _Tally()
+    tally.fold(np.abs(det - exp_trace) / np.abs(exp_trace), u)
+    return tally.result("measure_invariance", tol)
 
 
 def flow_result(
@@ -790,21 +756,13 @@ def flow_result(
     fields = foliation.system_fields(family, params)
     t = rng.generator(seed, "flow-time", family, *params).uniform(-1.0, 1.0, starts)
     v = rng.sample_coordinates(seed, starts, "flow-start", family, *params)
-    worst = 0.0
-    worst_sample: tuple[float, ...] | None = None
+    tally = _Tally()
     for index in range(1, 7):
         closed = foliation.flow_closed(family, params, index, t, v)
         numeric = foliation.flow_numeric(fields[index - 1], t, v, steps)
-        gap = np.abs(closed - numeric).max(axis=-1)
-        worst, worst_sample = _fold_worst(worst, worst_sample, gap, v)
-    return CheckResult(
-        name="flow_equivalence",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=6 * starts,
-        worst_sample=worst_sample,
-        details=f"six fields, {starts} starts, {steps}-step integrator",
+        tally.fold(np.abs(closed - numeric).max(axis=-1), v)
+    return tally.result(
+        "flow_equivalence", tol, details=f"six fields, {starts} starts, {steps}-step integrator"
     )
 
 
@@ -855,9 +813,7 @@ def leaf_roundtrip_result(
         params = LEAF_MAP_PARAMS[map_name]
     map_obj = topology.leaf_map(map_name, params)
     manifold = map_obj.manifold
-    worst = 0.0
-    count = 0
-    worst_sample: tuple[float, ...] | None = None
+    tally = _Tally()
     for direction in ("forward", "inverse"):
         key = f"roundtrip-{direction}"
         for batch in _map_samples(map_obj, manifold, samples, seed, key, map_name == "h1"):
@@ -879,16 +835,8 @@ def leaf_roundtrip_result(
             residual = np.abs(back - batch).max(axis=-1) / (
                 1.0 + np.abs(batch).max(axis=-1)
             )
-            worst, worst_sample = _fold_worst(worst, worst_sample, residual, batch)
-            count += batch.shape[0]
-    return CheckResult(
-        name=f"leaf_roundtrip_{map_name}",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=count,
-        worst_sample=worst_sample,
-    )
+            tally.fold(residual, batch)
+    return tally.result(f"leaf_roundtrip_{map_name}", tol)
 
 
 def leaf_residual_result(
@@ -916,18 +864,11 @@ def leaf_residual_result(
     points = points[keep][:samples]
     source_vals = foliation.invariant(src_family, src_params, points)
     target_vals = foliation.invariant(map_obj.target, params, map_obj.apply(points))
-    residual = np.abs(target_vals - source_vals) / (1.0 + np.abs(source_vals))
-    worst = float(residual.max()) if residual.size else 0.0
-    worst_sample = None
-    if residual.size:
-        worst_sample = tuple(float(x) for x in points[int(np.argmax(residual))])
-    return CheckResult(
-        name=f"leaf_residual_{map_name}",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=points.shape[0],
-        worst_sample=worst_sample,
+    tally = _Tally()
+    tally.fold(np.abs(target_vals - source_vals) / (1.0 + np.abs(source_vals)), points)
+    return tally.result(
+        f"leaf_residual_{map_name}",
+        tol,
         details=f"source invariant {src_family}{tuple(map(float, src_params))}",
     )
 
@@ -967,7 +908,7 @@ def leaf_constancy_result(
     u = rng.sample_coordinates(
         seed, group_samples, "leaf-constancy-u", map_name, *target_params
     )
-    worst, evaluated, worst_sample = _constancy_campaign(
+    tally = _constancy_campaign(
         algebra,
         f,
         u,
@@ -975,13 +916,9 @@ def leaf_constancy_result(
         _MAP_LOCUS.get(map_name),
         extra,
     )
-    return CheckResult(
-        name=f"leaf_constancy_{map_name}",
-        passed=worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
-        n_evaluated=evaluated,
-        worst_sample=worst_sample,
+    return tally.result(
+        f"leaf_constancy_{map_name}",
+        tol,
         graded=map_name in GRADED_MAPS,
         details=(
             f"pulled-back {src_family} invariant under {target_family}"
@@ -1034,9 +971,7 @@ def check_fibration(samples: int = 1000, seed: int = 0, tol: float = 1e-6) -> Ch
     ratio of the deciding coordinates to keep the analytic gradient floor
     above the tolerance.
     """
-    worst = 0.0
-    count = 0
-    worst_sample: tuple[float, ...] | None = None
+    tally = _Tally()
     for t in topology.FoliationType:
         manifold = topology.MANIFOLD_OF_TYPE[t]
         points = rng.sample_coordinates(seed, 2 * samples, "fibration", t.value)
@@ -1045,18 +980,8 @@ def check_fibration(samples: int = 1000, seed: int = 0, tol: float = 1e-6) -> Ch
             keep &= np.abs(points[:, 3]) <= FIBRATION_RATIO_CAP * np.abs(points[:, 4])
         points = points[keep][:samples]
         norms = np.linalg.norm(topology.fibration_gradient(t, points), axis=-1)
-        residual = 1.0 / norms
-        worst, worst_sample = _fold_worst(worst, worst_sample, residual, points)
-        count += points.shape[0]
-    return CheckResult(
-        name="fibration",
-        passed=worst <= 1.0 / tol,
-        max_residual=worst,
-        tolerance=1.0 / tol,
-        n_evaluated=count,
-        worst_sample=worst_sample,
-        details="residual is the reciprocal gradient norm",
-    )
+        tally.fold(1.0 / norms, points)
+    return tally.result("fibration", 1.0 / tol, details="residual is the reciprocal gradient norm")
 
 
 def check_orbit_boundary(tol: float = 1.0) -> CheckResult:

@@ -192,6 +192,40 @@ def test_orbit_functional_must_be_finite(value, capsys):
     assert exc.value.code == 2
 
 
+def test_orbit_reads_a_negative_exponent_coordinate(capsys):
+    code, out, _ = _run(
+        ["orbit", "G4", "-1e-3", "1", "1", "1", "1", "0", "0", "--l1", "0", "--l2", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["functional"][0] == -1e-3
+
+
+def test_verify_reads_a_negative_exponent_parameter(capsys):
+    code, out, _ = _run(
+        ["verify", "--family", "G4", "--l1", "-1e-3", "--l2", "2", "--json", *VERIFY_FAST],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == [-1e-3, 2.0]
+
+
+def test_orbit_refuses_a_negative_infinite_coordinate(capsys):
+    """Without ``--``, ``-inf`` is read as a coordinate and refused."""
+    argv = ["orbit", "G4", "-inf", "1", "1", "1", "1", "0", "0", "--l1", "0", "--l2", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert "must be finite" in capsys.readouterr().err
+    assert exc.value.code == 2
+
+
+def test_verify_refuses_a_negative_infinite_parameter(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--family", "G4", "--l1", "-inf", "--l2", "2"])
+    assert "not a rational number: '-inf'" in capsys.readouterr().err
+    assert exc.value.code == 2
+
+
 def test_orbit_rejects_pairs_across_the_branch_locus(capsys):
     """G13's angle-valued invariant is compared only on orbit points in
     the functional's branch bin, and agrees there."""
