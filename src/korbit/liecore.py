@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -111,6 +111,50 @@ def verify_jacobi(algebra: LieAlgebra7) -> tuple[Real, list[tuple[int, int, int,
                 if residual > worst:
                     worst = residual
     return worst, violations
+
+
+#: Exact (int or Fraction) bracket entries: (i, j, k) -> the e_k
+#: coefficient of [e_i, e_j], for i < j.
+Entries = Mapping[tuple[int, int, int], Real]
+
+
+def _integer_tensors(tables: Sequence[Entries]) -> tuple[np.ndarray, int]:
+    """Antisymmetric int64 structure tensors of exact bracket tables, all
+    scaled by the least common multiple of their entries' denominators.
+
+    Returns the stack, one tensor per table, and the scale.
+    """
+    scale = math.lcm(*(v.denominator for table in tables for v in table.values()))
+    out = np.zeros((len(tables), DIM, DIM, DIM), dtype=np.int64)
+    for n, table in enumerate(tables):
+        for (i, j, k), v in table.items():
+            out[n, i, j, k] = int(v * scale)
+            out[n, j, i, k] = -out[n, i, j, k]
+    return out, scale
+
+
+def _jacobi_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bilinear form behind the Jacobiator, on int64 structure tensors.
+
+    B(A, B)[i, j, k, l] = sum_m A[j, k, m] B[i, m, l] plus its two cyclic
+    shifts in (i, j, k), so that B(C, C)[i, j, k, l] is the e_l coefficient
+    of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].  Broadcasts over
+    leading axes.  Every entry is a sum of 3 * 7 products, so the result is
+    exact unless that bound reaches 2^62, which raises OverflowError (the
+    margin leaves room to add two such forms).
+    """
+    bound = 3 * DIM * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
+    if bound >= 2**62:
+        raise OverflowError("structure constants too large for an exact int64 Jacobiator")
+    t = np.einsum("...jkm,...iml->...ijkl", a, b)
+    n = t.ndim - 4
+    lead = tuple(range(n))
+    # At (i, j, k, l) the two transposes hold t[j, k, i, l] and t[k, i, j, l].
+    return (
+        t
+        + t.transpose(lead + tuple(n + axis for axis in (2, 0, 1, 3)))
+        + t.transpose(lead + tuple(n + axis for axis in (1, 2, 0, 3)))
+    )
 
 
 #: Weights of the Paterson-Stockmeyer steps behind exp_matrix, applied to

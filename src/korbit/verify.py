@@ -1,7 +1,7 @@
 """Verification campaigns over the catalog of coadjoint-orbit claims.
 
 Every closed-form statement shipped by the other modules is re-checked
-here against an independent computation: exact rational Jacobi sums,
+here against an independent computation: an exact Jacobi certificate,
 frozen coefficient tables for the pairing forms and matrix exponentials,
 SVD ranks against the closed-form predicates, numerically integrated
 flows against the printed ones, and Monte Carlo constancy of the orbit
@@ -29,7 +29,14 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, coadjoint, foliation, rng, topology
-from .liecore import LieAlgebra7, exp_matrix, phi1, verify_jacobi
+from .liecore import (
+    LieAlgebra7,
+    _integer_tensors,
+    _jacobi_form,
+    exp_matrix,
+    phi1,
+    verify_jacobi,
+)
 
 #: Deciding quantities must clear this distance from their zero locus for a
 #: randomly sampled point to enter a strict-comparison campaign.
@@ -99,7 +106,7 @@ DERIVED_MAPS: dict[str, tuple[str, tuple[Fraction, ...] | None]] = {
 
 #: Derived-constancy maps whose failure is reported as a finding rather
 #: than breaking the run.
-GRADED_MAPS: frozenset[str] = frozenset({"h10", "h11"})
+GRADED_MAPS: frozenset[str] = frozenset({"h11"})
 
 _MAP_LOCUS: dict[str, tuple[str, int]] = {
     "h9": ("a", 6),
@@ -176,10 +183,12 @@ class _Tally:
             self.sample = tuple(float(x) for x in points[at])
 
     def result(self, name: str, tol: float = 0.0, **overrides) -> CheckResult:
-        """The campaign's CheckResult; ``passed`` defaults to ``worst <= tol``."""
+        """The campaign's CheckResult; ``passed`` defaults to ``worst <= tol``
+        on at least one evaluated sample, so a campaign that evaluated
+        nothing fails."""
         fields = {
             "name": name,
-            "passed": self.worst <= tol,
+            "passed": self.count > 0 and self.worst <= tol,
             "max_residual": self.worst,
             "tolerance": tol,
             "n_evaluated": self.count,
@@ -195,17 +204,127 @@ def exact_params(params: tuple[Real, ...]) -> tuple[Fraction, ...]:
 
 # --- Jacobi ---------------------------------------------------------------
 
+def _valid(family: str, params: tuple[Fraction, ...]) -> bool:
+    try:
+        catalog.validate_params(family, params)
+    except catalog.ParameterError:
+        return False
+    return True
+
+
 def _random_rational_params(family: str, gen: np.random.Generator) -> tuple[Fraction, ...]:
     arity = catalog.PARAM_ARITY[family]
     while True:
         draw = tuple(
             Fraction(int(gen.integers(-6, 7)), int(gen.integers(1, 7))) for _ in range(arity)
         )
-        try:
-            catalog.validate_params(family, draw)
-        except catalog.ParameterError:
-            continue
-        return draw
+        if _valid(family, draw):
+            return draw
+
+
+#: Candidate steps from the base point along one parameter, for its
+#: direction tensor, and candidate shifts of every parameter at once, for
+#: the held-out point; the first candidate that the family's constraints
+#: admit is taken.  No shift equals a step, so the held-out point is
+#: neither the base point nor a step point.
+_JACOBI_STEPS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
+_JACOBI_SHIFTS = (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-2, 3))
+
+
+def _entries(family: str, params: tuple[Fraction, ...]) -> dict[tuple[int, int, int], Fraction]:
+    """Nonzero exact structure constants of a family member, keyed (i, j, k)
+    with i < j for the e_k coefficient of [e_i, e_j]."""
+    return {
+        (i, j, k): Fraction(v)
+        for (i, j), coeffs in catalog.build(family, params).brackets.items()
+        for k, v in coeffs.items()
+        if v != 0
+    }
+
+
+@dataclass(frozen=True)
+class _JacobiCertificate:
+    """The Jacobiator of a family as an exact polynomial in its parameters.
+
+    The structure constants are taken to be affine, C(p) = C0 + sum of
+    t_i D_i with t = p - base: C0 is built at ``base`` and D_i from one
+    step along parameter i.  ``holdout`` is a further point, not used to
+    build the model, and ``deviation`` the largest entry of build(holdout)
+    minus the model there; the model is sound only when it is zero.  With
+    T = (C0, D_1, ..., D_n) and m = (1, t_1, ..., t_n) the Jacobiator is
+    J(p) = B(C(p), C(p)) = sum over a <= b of m_a m_b Q_ab, where
+    Q_aa = B(T_a, T_a) and Q_ab = B(T_a, T_b) + B(T_b, T_a) for the form B
+    of liecore._jacobi_form.  ``terms`` holds the nonzero Q_ab, keyed
+    (a, b), as exact entries (i, j, k, l) with i < j < k.
+    """
+
+    base: tuple[Fraction, ...]
+    holdout: tuple[Fraction, ...]
+    deviation: Fraction
+    terms: dict[tuple[int, int], dict[tuple[int, int, int, int], Fraction]]
+
+    def residual(self, params: tuple[Fraction, ...]) -> Fraction:
+        """Largest absolute entry of J(params), as verify_jacobi reports it."""
+        if not self.terms:
+            return Fraction(0)
+        m = (1,) + tuple(p - b for p, b in zip(params, self.base))
+        acc: dict[tuple[int, int, int, int], Fraction] = {}
+        for (a, b), entries in self.terms.items():
+            for index, value in entries.items():
+                acc[index] = acc.get(index, 0) + m[a] * m[b] * value
+        return max((abs(x) for x in acc.values()), default=Fraction(0))
+
+
+def _jacobi_certificate(family: str) -> _JacobiCertificate:
+    """Build the family's Jacobi certificate at REPRESENTATIVE_PARAMS."""
+    base = REPRESENTATIVE_PARAMS[family]
+    n = len(base)
+    c0 = _entries(family, base)
+    directions = []
+    for i in range(n):
+        point = next(
+            p
+            for h in _JACOBI_STEPS
+            if _valid(family, p := base[:i] + (base[i] + h,) + base[i + 1:])
+        )
+        step = _entries(family, point)
+        h = point[i] - base[i]
+        direction = {key: (step.get(key, 0) - c0.get(key, 0)) / h for key in c0.keys() | step}
+        directions.append({key: v for key, v in direction.items() if v})
+    holdout = next(
+        p for s in _JACOBI_SHIFTS if _valid(family, p := tuple(b + s for b in base))
+    )
+    actual = _entries(family, holdout)
+    keys = actual.keys() | c0.keys() | {key for d in directions for key in d}
+    deviation = max(
+        (
+            abs(
+                actual.get(key, 0)
+                - c0.get(key, 0)
+                - sum((p - b) * d.get(key, 0) for p, b, d in zip(holdout, base, directions))
+            )
+            for key in keys
+        ),
+        default=Fraction(0),
+    )
+    terms: dict[tuple[int, int], dict[tuple[int, int, int, int], Fraction]] = {}
+    if deviation == 0:
+        stack, scale = _integer_tensors([c0, *directions])
+        form = _jacobi_form(stack[:, None], stack[None, :])
+        for a in range(n + 1):
+            for b in range(a, n + 1):
+                q = form[a, a] if a == b else form[a, b] + form[b, a]
+                terms[a, b] = {
+                    (i, j, k, l): Fraction(int(q[i, j, k, l]), scale * scale)
+                    for i, j, k, l in zip(*np.nonzero(q))
+                    if i < j < k
+                }
+        terms = {key: entries for key, entries in terms.items() if entries}
+    return _JacobiCertificate(base, holdout, deviation, terms)
+
+
+def _point(params: tuple[Fraction, ...]) -> str:
+    return "(" + ", ".join(map(str, params)) + ")"
 
 
 def jacobi_result(
@@ -216,27 +335,64 @@ def jacobi_result(
 ) -> CheckResult:
     """Exact Jacobi residual over random rational parameters of the family.
 
-    The configured parameters, when given, are verified first (converted
-    to exact rationals, which is lossless for floats).
+    The residuals come from the family's Jacobi certificate, the
+    Jacobiator as an exact polynomial in the parameters, evaluated at the
+    configured parameters, when given (converted to exact rationals, which
+    is lossless for floats), and at every draw.  The certificate is sound
+    only where the structure constants are affine in the parameters, which
+    is checked at its held-out point; otherwise the check fails as "not
+    affine".  verify_jacobi's loop over basis triples runs once, at the
+    configured parameters or else at the held-out point, and must give
+    the polynomial's value there.  Only nonzero residuals are folded into
+    the tally, so the worst sample is the worst draw on a failure and None
+    on a pass.
     """
     gen = rng.generator(seed, "jacobi", family)
-    worst = 0.0
-    count = 0
     trials: list[tuple[Fraction, ...]] = []
     if params is not None:
         trials.append(exact_params(tuple(params)))
     trials.extend(_random_rational_params(family, gen) for _ in range(draws))
-    for draw in trials:
-        residual, _ = verify_jacobi(catalog.build(family, draw))
-        worst = max(worst, float(residual))
-        count += 1
-    return CheckResult(
-        name="jacobi",
-        passed=worst == 0.0,
-        max_residual=worst,
-        tolerance=0.0,
-        n_evaluated=count,
-        details=f"{count} exact verifications for {family}",
+    certificate = _jacobi_certificate(family)
+    names = catalog.record(family).param_names
+    arity = len(names)
+    tally = _Tally()
+    if certificate.deviation:
+        tally.fold(
+            np.array([float(certificate.deviation)]),
+            np.array([[float(x) for x in certificate.holdout]]).reshape(1, arity),
+        )
+        return tally.result(
+            "jacobi",
+            passed=False,
+            details=(
+                f"structure constants of {family} not affine in ({', '.join(names)}): "
+                f"off the model built at {_point(certificate.base)} by "
+                f"{certificate.deviation} at {_point(certificate.holdout)}"
+            ),
+        )
+    residuals = [certificate.residual(trial) for trial in trials]
+    checked = trials[0] if params is not None else certificate.holdout
+    loop, _ = verify_jacobi(catalog.build(family, checked))
+    polynomial = certificate.residual(checked)
+    agrees = loop == polynomial
+    bad = [n for n, r in enumerate(residuals) if r]
+    tally.fold(
+        np.array([float(residuals[n]) for n in bad]),
+        np.array([[float(x) for x in trials[n]] for n in bad]).reshape(len(bad), arity),
+        evaluated=len(trials),
+    )
+    degree = f"degree 2 in ({', '.join(names)})" if names else "degree 0 (no parameters)"
+    size = (arity + 1) * (arity + 2) // 2
+    verdict = "agrees" if agrees else f"disagrees: loop {loop}, polynomial {polynomial}"
+    return tally.result(
+        "jacobi",
+        passed=agrees and tally.count > 0 and tally.worst <= 0.0,
+        details=(
+            f"Jacobiator of {family} as an exact polynomial of {degree}: "
+            f"{len(certificate.terms)} of {size} coefficient tensors nonzero; "
+            f"{tally.count} exact evaluations; verify_jacobi loop cross-check at "
+            f"{_point(checked)} {verdict}"
+        ),
     )
 
 
@@ -382,7 +538,7 @@ def rank_bound_result(
     excess = tally.worst
     return tally.result(
         "rank_bound",
-        passed=excess <= 0 and attained,
+        passed=tally.count > 0 and excess <= 0 and attained,
         max_residual=max(excess, 0.0),
         details=f"max rank {6 + int(excess)}; rank six attained: {attained}",
     )
@@ -885,8 +1041,8 @@ def leaf_constancy_result(
     coadjoint action.
 
     This is the leaf-preservation test for maps whose target invariant is
-    not cataloged independently.  Results for the two maps in GRADED_MAPS
-    are findings about the cataloged formulas rather than hard failures.
+    not cataloged independently.  Results for the map in GRADED_MAPS are
+    findings about the cataloged formulas rather than hard failures.
     """
     if map_name not in DERIVED_MAPS:
         return _unsupported(f"leaf_constancy_{map_name}", "derived invariant")

@@ -372,13 +372,63 @@ def test_verify_jacobi_is_exactly_zero_on_catalog_members():
         assert violations == []
 
 
+#: A G2-like bracket table with one inconsistent structure constant.
+BROKEN_BRACKETS = {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 5): {2: 1}, (0, 5): {1: 1}}
+
+
 def test_verify_jacobi_flags_an_inconsistent_bracket_table():
     """Breaking one structure constant produces a named violation."""
-    broken = LieAlgebra7(
-        family="G2",
-        params=(),
-        brackets={(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 5): {2: 1}, (0, 5): {1: 1}},
-    )
+    broken = LieAlgebra7(family="G2", params=(), brackets=BROKEN_BRACKETS)
     worst, violations = verify_jacobi(broken)
     assert worst > 0
     assert violations
+
+
+def _entries(brackets):
+    return {(i, j, k): v for (i, j), coeffs in brackets.items() for k, v in coeffs.items()}
+
+
+@pytest.mark.parametrize("factor", [1, Fraction(2, 3)])
+def test_integer_jacobi_form_matches_the_loop_on_a_broken_table(factor):
+    """B(C, C) on the scaled int64 tensor, divided by the squared scale, has
+    verify_jacobi's worst residual and its violating triples, and like the
+    Jacobiator it is antisymmetric in (i, j, k)."""
+    brackets = {pair: {k: factor * v for k, v in c.items()} for pair, c in BROKEN_BRACKETS.items()}
+    stack, scale = liecore._integer_tensors([_entries(brackets)])
+    assert scale == Fraction(factor).denominator
+    jacobiator = liecore._jacobi_form(stack[0], stack[0])
+    assert np.array_equal(jacobiator, -jacobiator.transpose(1, 0, 2, 3))
+    assert np.array_equal(jacobiator, -jacobiator.transpose(0, 2, 1, 3))
+    worst, violations = verify_jacobi(LieAlgebra7(family="G2", params=(), brackets=brackets))
+    assert Fraction(int(np.abs(jacobiator).max()), scale * scale) == worst
+    triples = sorted({(i, j, k) for i, j, k, _ in zip(*np.nonzero(jacobiator)) if i < j < k})
+    assert triples == [(i, j, k) for i, j, k, _ in violations]
+
+
+def test_integer_jacobi_form_is_zero_on_every_family():
+    for family in catalog.FAMILIES:
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        stack, _ = liecore._integer_tensors([_entries(algebra.brackets)])
+        assert not np.any(liecore._jacobi_form(stack[0], stack[0])), family
+
+
+def test_integer_jacobi_form_broadcasts_over_stacks():
+    """B(A, B) on stacks equals B on each pair."""
+    a = catalog.build("G8", (Fraction(0),)).brackets
+    b = catalog.build("G8", (Fraction(1, 3),)).brackets
+    stack, scale = liecore._integer_tensors([_entries(a), _entries(b)])
+    assert scale == 3
+    form = liecore._jacobi_form(stack[:, None], stack[None, :])
+    assert form.shape == (2, 2) + (DIM,) * 4
+    for x in range(2):
+        for y in range(2):
+            assert np.array_equal(form[x, y], liecore._jacobi_form(stack[x], stack[y]))
+
+
+def test_integer_jacobi_form_refuses_entries_that_could_overflow():
+    big = np.zeros((DIM, DIM, DIM), dtype=np.int64)
+    big[0, 1, 3], big[1, 0, 3] = 2**30, -(2**30)
+    small = big // 2**30
+    assert not np.any(liecore._jacobi_form(big, small))
+    with pytest.raises(OverflowError):
+        liecore._jacobi_form(big, big)

@@ -1,13 +1,17 @@
-"""The campaign tally's worst-sample rule, and which checks of a fixed-seed
-suite record no worst sample."""
+"""The campaign tally's worst-sample rule, which checks of a fixed-seed
+suite record no worst sample, and the Jacobi certificate."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from korbit import verify
+from korbit import catalog, rng, verify
+from korbit.liecore import verify_jacobi
 from korbit.verify import _Tally
 
 POINTS = np.arange(21.0).reshape(3, 7)
@@ -75,7 +79,15 @@ def test_result_defaults_passed_to_worst_within_tolerance():
     )
     assert not tally.result("probe", 1e-9).passed
     assert tally.result("probe", 1e-9, passed=True, graded=True).passed
-    assert _Tally().result("empty").passed
+    assert not _Tally().result("empty").passed
+
+
+def test_a_check_that_evaluates_nothing_fails():
+    """At one sample, G13's single functional keeps none of its orbit pairs."""
+    results = verify.run_family_suite("G13", verify.REPRESENTATIVE_PARAMS["G13"], samples=1)
+    check = next(r for r in results if r.name == "orbit_constancy")
+    assert check.n_evaluated == 0
+    assert not check.passed
 
 
 #: Checks of the seed-0 suite at the representative parameters that record
@@ -105,3 +117,96 @@ def test_suite_checks_without_a_worst_sample(family):
     results = verify.run_family_suite(family, verify.REPRESENTATIVE_PARAMS[family], seed=0)
     assert {r.name for r in results if r.worst_sample is None} == NULL_SAMPLE_CHECKS[family]
 
+
+
+def _planting(entry):
+    """derivation_pair with ``entry(params)`` added to the e1 coefficient of
+    [e6, e7] in G8, which breaks the Jacobi identity."""
+    original = catalog.derivation_pair
+
+    def derivation_pair(family, params):
+        a, b, central = original(family, params)
+        if family == "G8":
+            central[0] = central[0] + entry(params)
+        return a, b, central
+
+    return derivation_pair
+
+
+def _draws(family, draws, seed):
+    gen = rng.generator(seed, "jacobi", family)
+    return [verify._random_rational_params(family, gen) for _ in range(draws)]
+
+
+def test_certificate_values_equal_the_loop_at_a_planted_fault(monkeypatch):
+    """A bracket affine in lambda gives nonzero coefficient tensors; each
+    draw's residual is verify_jacobi's, and the worst draw is reported."""
+    monkeypatch.setattr(catalog, "derivation_pair", _planting(lambda p: p[0]))
+    result = verify.jacobi_result("G8", draws=40, seed=3)
+    draws = _draws("G8", 40, 3)
+    loops = [verify_jacobi(catalog.build("G8", d))[0] for d in draws]
+    assert not result.passed
+    assert result.n_evaluated == 40
+    assert result.max_residual == float(max(loops)) > 0
+    assert result.worst_sample == tuple(map(float, draws[loops.index(max(loops))]))
+    assert "verify_jacobi loop cross-check at (5/6) agrees" in result.details
+    certificate = verify._jacobi_certificate("G8")
+    assert certificate.terms
+    for lam in (Fraction(0), Fraction(1, 2), Fraction(3)):
+        assert certificate.residual((lam,)) == verify_jacobi(catalog.build("G8", (lam,)))[0]
+
+
+def test_a_non_affine_bracket_fails_the_certificate(monkeypatch):
+    monkeypatch.setattr(catalog, "derivation_pair", _planting(lambda p: p[0] * p[0]))
+    result = verify.jacobi_result("G8", (Fraction(1, 2),), draws=10)
+    assert not result.passed
+    assert "not affine" in result.details
+    assert result.max_residual > 0
+
+
+def test_a_loop_disagreeing_with_the_polynomial_fails(monkeypatch):
+    monkeypatch.setattr(verify, "verify_jacobi", lambda algebra: (Fraction(1, 7), []))
+    result = verify.jacobi_result("G4", (0, 2), draws=10)
+    assert not result.passed
+    assert result.max_residual == 0.0
+    assert "disagrees: loop 1/7, polynomial 0" in result.details
+
+
+def test_passing_certificate_reports_its_shape():
+    result = verify.jacobi_result("G14", draws=5, seed=1)
+    assert result.passed and result.worst_sample is None
+    assert result.n_evaluated == 5
+    assert "degree 2 in (λ1, λ2): 0 of 6 coefficient tensors nonzero" in result.details
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(catalog.FAMILIES),
+    planted=st.booleans(),
+    raw=st.tuples(*[st.fractions(-4, 4, max_denominator=7)] * 2),
+)
+def test_certificate_equals_the_loop_at_random_rationals(family, planted, raw):
+    """Where the family's constraints admit the point, the polynomial's value
+    is verify_jacobi's residual, with and without a planted affine fault.
+    The fault makes every coefficient tensor nonzero: the derivations
+    gain e2 -> s e1 and e1 -> s e2 and [e6, e7] gains (1 + s) e2, where s
+    is the sum of the parameters."""
+    params = raw[: catalog.PARAM_ARITY[family]]
+    if not verify._valid(family, params):
+        return
+    original = catalog.derivation_pair
+
+    def derivation_pair(fam, p):
+        a, b, central = original(fam, p)
+        if planted:
+            s = sum(p)
+            a[1][0] += s
+            b[0][1] += s
+            central[1] += 1 + s
+        return a, b, central
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "derivation_pair", derivation_pair)
+        value = verify._jacobi_certificate(family).residual(params)
+        assert value == verify_jacobi(catalog.build(family, params))[0]
+    assert (value != 0) <= planted
