@@ -17,7 +17,6 @@ from .catalog import (
     build,
     default_parameter_grid,
     derivation_pair,
-    grid_algebras,
     validate_params,
 )
 from .coadjoint import (
@@ -108,7 +107,6 @@ __all__ = [
     "field_values",
     "flow_closed",
     "flow_numeric",
-    "grid_algebras",
     "invariant",
     "involutivity_residual",
     "jacobian_check",

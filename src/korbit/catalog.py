@@ -254,8 +254,3 @@ def build(family: str, params: tuple[Real, ...] = ()) -> LieAlgebra7:
 def default_parameter_grid(family: str) -> tuple[tuple[Fraction, ...], ...]:
     """Exact parameter tuples used by the verification campaigns."""
     return record(family).grid
-
-
-def grid_algebras(family: str) -> tuple[LieAlgebra7, ...]:
-    """Algebras for every default parameter choice of a family."""
-    return tuple(build(family, p) for p in default_parameter_grid(family))

@@ -9,8 +9,9 @@ each topological type, and the operator-algebra descriptor strings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from numbers import Real
 
 import numpy as np
@@ -154,23 +155,8 @@ def fibration_gradient(t: FoliationType, v: np.ndarray, step: float = 1e-6) -> n
 
 
 # Leaf-preserving maps.  Every map fixes all coordinates except the second
-# and third (and the fourth, for h1), so inverses are closed forms.
-
-LEAF_MAP_NAMES: tuple[str, ...] = tuple(f"h{k}" for k in range(1, 12))
-
-_LEAF_MAP_TABLE: dict[str, tuple[str, str, Manifold, int]] = {
-    "h1": ("G2", "G1", Manifold.V1, 0),
-    "h2": ("G2", "G4", Manifold.V1, 2),
-    "h3": ("G2", "G7", Manifold.V1, 0),
-    "h4": ("G2", "G8", Manifold.V1, 1),
-    "h5": ("G2", "G11", Manifold.V1, 0),
-    "h6": ("G3", "G5", Manifold.V1, 0),
-    "h7": ("G12", "G12", Manifold.V2, 1),
-    "h8": ("G13", "G13", Manifold.V3, 1),
-    "h9": ("G13", "G14", Manifold.V3, 2),
-    "h10": ("G13", "G15", Manifold.V3, 0),
-    "h11": ("G13", "G16", Manifold.V3, 1),
-}
+# and third (and the fourth, for h1), so inverses are closed forms.  Each
+# map's facts live in its LeafMap record in _LEAF_MAPS.
 
 
 def _with_columns(v: np.ndarray, **cols: np.ndarray) -> np.ndarray:
@@ -254,11 +240,23 @@ def _offsets(name: str, params: tuple[Real, ...], v: np.ndarray) -> tuple[np.nda
 
 @dataclass(frozen=True)
 class LeafMap:
-    """One of the eleven closed-form leaf-preserving coordinate maps.
+    """One of the eleven closed-form leaf-preserving coordinate maps, with
+    every fact the verification campaigns read about it.
 
     For h7 and h8 the source is the parameter-zero member of the target's
     own family; h6 carries the same source foliation onto two families at
     once and is recorded against the first of them.
+
+    ``kind`` says how the second and third coordinates move: "shear" (h1
+    rewrites the fourth coordinate instead), "scale" (a common factor),
+    "offset" (a translation) or "scaled_offset" (a translation followed by
+    multiplication with the fifth coordinate).  ``check`` names the
+    campaign that tests leaf preservation: "residual" where the target
+    invariant is cataloged, "constancy" where it is pulled back from the
+    source, None where neither applies.  ``locus`` is the branch locus of
+    the pulled-back invariant in the form of ``verify.INVARIANT_LOCUS``,
+    and ``graded`` marks a map whose constancy failure is reported as a
+    finding about the catalog rather than breaking the run.
     """
 
     name: str
@@ -266,6 +264,10 @@ class LeafMap:
     target: str
     manifold: Manifold
     params: tuple[Real, ...]
+    kind: str
+    check: str | None = None
+    locus: tuple[str, int] | None = None
+    graded: bool = False
 
     def _check(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -273,58 +275,99 @@ class LeafMap:
             raise DomainError(f"{self.name} needs points of {self.manifold.value}")
         return v
 
+    def margin(self, v: np.ndarray) -> np.ndarray:
+        """Distance of points from where the map's formulas degenerate:
+        the manifold's boundary margin, min(|x4|, |x5|) on the third
+        manifold (whose degenerate branches are sampled separately), and
+        for the shear also |x3|, which its inverse divides by."""
+        v = np.asarray(v, dtype=float)
+        if self.manifold is Manifold.V3:
+            margin = np.minimum(np.abs(v[..., 3]), np.abs(v[..., 4]))
+        else:
+            margin = boundary_margin(self.manifold, v)
+        if self.kind == "shear":
+            margin = np.minimum(margin, np.abs(v[..., 2]))
+        return margin
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Forward map, batched over leading axes."""
         v = self._check(v)
-        if self.name == "h1":
+        if self.kind == "shear":
             return _with_columns(v, c3=v[..., 1] - v[..., 2] * v[..., 3] / v[..., 4])
-        if self.name in ("h2", "h5", "h6", "h7", "h8", "h9"):
+        if self.kind == "scale":
             m = _scale_factor(self.name, self.params, v)
             return _with_columns(v, c1=v[..., 1] * m, c2=v[..., 2] * m)
-        if self.name in ("h3", "h4"):
-            off2, off3 = _offsets(self.name, self.params, v)
+        off2, off3 = _offsets(self.name, self.params, v)
+        if self.kind == "scaled_offset":
             return _with_columns(
                 v,
                 c1=(v[..., 1] + off2) * v[..., 4],
                 c2=(v[..., 2] + off3) * v[..., 4],
             )
-        off2, off3 = _offsets(self.name, self.params, v)
         return _with_columns(v, c1=v[..., 1] + off2, c2=v[..., 2] + off3)
 
     def invert(self, v: np.ndarray) -> np.ndarray:
         """Closed-form inverse, batched over leading axes."""
         v = np.asarray(v, dtype=float)
-        if self.name == "h1":
+        if self.kind == "shear":
             if np.any(v[..., 2] == 0) or np.any(v[..., 4] == 0):
-                raise DomainError("h1 inverse needs nonzero third and fifth coordinates")
+                raise DomainError(f"{self.name} inverse needs nonzero third and fifth coordinates")
             return _with_columns(v, c3=(v[..., 1] - v[..., 3]) * v[..., 4] / v[..., 2])
         v = self._check(v)
-        if self.name in ("h2", "h5", "h6", "h7", "h8", "h9"):
+        if self.kind == "scale":
             m = _scale_factor(self.name, self.params, v)
             return _with_columns(v, c1=v[..., 1] / m, c2=v[..., 2] / m)
-        if self.name in ("h3", "h4"):
-            off2, off3 = _offsets(self.name, self.params, v)
+        off2, off3 = _offsets(self.name, self.params, v)
+        if self.kind == "scaled_offset":
             return _with_columns(
                 v,
                 c1=v[..., 1] / v[..., 4] - off2,
                 c2=v[..., 2] / v[..., 4] - off3,
             )
-        off2, off3 = _offsets(self.name, self.params, v)
         return _with_columns(v, c1=v[..., 1] - off2, c2=v[..., 2] - off3)
 
 
-def leaf_map(name: str, params: tuple[Real, ...] = ()) -> LeafMap:
-    """Construct a leaf map, validating parameters against the target.
+_HALF = Fraction(1, 2)
+_V1, _V2, _V3 = Manifold.V1, Manifold.V2, Manifold.V3
+
+#: The eleven maps at their default parameters; a map's arity is the
+#: length of its default parameter tuple.
+_LEAF_MAPS: dict[str, LeafMap] = {
+    m.name: m
+    for m in (
+        LeafMap("h1", "G2", "G1", _V1, (), "shear", "constancy"),
+        LeafMap("h2", "G2", "G4", _V1, (Fraction(0), Fraction(2)), "scale", "residual"),
+        LeafMap("h3", "G2", "G7", _V1, (), "scaled_offset", "constancy"),
+        LeafMap("h4", "G2", "G8", _V1, (_HALF,), "scaled_offset", "constancy"),
+        LeafMap("h5", "G2", "G11", _V1, (), "scale", "constancy"),
+        LeafMap("h6", "G3", "G5", _V1, (), "scale"),
+        LeafMap("h7", "G12", "G12", _V2, (_HALF,), "scale", "residual"),
+        LeafMap("h8", "G13", "G13", _V3, (_HALF,), "scale", "residual"),
+        LeafMap("h9", "G13", "G14", _V3, (_HALF, Fraction(1)), "scale", "constancy", ("a", 6)),
+        LeafMap("h10", "G13", "G15", _V3, (), "offset", "constancy"),
+        LeafMap("h11", "G13", "G16", _V3, (_HALF,), "offset", "constancy", ("b", 5), True),
+    )
+}
+
+LEAF_MAP_NAMES: tuple[str, ...] = tuple(_LEAF_MAPS)
+
+
+def leaf_map(name: str, params: tuple[Real, ...] | None = None) -> LeafMap:
+    """The named leaf map at its default parameters, or at ``params``
+    after validating them against the target family.
 
     Maps whose formulas carry no parameter take an empty tuple even when
     the target family itself is parameterized.
     """
-    if name not in _LEAF_MAP_TABLE:
+    if name not in _LEAF_MAPS:
         raise ValueError(f"unknown leaf map {name!r}")
-    source, target, manifold, arity = _LEAF_MAP_TABLE[name]
+    default = _LEAF_MAPS[name]
+    if params is None:
+        return default
     params = tuple(params)
+    arity = len(default.params)
     if len(params) != arity:
         raise ValueError(f"{name} takes {arity} parameter(s), got {len(params)}")
     if arity:
-        catalog.validate_params(target, params)
-    return LeafMap(name=name, source=source, target=target, manifold=manifold, params=params)
+        catalog.validate_params(default.target, params)
+    return replace(default, params=params)

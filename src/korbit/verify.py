@@ -47,20 +47,11 @@ MARGIN = 0.05
 #: submersion tolerance in float arithmetic.
 FIBRATION_RATIO_CAP = 10.0
 
-_HALF = Fraction(1, 2)
-
 #: Default parameters used when a single member of a family must stand in
 #: for the whole family.
 REPRESENTATIVE_PARAMS: dict[str, tuple[Fraction, ...]] = {
     family: catalog.record(family).representative for family in catalog.FAMILIES
 }
-
-#: Families whose invariant campaign the constancy criterion covers, in
-#: catalog order: the three with directly printed invariants first, then
-#: the seven whose invariants derive from leaf maps.
-CONSTANCY_FAMILIES: tuple[str, ...] = (
-    "G4", "G12", "G13", "G1", "G7", "G8", "G11", "G14", "G15", "G16",
-)
 
 #: Branch locus of each angle-bearing invariant: "a" jumps where the fifth
 #: coordinate vanishes, "b" where the fourth does; the second entry is the
@@ -71,53 +62,24 @@ INVARIANT_LOCUS: dict[str, tuple[str, int]] = {
     "G16": ("a", 5),
 }
 
-#: Default parameters for the leaf maps that carry any.
-LEAF_MAP_PARAMS: dict[str, tuple[Fraction, ...]] = {
-    "h1": (),
-    "h2": (Fraction(0), Fraction(2)),
-    "h3": (),
-    "h4": (_HALF,),
-    "h5": (),
-    "h6": (),
-    "h7": (_HALF,),
-    "h8": (_HALF,),
-    "h9": (_HALF, Fraction(1)),
-    "h10": (),
-    "h11": (_HALF,),
-}
-
 #: Leaf maps whose target invariant is cataloged alongside the source's,
 #: checked by direct residual.
-RESIDUAL_MAPS: tuple[str, ...] = ("h2", "h7", "h8")
+RESIDUAL_MAPS: tuple[str, ...] = tuple(
+    name for name in topology.LEAF_MAP_NAMES if topology.leaf_map(name).check == "residual"
+)
 
 #: Leaf maps checked through the constancy of the pulled-back source
-#: invariant under the target family's coadjoint action.  The associated
-#: value is the target family and, where the map itself carries no
-#: parameters, the representative target parameters.
-DERIVED_MAPS: dict[str, tuple[str, tuple[Fraction, ...] | None]] = {
-    "h1": ("G1", (Fraction(1),)),
-    "h3": ("G7", ()),
-    "h4": ("G8", None),
-    "h5": ("G11", ()),
-    "h9": ("G14", None),
-    "h10": ("G15", ()),
-    "h11": ("G16", None),
-}
+#: invariant under the target family's coadjoint action.
+DERIVED_MAPS: tuple[str, ...] = tuple(
+    name for name in topology.LEAF_MAP_NAMES if topology.leaf_map(name).check == "constancy"
+)
 
-#: Derived-constancy maps whose failure is reported as a finding rather
-#: than breaking the run.
-GRADED_MAPS: frozenset[str] = frozenset({"h11"})
-
-_MAP_LOCUS: dict[str, tuple[str, int]] = {
-    "h9": ("a", 6),
-    "h11": ("b", 5),
-}
-
-_BASE_INVARIANT: dict[str, tuple[str, tuple[Fraction, ...]]] = {
-    "G2": ("G2", ()),
-    "G12": ("G12", (Fraction(0),)),
-    "G13": ("G13", (Fraction(0),)),
-}
+#: Families whose invariant campaign the constancy criterion covers: the
+#: targets of the residual maps, whose invariants are printed directly,
+#: then those of the derived maps.
+CONSTANCY_FAMILIES: tuple[str, ...] = tuple(
+    topology.leaf_map(name).target for name in RESIDUAL_MAPS + DERIVED_MAPS
+)
 
 
 @dataclass(frozen=True)
@@ -695,14 +657,6 @@ def _generic_functionals(
     return f[keep]
 
 
-def _main_branch(points: np.ndarray) -> np.ndarray:
-    return np.minimum(np.abs(points[..., 3]), np.abs(points[..., 4])) > MARGIN
-
-
-def _third_coordinate(points: np.ndarray) -> np.ndarray:
-    return np.abs(points[..., 2]) > MARGIN
-
-
 def _printed_value(family: str, params: tuple[Real, ...]) -> Callable[[np.ndarray], np.ndarray]:
     def value(points: np.ndarray) -> np.ndarray:
         return np.asarray(foliation.invariant(family, params, points))
@@ -710,19 +664,22 @@ def _printed_value(family: str, params: tuple[Real, ...]) -> Callable[[np.ndarra
     return value
 
 
-def _derived_value(
-    map_obj: topology.LeafMap,
-    src_family: str,
-    src_params: tuple[Real, ...],
-) -> Callable[[np.ndarray], np.ndarray]:
-    src_manifold = topology.manifold_of(src_family)
+def _base_params(map_obj: topology.LeafMap) -> tuple[Fraction, ...]:
+    """Parameters of the source's parameter-zero member, whose invariant
+    the map carries."""
+    return (Fraction(0),) * catalog.record(map_obj.source).arity
+
+
+def _derived_value(map_obj: topology.LeafMap) -> Callable[[np.ndarray], np.ndarray]:
+    src_manifold = topology.manifold_of(map_obj.source)
+    src_params = _base_params(map_obj)
 
     def value(points: np.ndarray) -> np.ndarray:
         pre = map_obj.invert(points)
         good = topology.boundary_margin(src_manifold, pre) > MARGIN
         out = np.full(points.shape[:-1], np.nan)
         if np.any(good):
-            out[good] = foliation.invariant(src_family, src_params, pre[good])
+            out[good] = foliation.invariant(map_obj.source, src_params, pre[good])
         return out
 
     return value
@@ -925,34 +882,22 @@ def flow_result(
 # --- Leaf maps --------------------------------------------------------------
 
 def _map_samples(
-    map_obj: topology.LeafMap,
-    manifold: topology.Manifold,
-    samples: int,
-    seed: int,
-    key: str,
-    third_margin: bool,
+    map_obj: topology.LeafMap, samples: int, seed: int, key: str
 ) -> list[np.ndarray]:
-    """Margin-filtered sample batches: the main branch, plus, on the third
-    manifold, batches with an exactly planted zero in either deciding
-    coordinate."""
+    """Margin-filtered sample batches: points clearing the map's margin,
+    plus, on the third manifold, batches with an exactly planted zero in
+    either deciding coordinate."""
     points = rng.sample_coordinates(seed, samples, key, map_obj.name, *map_obj.params)
-    batches = []
-    if manifold is topology.Manifold.V3:
-        main = points[_main_branch(points)]
+    batches = [points[map_obj.margin(points) > MARGIN]]
+    if map_obj.manifold is topology.Manifold.V3:
         zero4 = np.array(points, copy=True)
         zero4[:, 3] = 0.0
         zero5 = np.array(points, copy=True)
         zero5[:, 4] = 0.0
-        batches = [
-            main,
+        batches += [
             zero4[np.abs(zero4[:, 4]) > MARGIN],
             zero5[np.abs(zero5[:, 3]) > MARGIN],
         ]
-    else:
-        keep = topology.boundary_margin(manifold, points) > MARGIN
-        if third_margin:
-            keep &= _third_coordinate(points)
-        batches = [points[keep]]
     return batches
 
 
@@ -964,29 +909,22 @@ def leaf_roundtrip_result(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Inverse-after-forward and forward-after-inverse both recover the
-    input, including on the planted degenerate branches."""
-    if params is None:
-        params = LEAF_MAP_PARAMS[map_name]
+    input, including on the planted degenerate branches.  The inverse
+    direction keeps the points whose preimage clears the manifold margin."""
     map_obj = topology.leaf_map(map_name, params)
-    manifold = map_obj.manifold
     tally = _Tally()
     for direction in ("forward", "inverse"):
-        key = f"roundtrip-{direction}"
-        for batch in _map_samples(map_obj, manifold, samples, seed, key, map_name == "h1"):
+        for batch in _map_samples(map_obj, samples, seed, f"roundtrip-{direction}"):
             if batch.size == 0:
                 continue
             if direction == "forward":
-                there = map_obj.apply(batch)
-                back = map_obj.invert(there)
+                back = map_obj.invert(map_obj.apply(batch))
             else:
-                if map_name == "h1":
-                    pre = map_obj.invert(batch)
-                    ok = np.abs(pre[:, 3]) > MARGIN
-                    batch, pre = batch[ok], pre[ok]
-                    if batch.size == 0:
-                        continue
-                else:
-                    pre = map_obj.invert(batch)
+                pre = map_obj.invert(batch)
+                ok = topology.boundary_margin(map_obj.manifold, pre) > MARGIN
+                batch, pre = batch[ok], pre[ok]
+                if batch.size == 0:
+                    continue
                 back = map_obj.apply(pre)
             residual = np.abs(back - batch).max(axis=-1) / (
                 1.0 + np.abs(batch).max(axis=-1)
@@ -1009,23 +947,20 @@ def leaf_residual_result(
     """
     if map_name not in RESIDUAL_MAPS:
         return _unsupported(f"leaf_residual_{map_name}", "invariant pair")
-    if params is None:
-        params = LEAF_MAP_PARAMS[map_name]
     map_obj = topology.leaf_map(map_name, params)
-    src_family, src_params = _BASE_INVARIANT[map_obj.source]
-    points = rng.sample_coordinates(seed, 2 * samples, "leaf-residual", map_name, *params)
-    keep = topology.boundary_margin(map_obj.manifold, points) > MARGIN
-    if map_obj.manifold is topology.Manifold.V3:
-        keep &= _main_branch(points)
-    points = points[keep][:samples]
-    source_vals = foliation.invariant(src_family, src_params, points)
-    target_vals = foliation.invariant(map_obj.target, params, map_obj.apply(points))
+    src_params = _base_params(map_obj)
+    points = rng.sample_coordinates(
+        seed, 2 * samples, "leaf-residual", map_name, *map_obj.params
+    )
+    points = points[map_obj.margin(points) > MARGIN][:samples]
+    source_vals = foliation.invariant(map_obj.source, src_params, points)
+    target_vals = foliation.invariant(map_obj.target, map_obj.params, map_obj.apply(points))
     tally = _Tally()
     tally.fold(np.abs(target_vals - source_vals) / (1.0 + np.abs(source_vals)), points)
     return tally.result(
         f"leaf_residual_{map_name}",
         tol,
-        details=f"source invariant {src_family}{tuple(map(float, src_params))}",
+        details=f"source invariant {map_obj.source}{tuple(map(float, src_params))}",
     )
 
 
@@ -1041,43 +976,34 @@ def leaf_constancy_result(
     coadjoint action.
 
     This is the leaf-preservation test for maps whose target invariant is
-    not cataloged independently.  Results for the map in GRADED_MAPS are
-    findings about the cataloged formulas rather than hard failures.
+    not cataloged independently.  The target family is taken at the map's
+    parameters or, for a map without any, at its representative ones.
+    Results for a graded map are findings about the cataloged formulas
+    rather than hard failures.
     """
     if map_name not in DERIVED_MAPS:
         return _unsupported(f"leaf_constancy_{map_name}", "derived invariant")
-    if params is None:
-        params = LEAF_MAP_PARAMS[map_name]
     map_obj = topology.leaf_map(map_name, params)
-    target_family, fixed = DERIVED_MAPS[map_name]
-    target_params = tuple(params) if fixed is None else fixed
+    target_family = map_obj.target
+    target_params = tuple(map_obj.params) or REPRESENTATIVE_PARAMS[target_family]
     algebra = catalog.build(target_family, target_params)
-    src_family, src_params = _BASE_INVARIANT[map_obj.source]
-    extra = None
-    if map_obj.manifold is topology.Manifold.V3:
-        extra = _main_branch
-    elif map_name == "h1":
-        extra = _third_coordinate
+
+    def inside(points: np.ndarray) -> np.ndarray:
+        return map_obj.margin(points) > MARGIN
+
     f = _generic_functionals(
-        target_family, target_params, functionals, seed, f"leaf-constancy-{map_name}", extra
+        target_family, target_params, functionals, seed, f"leaf-constancy-{map_name}", inside
     )
     u = rng.sample_coordinates(
         seed, group_samples, "leaf-constancy-u", map_name, *target_params
     )
-    tally = _constancy_campaign(
-        algebra,
-        f,
-        u,
-        _derived_value(map_obj, src_family, src_params),
-        _MAP_LOCUS.get(map_name),
-        extra,
-    )
+    tally = _constancy_campaign(algebra, f, u, _derived_value(map_obj), map_obj.locus, inside)
     return tally.result(
         f"leaf_constancy_{map_name}",
         tol,
-        graded=map_name in GRADED_MAPS,
+        graded=map_obj.graded,
         details=(
-            f"pulled-back {src_family} invariant under {target_family}"
+            f"pulled-back {map_obj.source} invariant under {target_family}"
             f"{tuple(map(float, target_params))} motions"
         ),
     )
@@ -1146,7 +1072,7 @@ def check_orbit_boundary(tol: float = 1.0) -> CheckResult:
     family, params = "G4", REPRESENTATIVE_PARAMS["G4"]
     algebra = catalog.build(family, params)
     epsilons = (1.0, 0.5, 2.0**-4, 2.0**-8, 2.0**-16, 2.0**-24, 0.0)
-    worst = 0.0
+    tally = _Tally()
     failures = 0
     for eps in epsilons:
         f = np.array([1.0, 1.0, 1.0, eps, 1.0, 0.0, 0.0])
@@ -1155,14 +1081,12 @@ def check_orbit_boundary(tol: float = 1.0) -> CheckResult:
         )
         failures += coadjoint.orbit_type(algebra, f) is not expected
         if eps:
-            worst = max(worst, abs(float(foliation.invariant(family, params, f))))
-    return CheckResult(
-        name="orbit_type_boundary",
-        passed=failures == 0 and worst <= tol,
-        max_residual=worst,
-        tolerance=tol,
+            tally.fold(np.abs(foliation.invariant(family, params, f)), f)
+    return tally.result(
+        "orbit_type_boundary",
+        tol,
+        passed=failures == 0 and tally.worst <= tol,
         n_evaluated=len(epsilons),
-        worst_sample=(1.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0),
         details=f"{failures} type mismatch(es); residual is the largest invariant magnitude",
     )
 
@@ -1195,12 +1119,13 @@ def run_family_suite(
         flow_result(family, params, min(samples, 200), seed, flow_tol),
     ]
     for map_name in topology.LEAF_MAP_NAMES:
-        if topology.leaf_map(map_name, LEAF_MAP_PARAMS[map_name]).source != family:
+        map_obj = topology.leaf_map(map_name)
+        if map_obj.source != family:
             continue
         results.append(leaf_roundtrip_result(map_name, None, min(samples, 200), seed))
-        if map_name in RESIDUAL_MAPS:
+        if map_obj.check == "residual":
             results.append(leaf_residual_result(map_name, None, samples, seed))
-        if map_name in DERIVED_MAPS:
+        if map_obj.check == "constancy":
             results.append(
                 leaf_constancy_result(map_name, None, 50, min(samples, 200), seed, inv_tol)
             )

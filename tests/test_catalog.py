@@ -124,14 +124,6 @@ def test_default_parameter_grid_shapes():
     assert len(catalog.default_parameter_grid("G14")) == 16
 
 
-def test_grid_algebras_builds_every_entry():
-    """grid_algebras yields one algebra per default grid entry."""
-    algebras = list(catalog.grid_algebras("G6"))
-    assert len(algebras) == len(catalog.default_parameter_grid("G6"))
-    for algebra in algebras:
-        assert algebra.family == "G6"
-
-
 def test_derivation_pair_diagonal_example():
     """The two derivations of G4 have the documented diagonals."""
     a, b, central = catalog.derivation_pair("G4", (Fraction(1, 2), Fraction(2)))

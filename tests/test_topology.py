@@ -102,6 +102,32 @@ def test_leaf_map_parameter_validation():
         topology.leaf_map("h2", ())
     with pytest.raises(Exception):
         topology.leaf_map("h8", (-1,))
+    with pytest.raises(ValueError):
+        topology.leaf_map("h12")
+
+
+def test_leaf_map_at_its_default_parameters_is_the_default_record():
+    """Passing a map's default parameters back returns an equal record."""
+    for name in topology.LEAF_MAP_NAMES:
+        default = topology.leaf_map(name)
+        assert topology.leaf_map(name, default.params) == default, name
+
+
+def test_leaf_map_margin_matches_the_branch_filters():
+    """The margin clears 0.05 exactly where the manifold margin, the main
+    branch of the third manifold and, for the shear, the third coordinate
+    all do."""
+    for name in topology.LEAF_MAP_NAMES:
+        map_obj = topology.leaf_map(name)
+        pts = rng.sample_coordinates(15, 400, "margin", name)
+        pts[:40, 3] = 0.0
+        pts[40:80, 4] = 0.0
+        keep = topology.boundary_margin(map_obj.manifold, pts) > 0.05
+        if map_obj.manifold is topology.Manifold.V3:
+            keep &= np.minimum(np.abs(pts[:, 3]), np.abs(pts[:, 4])) > 0.05
+        if name == "h1":
+            keep &= np.abs(pts[:, 2]) > 0.05
+        np.testing.assert_array_equal(map_obj.margin(pts) > 0.05, keep, err_msg=name)
 
 
 def test_identity_special_cases():
@@ -118,36 +144,24 @@ def test_identity_special_cases():
 
 def _margin_points(map_obj, seed, n=150):
     pts = rng.sample_coordinates(seed, n, "roundtrip", map_obj.name)
-    keep = topology.boundary_margin(map_obj.manifold, pts) > 0.05
-    if map_obj.manifold is topology.Manifold.V3:
-        keep &= np.minimum(np.abs(pts[:, 3]), np.abs(pts[:, 4])) > 0.05
-    if map_obj.name == "h1":
-        keep &= np.abs(pts[:, 2]) > 0.05
-    return pts[keep]
+    return pts[map_obj.margin(pts) > 0.05]
 
 
 def test_every_leaf_map_round_trips():
     """invert(apply(v)) = v to high relative accuracy for all maps."""
     for name in topology.LEAF_MAP_NAMES:
-        map_obj = topology.leaf_map(name, _default_map_params(name))
+        map_obj = topology.leaf_map(name)
         pts = _margin_points(map_obj, 10)
         back = map_obj.invert(map_obj.apply(pts))
         residual = np.abs(back - pts).max() / (1.0 + np.abs(pts).max())
         assert residual <= ROUNDTRIP_TOL, name
 
 
-def _default_map_params(name):
-    return {
-        "h2": (0, 2), "h4": (HALF,), "h7": (HALF,), "h8": (HALF,),
-        "h9": (HALF, 1), "h11": (HALF,),
-    }.get(name, ())
-
-
 def test_roundtrip_on_planted_degenerate_branches():
     """Maps on the third manifold invert exactly on both degenerate
     branches where one deciding coordinate is exactly zero."""
     for name in ("h8", "h9", "h10", "h11"):
-        map_obj = topology.leaf_map(name, _default_map_params(name))
+        map_obj = topology.leaf_map(name)
         pts = rng.sample_coordinates(11, 100, "branches", name)
         for zeroed, other in ((3, 4), (4, 3)):
             branch = np.array(pts, copy=True)

@@ -1,5 +1,6 @@
 """The campaign tally's worst-sample rule, which checks of a fixed-seed
-suite record no worst sample, and the Jacobi certificate."""
+suite record no worst sample, the leaf-map campaign lists, and the Jacobi
+certificate."""
 from __future__ import annotations
 
 import math
@@ -116,6 +117,26 @@ NULL_SAMPLE_CHECKS = {
 def test_suite_checks_without_a_worst_sample(family):
     results = verify.run_family_suite(family, verify.REPRESENTATIVE_PARAMS[family], seed=0)
     assert {r.name for r in results if r.worst_sample is None} == NULL_SAMPLE_CHECKS[family]
+
+
+def test_leaf_map_views_keep_their_order():
+    """The campaign lists derived from the leaf-map records, in the order
+    the acceptance suite iterates them."""
+    assert verify.RESIDUAL_MAPS == ("h2", "h7", "h8")
+    assert verify.DERIVED_MAPS == ("h1", "h3", "h4", "h5", "h9", "h10", "h11")
+    assert verify.CONSTANCY_FAMILIES == (
+        "G4", "G12", "G13", "G1", "G7", "G8", "G11", "G14", "G15", "G16",
+    )
+
+
+def test_orbit_boundary_reports_the_functional_of_its_largest_invariant():
+    """The worst sample is the functional whose invariant magnitude is the
+    residual, not the boundary functional where it is never evaluated."""
+    result = verify.check_orbit_boundary()
+    assert result.passed
+    assert result.max_residual == 0.25
+    assert result.worst_sample == (1.0, 1.0, 1.0, 0.5, 1.0, 0.0, 0.0)
+    assert result.n_evaluated == 7
 
 
 
