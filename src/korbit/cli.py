@@ -237,7 +237,10 @@ def _human_report(report: dict[str, Any], results: Sequence[verify.CheckResult])
         f"samples={report['samples']} =="
     ]
     for r in results:
-        verdict = "PASS" if r.passed else ("FIND" if r.graded else "FAIL")
+        if r.skipped:
+            verdict = "SKIP"
+        else:
+            verdict = "PASS" if r.passed else ("FIND" if r.graded else "FAIL")
         residual = float(r.max_residual)
         shown = _format_float(residual) if math.isfinite(residual) else str(residual)
         line = (
@@ -247,9 +250,11 @@ def _human_report(report: dict[str, Any], results: Sequence[verify.CheckResult])
         if r.details and (not r.passed or r.n_evaluated == 0):
             line += f"  [{r.details}]"
         lines.append(line)
-    passed = sum(r.passed for r in results)
+    skipped = sum(r.skipped for r in results)
+    passed = sum(r.passed and not r.skipped for r in results)
     lines.append(
-        f"{passed}/{len(results)} checks passed in {report['wall_time_ms']:.0f} ms"
+        f"{passed}/{len(results) - skipped} checks passed, {skipped} skipped"
+        f" in {report['wall_time_ms']:.0f} ms"
     )
     return "\n".join(lines) + "\n"
 

@@ -95,6 +95,12 @@ class CheckResult:
     graded: bool = False
     details: str = ""
 
+    @property
+    def skipped(self) -> bool:
+        """True for a check the family does not support: it evaluated
+        nothing and its details say so.  It still reports passed=True."""
+        return self.n_evaluated == 0 and self.details.startswith("unsupported")
+
 
 def _unsupported(name: str, what: str) -> CheckResult:
     return CheckResult(

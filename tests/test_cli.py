@@ -267,3 +267,23 @@ def test_human_verify_output_has_one_line_per_check(capsys):
     assert code == 0
     lines = [line for line in out.splitlines() if line.startswith(("PASS", "FIND", "FAIL"))]
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_human_verify_prints_unsupported_checks_as_skips(capsys):
+    """An unsupported check prints SKIP and leaves the passed count; the
+    JSON report still marks it passed with nothing evaluated."""
+    code, out, _ = _run(["verify", "--family", "G2", "--json", *VERIFY_FAST], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    unsupported = [c["name"] for c in checks if c["details"].startswith("unsupported")]
+    assert unsupported and all(
+        c["passed"] and c["n_evaluated"] == 0
+        for c in checks
+        if c["name"] in unsupported
+    )
+    code, out, _ = _run(["verify", "--family", "G2", *VERIFY_FAST], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines if line.startswith("SKIP")] == unsupported
+    summary = f"{len(checks) - len(unsupported)}/{len(checks) - len(unsupported)} checks passed"
+    assert lines[-1].startswith(f"{summary}, {len(unsupported)} skipped in ")

@@ -209,3 +209,14 @@ def test_sample_orbit_sign_behavior_of_shear_family():
     f = np.array([0.4, -0.3, 1.1, 0.8, -0.9, 0.0, 0.0])
     points = coadjoint.sample_orbit(algebra, f, 256, seed=9)
     assert np.all(points[:, 4] * f[4] > 0)
+
+
+def test_empty_batches_give_empty_results():
+    """Zero orbit points and zero group elements give empty arrays, as the
+    orbit dimension of an empty batch already does."""
+    algebra = catalog.build("G4", (0, 2))
+    f = np.array([0.4, -0.3, 1.1, 0.8, -0.9, 0.0, 0.0])
+    assert coadjoint.sample_orbit(algebra, f, 0, seed=9).shape == (0, 7)
+    det, exp_trace = coadjoint.jacobian_check(algebra, np.zeros((0, 7)))
+    assert det.shape == exp_trace.shape == (0,)
+    assert np.shape(coadjoint.orbit_dimension(algebra, np.zeros((0, 7)))) == (0,)

@@ -113,6 +113,13 @@ def test_exp_matrix_rejects_non_finite_input():
         exp_matrix(bad)
 
 
+def test_exp_matrix_of_an_empty_stack_is_empty():
+    """An empty stack exponentiates to an empty stack of the same shape."""
+    for shape in [(0, DIM, DIM), (3, 0, DIM, DIM), (0, 0)]:
+        out = exp_matrix(np.zeros(shape))
+        assert out.shape == shape and out.dtype == np.float64
+
+
 def test_exp_matrix_rejects_overflow():
     """A finite argument whose exponential overflows raises DomainError."""
     with np.errstate(over="ignore"), pytest.raises(DomainError):
@@ -432,3 +439,80 @@ def test_integer_jacobi_form_refuses_entries_that_could_overflow():
     assert not np.any(liecore._jacobi_form(big, small))
     with pytest.raises(OverflowError):
         liecore._jacobi_form(big, big)
+
+
+#: Leading shapes and vector scales on which the contractions must equal
+#: the einsum reference entry for entry.
+CONTRACTION_SHAPES = [(), (40,), (8, 5)]
+CONTRACTION_SCALES = [1e-3, 1.0, 1e3]
+
+
+def _grid_algebras():
+    """Every family at every entry of its default parameter grid."""
+    return [
+        catalog.build(family, params)
+        for family in catalog.FAMILIES
+        for params in catalog.default_parameter_grid(family)
+    ]
+
+
+@pytest.mark.parametrize("shape", CONTRACTION_SHAPES)
+def test_ad_and_kirillov_equal_the_einsum_contractions(shape):
+    """ad and kirillov give exactly the floats of the einsum contractions
+    of the structure tensor, and every Kirillov form is exactly
+    antisymmetric, on every family and grid entry."""
+    for algebra in _grid_algebras():
+        gen = rng.generator(0, "contraction", algebra.family, *algebra.params)
+        for scale in CONTRACTION_SCALES:
+            u = gen.uniform(-scale, scale, shape + (DIM,))
+            ad = algebra.ad(u)
+            k = algebra.kirillov(u)
+            assert ad.shape == k.shape == shape + (DIM, DIM)
+            assert np.array_equal(ad, np.einsum("...i,ijk->...kj", u, algebra.tensor))
+            assert np.array_equal(k, np.einsum("ijk,...k->...ij", algebra.tensor, u))
+            assert not np.any(k + k.swapaxes(-1, -2)), algebra.family
+
+
+def test_bracket_of_small_integer_vectors_is_exact():
+    """bracket equals the exact sum of the bracket coefficients on
+    small-integer vectors, broadcasting a single vector against a batch."""
+    for algebra in _grid_algebras():
+        gen = rng.generator(0, "bracket", algebra.family, *algebra.params)
+        u = gen.integers(-3, 4, (20, DIM))
+        v = gen.integers(-3, 4, DIM)
+        exact = np.zeros((20, DIM))
+        for n in range(20):
+            acc = [Fraction(0)] * DIM
+            for i in range(DIM):
+                for j in range(DIM):
+                    coeffs = liecore.bracket_coefficients(algebra.brackets, i, j)
+                    for k, c in coeffs.items():
+                        acc[k] += int(u[n, i]) * int(v[j]) * Fraction(c)
+            exact[n] = [float(x) for x in acc]
+        assert np.array_equal(algebra.bracket(u, v), exact), algebra.family
+        assert np.array_equal(algebra.bracket(u[0], v), exact[0])
+
+
+def test_contractions_of_list_and_int_input_are_float64():
+    """Lists and integer arrays are read as float vectors."""
+    algebra = catalog.build("G4", (0, 2))
+    e5 = [0, 0, 0, 0, 0, 1, 0]
+    for out in (
+        algebra.ad(e5),
+        algebra.kirillov(np.array([e5, e5])),
+        algebra.bracket(e5, [0, 0, 0, 1, 0, 0, 0]),
+    ):
+        assert out.dtype == np.float64
+    assert np.array_equal(algebra.ad(e5), algebra.ad(np.array(e5, dtype=float)))
+
+
+def test_contraction_operands_are_cached_and_read_only():
+    """The operands behind ad and kirillov are built once and cannot be
+    written through."""
+    algebra = catalog.build("G13", (Fraction(1, 2),))
+    for name in ("ad_operand", "kirillov_operand"):
+        operand = getattr(algebra, name)
+        assert operand is getattr(algebra, name)
+        assert operand.shape == (DIM, DIM * DIM) and not operand.flags.writeable
+        with pytest.raises(ValueError):
+            operand[0, 0] = 1.0
