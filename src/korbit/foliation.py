@@ -9,20 +9,34 @@ catalog.derivation_pair acting on the second through fifth coordinates,
 in the order the catalog record gives.  The module also
 evaluates the closed-form flows printed for three representative families
 and the scalar invariant that labels the leaves of each foliation.
+
+The two foliation checks decide most points without an SVD.  The Pfaffian
+vector p of the pairing matrix K (ker K = span p, from liecore's
+pairing_rank certificate) and the vector n of the six field values' signed
+6x6 minors bound the singular-value ratios that numeric ranks compare with
+their tolerance, by Weyl's bound and interlacing (Golub & Van Loan,
+*Matrix Computations*, section 8.6): distribution_equiv certifies the three
+ranks from them, and involutivity_residual measures each bracket along n.
+Only the points the bounds cannot decide reach the SVD, so the verdicts
+equal the SVD verdicts point by point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from numbers import Real
+from typing import Sequence
 
 import numpy as np
 
 from . import catalog, topology
 from .liecore import (
     DIM,
+    PAIRING_TOL_FLOOR,
     DomainError,
     LieAlgebra7,
     UnsupportedFamilyError,
+    _pfaffian_certificate,
     numeric_rank,
     pairing_rank,
 )
@@ -104,10 +118,17 @@ def system_fields(family: str, params: tuple[Real, ...] = ()) -> tuple[LinearVec
     )
 
 
-def field_values(fields: tuple[LinearVectorField, ...], v: np.ndarray) -> np.ndarray:
-    """Values of the fields at points v, stacked on axis -2."""
+def field_values(fields: Sequence[LinearVectorField], v: np.ndarray) -> np.ndarray:
+    """Values of the fields at points v, stacked on axis -2.
+
+    The fields' linear parts are stacked into one (m*7, 7) matrix, so a
+    batch of points takes one matrix product.
+    """
     v = np.asarray(v, dtype=float)
-    return np.stack([f(v) for f in fields], axis=-2)
+    linear = np.concatenate([f.linear for f in fields])
+    const = np.stack([f.const for f in fields])
+    flat = v.reshape(-1, DIM) @ linear.T
+    return flat.reshape(v.shape[:-1] + const.shape) + const
 
 
 def flow_closed(
@@ -269,6 +290,159 @@ def invariant(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarra
     return q / (np.abs(x5) ** (lam / (1 + lam)) * np.exp(x4 / ((1 + lam) * x5)))
 
 
+def _foliated(family: str, v: np.ndarray) -> np.ndarray:
+    """v as floats, or DomainError unless every point is finite and on the
+    family's foliated manifold."""
+    v = np.asarray(v, dtype=float)
+    if not (np.all(np.isfinite(v)) and np.all(topology.contains(topology.manifold_of(family), v))):
+        raise DomainError("point is not finite or lies outside the foliated manifold")
+    return v
+
+
+def _minor_tables() -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+    """Gather tables for the signed 6x6 minors of six rows in R^7.
+
+    Level k holds the (k+1)-row minors on every (k+1)-subset T of the
+    columns, expanded along row k: the sum over positions i of
+    (-1)^(k+i) S[k, T[i]] times the k-row minor on T without T[i].  An
+    entry indexes the signed row (+S[k], -S[k]), which folds the sign into
+    the gather, and the tables are term-major, as in liecore's Pfaffian
+    tables.  The last table puts the minor omitting column j at place j.
+    """
+    levels = []
+    previous = [(c,) for c in range(DIM)]
+    for k in range(1, DIM - 1):
+        subsets = list(combinations(range(DIM), k + 1))
+        place = {subset: n for n, subset in enumerate(previous)}
+        entry = [[s[i] + DIM * ((k + i) % 2) for s in subsets] for i in range(k + 1)]
+        minor = [[place[s[:i] + s[i + 1 :]] for s in subsets] for i in range(k + 1)]
+        levels.append((np.array(entry), np.array(minor)))
+        previous = subsets
+    omitted = [previous.index(tuple(c for c in range(DIM) if c != j)) for j in range(DIM)]
+    return tuple(levels), np.array(omitted)
+
+
+_MINOR_LEVELS, _OMITTED = _minor_tables()
+_ALTERNATING = np.array([(-1.0) ** j for j in range(DIM)])
+
+#: Index pairs (i, j), i < j, of the fifteen field brackets.
+_PAIRS = tuple((i, j) for i in range(DIM - 1) for j in range(i + 1, DIM - 1))
+
+
+#: Points per chunk in _normal.  Its largest gathers (140 and 105 rows)
+#: then stay near 140 kB; on a 2-core x86-64 machine 1,000 points took
+#: 1.1 ms in chunks of 128 and 3.1 ms in one chunk of 1,000, where every
+#: call faulted in fresh pages for its temporaries.
+_NORMAL_CHUNK = 128
+
+
+def _normal(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized cross product of six field values, with |S|_F^6.
+
+    For a stack of 6x7 matrices S, each divided by its largest entry so
+    that nothing overflows, n_j = (-1)^j det(S without column j), the
+    expansion of det [S; x] = n . x along its last row.  n is normal to the
+    rows of S and |n| = s1 s2 ... s6 (Cauchy-Binet), so for every unit x
+
+        s6 / s1 >= |n . x| / s1^6 >= |n . x| / |S|_F^6,
+
+    which is scale-free.  The Laplace expansion sums at most 720 products
+    whose magnitudes add up to less than 1.6 |S|_F^6, so n is computed to
+    a few eps |S|_F^6.  A zero matrix gives NaN.
+    """
+    flat = span.reshape(-1, (DIM - 1) * DIM)
+    normal = np.empty((len(flat), DIM))
+    frob6 = np.empty(len(flat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(flat), _NORMAL_CHUNK):
+            chunk = slice(start, start + _NORMAL_CHUNK)
+            t = flat[chunk].T.copy()
+            t *= 1.0 / np.abs(t).max(axis=0)
+            rows = t.reshape(DIM - 1, DIM, -1)
+            signed = np.concatenate([rows, -rows], axis=1)
+            minors = rows[0]
+            for k, (entry, minor) in enumerate(_MINOR_LEVELS, 1):
+                terms = signed[k][entry]
+                terms *= minors[minor]
+                minors = terms.sum(axis=0)
+            normal[chunk] = (minors[_OMITTED] * _ALTERNATING[:, None]).T
+            frob6[chunk] = np.einsum("ij,ij->j", t, t) ** 3
+    return normal, frob6
+
+
+def _span_certificate(span: np.ndarray, pairing: np.ndarray, tol: float) -> np.ndarray:
+    """Points where closed-form bounds prove all three ranks of
+    distribution_decision to be six at tol; see its docstring."""
+    if not tol >= PAIRING_TOL_FLOOR:
+        return np.zeros(len(span), dtype=bool)
+    certified, p = _pfaffian_certificate(pairing.reshape(-1, DIM * DIM).T, tol)
+    normal, span_frob6 = _normal(span)
+    # Uncertified forms and zero rows give NaN, which fails every comparison.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = (p / np.linalg.norm(p, axis=0)).T
+        stacked = np.concatenate([span, pairing], axis=-2)
+        stacked /= np.abs(stacked.reshape(-1, (2 * DIM - 1) * DIM)).max(axis=-1)[:, None, None]
+        frob = np.sqrt(np.einsum("nij,nij->n", stacked, stacked))
+        image = np.linalg.norm(stacked @ unit[..., None], axis=(-2, -1))
+    certified &= np.sqrt(DIM) * image <= 0.5 * tol * frob
+    certified &= np.abs(np.einsum("nj,nj->n", normal, unit)) > 2.0 * tol * span_frob6
+    return certified
+
+
+def distribution_decision(
+    algebra: LieAlgebra7,
+    v: np.ndarray,
+    tol: float = 1e-9,
+) -> tuple[np.ndarray, np.ndarray]:
+    """distribution_equiv's verdict at each point of v, and whether a
+    closed-form certificate decided it without an SVD.
+
+    The verdict is True when the stacked field values S (6x7), the pairing
+    matrix K of v (7x7), and their concatenation [S; K] all have numeric
+    rank six.  Where tol >= liecore.PAIRING_TOL_FLOOR, three bounds decide
+    a point without an SVD, each with a factor-2 margin against tol.  They
+    use the Pfaffian vector p of K, with unit vector p^ (ker K = span p),
+    and the vector n of S's signed 6x6 minors, det [S; x] = n . x:
+
+    - rank K = 6, certified as liecore.pairing_rank certifies it, by
+      2^(3/2) |p| / |K|_F^3 > 2 tol;
+    - rank S = 6: s6(S) / s1(S) >= |det [S; p^]| / |S|_F^6 = |n . p^| /
+      |S|_F^6 > 2 tol;
+    - rank [S; K] <= 6: s7 <= |[S; K] p^| and s1 >= |[S; K]|_F / sqrt(7),
+      so s7 / s1 <= sqrt(7) |[S; K] p^| / |[S; K]|_F <= tol / 2.
+
+    rank [S; K] >= 6 then needs no bound of its own.  Rows added to a
+    matrix do not lower its singular values (interlacing), so
+    s6([S; K]) >= max(s6(S), s6(K)) > 2 tol max(s1(S), s1(K)), which is at
+    least sqrt(2) tol s1([S; K]) since s1([S; K])^2 <= s1(S)^2 + s1(K)^2.
+    By Weyl's bound on perturbed singular values (Golub & Van Loan,
+    *Matrix Computations*, section 8.6, for it and for interlacing), the
+    SVD ranks of a certified point are then six, as in pairing_rank.
+    Every other point, and every point below the floor, is ranked by the
+    SVD of liecore.numeric_rank and by pairing_rank, as before, so the
+    verdict equals those three ranks point by point.
+
+    Raises DomainError unless every point is finite and on the family's
+    foliated manifold.  Batched over leading axes.
+    """
+    fields = system_fields(algebra.family, algebra.params)
+    v = _foliated(algebra.family, v)
+    span = field_values(fields, v).reshape(-1, DIM - 1, DIM)
+    pairing = algebra.kirillov(v).reshape(-1, DIM, DIM)
+    certified = _span_certificate(span, pairing, tol)
+    spans = certified.copy()
+    rest = ~certified
+    if rest.any():
+        span, pairing = span[rest], pairing[rest]
+        stacked = np.concatenate([span, pairing], axis=-2)
+        spans[rest] = (
+            (numeric_rank(span, tol) == 6)
+            & (pairing_rank(pairing, tol) == 6)
+            & (numeric_rank(stacked, tol) == 6)
+        )
+    return spans.reshape(v.shape[:-1]), certified.reshape(v.shape[:-1])
+
+
 def distribution_equiv(
     algebra: LieAlgebra7,
     v: np.ndarray,
@@ -277,27 +451,62 @@ def distribution_equiv(
     """Whether the generating fields span the orbit tangent space at v.
 
     True when the stacked field values, the pairing matrix of v, and their
-    concatenation all have numeric rank six.  The two non-antisymmetric
-    stacks are ranked by the SVD of liecore.numeric_rank; the pairing
-    matrix by liecore.pairing_rank, which certifies rank six by its
-    principal Pfaffians and gives the same rank.  Batched over leading
-    axes.
+    concatenation all have numeric rank six; distribution_decision gives
+    the bounds that decide most points without an SVD.  Raises DomainError
+    unless every point is finite and on the family's foliated manifold.
+    Batched over leading axes; a single point gives a bool.
     """
-    fields = system_fields(algebra.family, algebra.params)
-    v = np.asarray(v, dtype=float)
-    if not np.all(topology.contains(topology.manifold_of(algebra.family), v)):
-        raise DomainError("point lies outside the foliated manifold")
-    span = field_values(fields, v)
-    pairing = algebra.kirillov(v)
-    stacked = np.concatenate([span, pairing], axis=-2)
-    ok = (
-        (numeric_rank(span, tol) == 6)
-        & (pairing_rank(pairing, tol) == 6)
-        & (numeric_rank(stacked, tol) == 6)
-    )
-    if np.ndim(ok) == 0:
-        return bool(ok)
-    return ok
+    spans = distribution_decision(algebra, v, tol)[0]
+    if spans.ndim == 0:
+        return bool(spans)
+    return spans
+
+
+def involutivity_decision(
+    family: str,
+    params: tuple[Real, ...],
+    v: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """involutivity_residual at each point of v, and whether the minors
+    vector, rather than an SVD, gave it.
+
+    The fifteen pairwise brackets of the affine fields are computed exactly
+    and stacked into one (15, 7, 7) / (15, 7) affine stack.  Where the six
+    field values S have rank six, the component of a bracket value w
+    orthogonal to their span is (n^ . w) n^, for the unit vector n^ along
+    the vector n of S's signed 6x6 minors (their generalized cross
+    product), so the residual is the largest |n^ . w|; the stack gives all
+    fifteen n . w in one matrix product.  That holds at every point whose n
+    certifies s6(S) / s1(S) > 2 liecore.PAIRING_TOL_FLOOR by the bound
+    |n| / |S|_F^6 (see distribution_decision).  Every other point keeps the
+    projection onto the six right singular vectors of S.
+
+    Raises DomainError unless every point is finite and on the family's
+    foliated manifold.  Batched over leading axes.
+    """
+    fields = system_fields(family, tuple(params))
+    v = _foliated(family, v)
+    points = v.reshape(-1, DIM)
+    brackets = [fields[i].bracket(fields[j]) for i, j in _PAIRS]
+    span = field_values(fields, points)
+    normal, frob6 = _normal(span)
+    size = np.linalg.norm(normal, axis=-1)
+    certified = size > 2.0 * PAIRING_TOL_FLOOR * frob6
+    # n . (A v + b) for all fifteen brackets at once, as n (x) v against
+    # the stacked linear parts A plus n against the constants b.
+    linear = np.stack([b.linear for b in brackets]).reshape(len(_PAIRS), DIM * DIM)
+    const = np.stack([b.const for b in brackets])
+    outer = (normal[:, :, None] * points[:, None, :]).reshape(-1, DIM * DIM)
+    # Uncertified points get NaN or inf here, and the SVD value below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = np.abs(outer @ linear.T + normal @ const.T).max(axis=-1) / size
+    rest = ~certified
+    if rest.any():
+        _, _, vh = np.linalg.svd(span[rest], full_matrices=False)
+        w = field_values(brackets, points[rest])
+        tangent = (w @ vh.transpose(0, 2, 1)) @ vh
+        residual[rest] = np.linalg.norm(w - tangent, axis=-1).max(axis=-1)
+    return residual.reshape(v.shape[:-1]), certified.reshape(v.shape[:-1])
 
 
 def involutivity_residual(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarray:
@@ -305,20 +514,12 @@ def involutivity_residual(family: str, params: tuple[Real, ...], v: np.ndarray) 
 
     The bracket of two affine fields is computed exactly; the residual is
     the norm of its component orthogonal to the span of the six field
-    values, maximized over all fifteen pairs.  Batched over leading axes.
+    values, maximized over all fifteen pairs; involutivity_decision gives
+    the closed form that replaces the SVD projection at most points.
+    Raises DomainError unless every point is finite and on the family's
+    foliated manifold.  Batched over leading axes.
     """
-    fields = system_fields(family, tuple(params))
-    v = np.asarray(v, dtype=float)
-    span = field_values(fields, v)
-    _, _, vh = np.linalg.svd(span, full_matrices=False)
-    worst = np.zeros(v.shape[:-1])
-    for i in range(6):
-        for j in range(i + 1, 6):
-            w = fields[i].bracket(fields[j])(v)
-            coords = np.einsum("...kj,...j->...k", vh, w)
-            tangent = np.einsum("...kj,...k->...j", vh, coords)
-            worst = np.maximum(worst, np.linalg.norm(w - tangent, axis=-1))
-    return worst
+    return involutivity_decision(family, params, v)[0]
 
 
 def annihilation_residual(

@@ -440,23 +440,35 @@ def pairing_rank(k: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
         return numeric_rank(k, tol)
     flat = k.reshape(-1, DIM * DIM)
     certified = np.empty(len(flat), dtype=bool)
-    # Zero and non-finite forms, and forms whose largest entry is
-    # subnormal, turn into NaN or inf here and fail the comparison, which
-    # sends them to numeric_rank.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        for start in range(0, len(flat), _PAIRING_CHUNK):
-            t = flat[start : start + _PAIRING_CHUNK].T
-            u = t[_UPPER]
-            exact = ~np.any(u + t[_LOWER], axis=0) & ~np.any(t[_DIAG], axis=0)
-            u *= 1.0 / np.abs(u).max(axis=0)
-            half_square_norm = np.einsum("ij,ij->j", u, u)
-            p = _principal_pfaffians(u)
-            # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
-            bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
-            certified[start : start + _PAIRING_CHUNK] = exact & bound
+    for start in range(0, len(flat), _PAIRING_CHUNK):
+        chunk = slice(start, start + _PAIRING_CHUNK)
+        certified[chunk] = _pfaffian_certificate(flat[chunk].T, tol)[0]
     rank = np.full(len(flat), 6)
     if not certified.all():
         rank[~certified] = numeric_rank(flat[~certified].reshape(-1, DIM, DIM), tol)
     if k.ndim == 2:
         return int(rank[0])
     return rank.reshape(k.shape[:-2])
+
+
+def _pfaffian_certificate(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """pairing_rank's rank-six certificate for 7x7 forms, one per column of
+    ``t`` (shape (49, forms), the flattened forms transposed).
+
+    Returns whether each form is exactly antisymmetric with
+    2^(3/2) |p| / |K|_F^3 above 2 tol, which certifies rank six for tol at
+    or above PAIRING_TOL_FLOOR, and the Pfaffian vectors p of the forms
+    divided by their largest entries, shape (7, forms), which span ker K
+    where a form has rank six.  Zero and non-finite forms, and forms whose
+    largest entry is subnormal, turn into NaN or inf here, fail the
+    comparison and stay uncertified.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        u = t[_UPPER]
+        exact = ~np.any(u + t[_LOWER], axis=0) & ~np.any(t[_DIAG], axis=0)
+        u *= 1.0 / np.abs(u).max(axis=0)
+        half_square_norm = np.einsum("ij,ij->j", u, u)
+        p = _principal_pfaffians(u)
+        # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
+        bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
+    return exact & bound, p

@@ -804,6 +804,12 @@ def _foliation_points(
     return points[keep][:samples]
 
 
+def _decided(certified: np.ndarray, by_svd: str) -> str:
+    """How many points a closed-form certificate decided, and how many the SVD did."""
+    count = int(np.count_nonzero(certified))
+    return f"{count} certified without SVD, {certified.size - count} {by_svd} by SVD"
+
+
 def distribution_result(
     family: str,
     params: tuple[Real, ...],
@@ -816,14 +822,16 @@ def distribution_result(
         return _unsupported("distribution_span", "generating system")
     algebra = catalog.build(family, params)
     points = _foliation_points(family, params, samples, seed, "distribution")
-    bad = ~np.asarray(foliation.distribution_equiv(algebra, points, rank_tol))
+    spans, certified = foliation.distribution_decision(algebra, points, rank_tol)
+    bad = ~spans
     failures = int(np.count_nonzero(bad))
     tally = _Tally()
     tally.fold(np.ones(failures), points[bad], evaluated=points.shape[0])
     return tally.result(
         "distribution_span",
         max_residual=float(failures),
-        details=f"{failures} span failure(s) on {points.shape[0]} generic points",
+        details=f"{failures} span failure(s) on {points.shape[0]} generic points, "
+        + _decided(certified, "ranked"),
     )
 
 
@@ -838,9 +846,15 @@ def involutivity_result(
     if family not in foliation.SYSTEM_FAMILIES:
         return _unsupported("involutivity", "generating system")
     points = _foliation_points(family, params, samples, seed, "distribution")
+    residual, certified = foliation.involutivity_decision(family, params, points)
     tally = _Tally()
-    tally.fold(foliation.involutivity_residual(family, params, points), points)
-    return tally.result("involutivity", tol)
+    tally.fold(residual, points)
+    return tally.result(
+        "involutivity",
+        tol,
+        details=f"15 field brackets on {points.shape[0]} generic points, "
+        + _decided(certified, "projected"),
+    )
 
 
 # --- Measure invariance and flows ------------------------------------------

@@ -1,6 +1,7 @@
 """Generating vector fields, flows, and orbit invariants."""
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbit import catalog, coadjoint, foliation, rng, topology, verify
-from korbit.liecore import DomainError, UnsupportedFamilyError
+from korbit.liecore import PAIRING_TOL_FLOOR, DomainError, UnsupportedFamilyError, numeric_rank
 
 HALF = Fraction(1, 2)
 FLOW_TOL = 1e-9
@@ -249,6 +250,222 @@ def test_involutivity_residual_small_on_generic_points():
         keep = topology.boundary_margin(topology.manifold_of(family), v) > 0.05
         residual = foliation.involutivity_residual(family, params, v[keep])
         assert float(residual.max()) <= INVOLUTIVITY_TOL
+
+
+def _span_points(family: str, count: int = 120) -> np.ndarray:
+    """Points on the family's manifold of every kind the span certificate
+    must decide as the SVD does: generic points, each coordinate stratum
+    (a subset of x2..x5 set to zero), the G1 quadric x2 = x3 x4 / x5 (where
+    G1's pairing matrix has rank 4), and generic points scaled by 1e-6."""
+    base = rng.sample_coordinates(11, count, "span-certificate", family)
+    quadric = base.copy()
+    quadric[:, 1] = base[:, 2] * base[:, 3] / base[:, 4]
+    sets = [base, quadric, base * 1e-6]
+    for size in range(1, 5):
+        for zeros in itertools.combinations(range(1, 5), size):
+            planted = base.copy()
+            planted[:, list(zeros)] = 0.0
+            sets.append(planted)
+    v = np.concatenate(sets)
+    return v[topology.contains(topology.manifold_of(family), v)]
+
+
+def _three_ranks(algebra, v: np.ndarray, tol: float) -> np.ndarray:
+    """Reference: the field values, the pairing matrix and their stack each
+    have SVD rank six, field by field and without any certificate."""
+    fields = foliation.system_fields(algebra.family, algebra.params)
+    span = np.stack([field(v) for field in fields], axis=-2)
+    pairing = algebra.kirillov(v)
+    stacked = np.concatenate([span, pairing], axis=-2)
+    return (
+        (numeric_rank(span, tol) == 6)
+        & (numeric_rank(pairing, tol) == 6)
+        & (numeric_rank(stacked, tol) == 6)
+    )
+
+
+def _svd_projection(family: str, params, v: np.ndarray) -> np.ndarray:
+    """Reference: the largest norm of a bracket's component off the span of
+    the six right singular vectors of the field values, pair by pair."""
+    fields = foliation.system_fields(family, tuple(params))
+    v = np.asarray(v, dtype=float)
+    span = np.stack([field(v) for field in fields], axis=-2)
+    _, _, vh = np.linalg.svd(span, full_matrices=False)
+    worst = np.zeros(v.shape[:-1])
+    for i in range(6):
+        for j in range(i + 1, 6):
+            w = fields[i].bracket(fields[j])(v)
+            coords = np.einsum("...kj,...j->...k", vh, w)
+            tangent = np.einsum("...kj,...k->...j", vh, coords)
+            worst = np.maximum(worst, np.linalg.norm(w - tangent, axis=-1))
+    return worst
+
+
+def _planted(monkeypatch, slot: int, field) -> None:
+    """Replace field ``slot`` of every generating system with ``field``."""
+    original = foliation.system_fields
+
+    def planted(family, params=()):
+        fields = list(original(family, params))
+        fields[slot] = field(fields)
+        return tuple(fields)
+
+    monkeypatch.setattr(foliation, "system_fields", planted)
+
+
+def _non_involutive(fields):
+    """A field whose brackets leave the span and whose values leave the
+    orbit tangent space: a fixed random linear field in place of the shear."""
+    linear = np.random.default_rng(5).standard_normal((7, 7))
+    return foliation.LinearVectorField(linear, np.zeros(7))
+
+
+def _repeated_translation(fields):
+    """The sixth coordinate's translation again in place of the seventh's,
+    so the six values span five dimensions, all of them tangent, and every
+    bracket stays inside those five."""
+    return fields[4]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+def test_distribution_decision_equals_three_svd_ranks(tol):
+    """On generic, stratum, quadric and scaled points of all twelve
+    families the verdict is the three-SVD verdict, point by point; below
+    the floor no point is certified."""
+    decided = 0
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        v = _span_points(family)
+        spans, certified = foliation.distribution_decision(algebra, v, tol)
+        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, tol), err_msg=family)
+        assert np.all(spans[certified]), family
+        decided += int(np.count_nonzero(certified))
+    if tol < PAIRING_TOL_FLOOR:
+        assert decided == 0
+    else:
+        assert decided > 0
+
+
+def test_distribution_certifies_every_campaign_point():
+    """Every point distribution_result draws is decided without SVD at
+    its default tolerance, and G1's quadric points, whose pairing matrix
+    has rank 4, fail."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        algebra = catalog.build(family, params)
+        points = verify._foliation_points(family, params, 500, 0, "distribution")
+        spans, certified = foliation.distribution_decision(algebra, points)
+        assert spans.all() and certified.all(), family
+    algebra = catalog.build("G1", verify.REPRESENTATIVE_PARAMS["G1"])
+    v = rng.sample_coordinates(12, 200, "quadric")
+    v[:, 1] = v[:, 2] * v[:, 3] / v[:, 4]
+    assert not np.any(foliation.distribution_equiv(algebra, v))
+
+
+@pytest.mark.parametrize(
+    ("slot", "plant"),
+    [(3, _non_involutive), (5, _repeated_translation)],
+    ids=["non-tangent", "five-dimensional"],
+)
+def test_distribution_decision_equals_three_svd_ranks_on_planted_systems(slot, plant, monkeypatch):
+    """A system whose values leave the tangent space, and one whose values
+    span only five dimensions, fail where the SVD says they fail."""
+    _planted(monkeypatch, slot, plant)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        v = _span_points(family, count=40)
+        spans = foliation.distribution_equiv(algebra, v)
+        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9), err_msg=family)
+        assert not spans.all(), family
+
+
+def test_distribution_equiv_shapes():
+    """A single point gives a bool, an empty batch an empty array, and a
+    batch keeps its leading axes."""
+    algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    v = rng.sample_coordinates(13, 12, "span-shapes", "G13")
+    assert foliation.distribution_equiv(algebra, v[0]) is True
+    empty = foliation.distribution_equiv(algebra, np.zeros((0, 7)))
+    assert empty.shape == (0,) and empty.dtype == bool
+    assert foliation.distribution_equiv(algebra, v.reshape(3, 4, 7)).shape == (3, 4)
+    residual = foliation.involutivity_residual("G13", verify.REPRESENTATIVE_PARAMS["G13"], v[0])
+    assert residual.shape == ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(foliation.SYSTEM_FAMILIES)),
+    coords=st.lists(st.floats(-4.0, 4.0), min_size=7, max_size=7),
+    zeros=st.sets(st.integers(1, 4)),
+    scale=st.sampled_from([1.0, 1e-6]),
+    tol=st.sampled_from([1e-9, 1e-13]),
+)
+def test_distribution_equiv_matches_three_svd_ranks_property(family, coords, zeros, scale, tol):
+    """Any point, with any stratum planted and at either scale, gets the
+    three-SVD verdict, or DomainError off the manifold."""
+    algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+    v = np.array(coords)
+    v[list(zeros)] = 0.0
+    v *= scale
+    if not topology.contains(topology.manifold_of(family), v):
+        with pytest.raises(DomainError):
+            foliation.distribution_equiv(algebra, v, tol)
+        return
+    assert foliation.distribution_equiv(algebra, v, tol) == bool(_three_ranks(algebra, v, tol))
+
+
+def test_involutivity_matches_the_svd_projection():
+    """On generic, stratum, quadric and scaled points of all twelve
+    families the residual is the SVD projection's to 1e-13."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        v = _span_points(family)
+        residual, certified = foliation.involutivity_decision(family, params, v)
+        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
+        assert certified.any(), family
+
+
+def test_planted_non_involutive_system_fails_with_the_svd_residual(monkeypatch):
+    """Brackets that leave the span give the SVD projection's residual to
+    1e-12 relative, and the involutivity check fails."""
+    _planted(monkeypatch, 3, _non_involutive)
+    params = verify.REPRESENTATIVE_PARAMS["G13"]
+    v = rng.sample_coordinates(14, 300, "planted-brackets", "G13")
+    residual, certified = foliation.involutivity_decision("G13", params, v)
+    assert certified.all()
+    reference = _svd_projection("G13", params, v)
+    np.testing.assert_allclose(residual, reference, rtol=1e-12, atol=0)
+    assert reference.min() > 1e-3
+    result = verify.involutivity_result("G13", params, samples=200)
+    assert not result.passed and result.max_residual > 1e-3
+
+
+def test_rank_deficient_system_keeps_the_svd_projection(monkeypatch):
+    """Where the six values span five dimensions the minors vector is zero,
+    so every point goes to the SVD, whose residual stays at rounding level
+    since the brackets stay in those five dimensions."""
+    _planted(monkeypatch, 5, _repeated_translation)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        v = _span_points(family, count=40)
+        residual, certified = foliation.involutivity_decision(family, params, v)
+        assert not certified.any(), family
+        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [[1.0, 2.0, 3.0, 0.0, 0.0, 1.0, 1.0], [1.0, 2.0, 3.0, math.nan, 1.0, 1.0, 1.0]],
+    ids=["off-manifold", "nan"],
+)
+def test_foliation_checks_raise_off_the_manifold(point):
+    """G13 at x4 = x5 = 0, where the fields span less than six dimensions,
+    and a NaN coordinate raise DomainError instead of a residual."""
+    params = verify.REPRESENTATIVE_PARAMS["G13"]
+    with pytest.raises(DomainError):
+        foliation.involutivity_residual("G13", params, np.array(point))
+    with pytest.raises(DomainError):
+        foliation.distribution_equiv(catalog.build("G13", params), np.array(point))
 
 
 def test_fields_annihilate_the_invariant():

@@ -1,6 +1,6 @@
 """The campaign tally's worst-sample rule, which checks of a fixed-seed
-suite record no worst sample, the leaf-map campaign lists, and the Jacobi
-certificate."""
+suite record no worst sample, how the foliation checks decided their
+points, the leaf-map campaign lists, and the Jacobi certificate."""
 from __future__ import annotations
 
 import math
@@ -117,6 +117,25 @@ NULL_SAMPLE_CHECKS = {
 def test_suite_checks_without_a_worst_sample(family):
     results = verify.run_family_suite(family, verify.REPRESENTATIVE_PARAMS[family], seed=0)
     assert {r.name for r in results if r.worst_sample is None} == NULL_SAMPLE_CHECKS[family]
+
+
+def test_foliation_checks_state_how_each_point_was_decided():
+    """The span and involutivity details count the points certified without
+    SVD and the points the SVD decided."""
+    params = verify.REPRESENTATIVE_PARAMS["G13"]
+    span = verify.distribution_result("G13", params, samples=200)
+    brackets = verify.involutivity_result("G13", params, samples=200)
+    assert span.details == (
+        "0 span failure(s) on 200 generic points, 200 certified without SVD, 0 ranked by SVD"
+    )
+    assert brackets.details == (
+        "15 field brackets on 200 generic points, 200 certified without SVD, 0 projected by SVD"
+    )
+    assert span.n_evaluated == brackets.n_evaluated == 200
+    below_floor = verify.distribution_result("G13", params, samples=200, rank_tol=1e-13)
+    assert below_floor.passed and below_floor.details.endswith(
+        "0 certified without SVD, 200 ranked by SVD"
+    )
 
 
 def test_leaf_map_views_keep_their_order():
