@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from . import catalog, rng, topology
-from .liecore import DomainError, LieAlgebra7, UnsupportedFamilyError, exp_matrix, pairing_rank
+from .liecore import DomainError, LieAlgebra7, UnsupportedFamilyError, exp_matrix, kirillov_rank
 
 #: Families with a cataloged closed-form rank-six predicate.
 RANK_CONDITION_FAMILIES: frozenset[str] = catalog.CATALOGED_FAMILIES
@@ -21,11 +21,21 @@ RANK_CONDITION_FAMILIES: frozenset[str] = catalog.CATALOGED_FAMILIES
 def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     """Dimension of the coadjoint orbit through f (rank of the pairing).
 
-    The rank of the Kirillov form comes from liecore.pairing_rank, which
-    certifies rank six by the form's principal Pfaffians and sends every
-    other form to the SVD of numeric_rank, with the same result.
+    The rank of the Kirillov form comes from liecore.kirillov_rank, which
+    certifies rank six by the form's principal Pfaffians, computed from f
+    on the algebra's structurally nonzero pairing entries, and sends every
+    other functional to the SVD of numeric_rank(algebra.kirillov(f), tol),
+    with the same result row by row.  Batched over leading axes of f; one
+    functional gives an int.  Raises DomainError naming the first
+    functional with a non-finite coordinate.
     """
-    return pairing_rank(algebra.kirillov(f), tol)
+    f = np.asarray(f, dtype=float)
+    finite = np.isfinite(f)
+    if not finite.all():
+        first = np.argmin(np.all(finite, axis=-1).reshape(-1))
+        culprit = f.reshape(-1, f.shape[-1])[first]
+        raise DomainError(f"orbit dimension needs a finite functional, got {culprit.tolist()}")
+    return kirillov_rank(algebra, f, tol)
 
 
 def coadjoint_act(algebra: LieAlgebra7, u: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -292,9 +292,9 @@ def invariant(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarra
 
 def _foliated(family: str, v: np.ndarray) -> np.ndarray:
     """v as floats, or DomainError unless every point is finite and on the
-    family's foliated manifold."""
+    family's foliated manifold (topology.contains tests both)."""
     v = np.asarray(v, dtype=float)
-    if not (np.all(np.isfinite(v)) and np.all(topology.contains(topology.manifold_of(family), v))):
+    if not np.all(topology.contains(topology.manifold_of(family), v)):
         raise DomainError("point is not finite or lies outside the foliated manifold")
     return v
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -55,7 +55,9 @@ class LieAlgebra7:
     read-only 7x49 operands cached from ``tensor``, ``bracket`` against
     ``tensor`` viewed as 49x7.  ``ad`` and ``kirillov`` give the same
     floats as the einsum contractions they replaced, entry for entry, on
-    every family and default grid entry.
+    every family and default grid entry.  ``pairing_operand`` holds only
+    the Kirillov form's upper-triangle entries that are not identically
+    zero, from which kirillov_rank certifies orbit dimension six.
     """
 
     family: str
@@ -81,6 +83,21 @@ class LieAlgebra7:
     def kirillov_operand(self) -> np.ndarray:
         """Read-only 7x49 matrix with row k holding tensor[i, j, k] at 7i + j."""
         return _frozen(self.tensor.reshape(DIM * DIM, DIM).T)
+
+    @cached_property
+    def pairing_support(self) -> tuple[int, ...]:
+        """Positions in the row-major upper triangle (liecore._UPPER_PAIRS)
+        of the Kirillov form's entries that are not identically zero."""
+        upper = self.kirillov_operand[:, _UPPER]
+        return tuple(int(n) for n in np.flatnonzero(np.any(upper != 0, axis=0)))
+
+    @cached_property
+    def pairing_operand(self) -> np.ndarray:
+        """Read-only m x 7 matrix whose rows are the columns of
+        kirillov_operand at pairing_support, so that pairing_operand @ f
+        gives the m structurally nonzero entries above the diagonal of
+        kirillov(f).  For the catalog algebras m is 6 to 11 of the 21."""
+        return _frozen(self.kirillov_operand[:, _UPPER[list(self.pairing_support)]].T)
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Bracket of two coordinate vectors, [u, v].
@@ -341,57 +358,80 @@ _UPPER_PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
 _UPPER = np.array([DIM * i + j for i, j in _UPPER_PAIRS])
 _LOWER = np.array([DIM * j + i for i, j in _UPPER_PAIRS])
 _DIAG = np.arange(DIM) * (DIM + 1)
+#: The pattern of a form with no entry known to vanish.
+_FULL_PATTERN = tuple(range(len(_UPPER_PAIRS)))
 
 
-def _pfaffian_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables for the seven principal 6x6 Pfaffians of a 7x7 form.
+@lru_cache(maxsize=None)
+def _pfaffian_tables(pattern: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables for the seven principal 6x6 Pfaffians of 7x7 forms
+    whose entries above the diagonal vanish outside ``pattern``.
 
-    Principal Pfaffian i omits index i and carries the sign (-1)^i, so that
-    the Pfaffians make the vector p with adj K = p p^T.  Each is expanded
-    once along its first index into five entries times 4x4 Pfaffians; the
-    4x4 minors that occur are the fifteen 4-subsets of indices 1..6, each a
-    sum of three matched products, so the 105 terms share their products.
-    Entries index the signed upper triangle (+u, -u), which folds every
-    sign into a factor.  All four tables are term-major: row t holds the
-    t-th term of every 4x4 or 6x6 Pfaffian.
+    ``pattern`` lists positions in _UPPER_PAIRS, and a form comes as its
+    entries at those positions.  Principal Pfaffian i omits index i and
+    carries the sign (-1)^i, so that the Pfaffians make the vector p with
+    adj K = p p^T.  Each is expanded once along its first index into five
+    entries times 4x4 Pfaffians; the 4x4 minors that occur are the fifteen
+    4-subsets of indices 1..6, each a sum of three matched products, so the
+    105 terms share their products.  Entries index the signed pattern
+    (+u, -u, 0), which folds every sign into a factor.
+
+    Products and terms with a factor outside the pattern are exact zeros.
+    They are left out, and so are minors left with no product; the sums
+    that come out short are padded at their end with products of the zero
+    entry.  That changes no sum but the sign of a zero.  All four tables are
+    term-major: row t holds the t-th term of every kept 4x4 minor or of
+    every 6x6 Pfaffian.  The full pattern gives every term, unpadded.
     """
-    position = {pair: n for n, pair in enumerate(_UPPER_PAIRS)}
+    position = {_UPPER_PAIRS[n]: r for r, n in enumerate(pattern)}
+    zero = 2 * len(pattern)
 
     def signed(sign: int, pair: tuple[int, int]) -> int:
-        return position[pair] + (len(_UPPER_PAIRS) if sign < 0 else 0)
+        return position[pair] + (len(pattern) if sign < 0 else 0)
 
     expansions = [
         [((-1) ** omit * sign, pair, minor) for sign, pair, minor in _expand(
             tuple(i for i in range(DIM) if i != omit)
-        )]
+        ) if pair in position]
         for omit in range(DIM)
     ]
-    minors = sorted({minor for terms in expansions for _, _, minor in terms})
-    matched = [list(_matchings(minor)) for minor in minors]
-    minor_left = [[signed(s, pairs[0]) for s, pairs in terms] for terms in matched]
-    minor_right = [[position[pairs[1]] for _, pairs in terms] for terms in matched]
-    entry = [[signed(s, pair) for s, pair, _ in terms] for terms in expansions]
-    entry_minor = [[minors.index(m) for _, _, m in terms] for terms in expansions]
-    tables = (minor_left, minor_right, entry, entry_minor)
-    return tuple(np.array(table).T.copy() for table in tables)
+    matched = {
+        minor: [(s, pairs) for s, pairs in _matchings(minor) if set(pairs) <= position.keys()]
+        for minor in sorted({minor for terms in expansions for _, _, minor in terms})
+    }
+    minors = [minor for minor, products in matched.items() if products]
+    expansions = [[term for term in terms if term[2] in minors] for terms in expansions]
+    return (
+        _padded([[signed(s, pairs[0]) for s, pairs in matched[m]] for m in minors], zero),
+        _padded([[position[pairs[1]] for _, pairs in matched[m]] for m in minors], zero),
+        _padded([[signed(s, pair) for s, pair, _ in terms] for terms in expansions], zero),
+        _padded([[minors.index(m) for _, _, m in terms] for terms in expansions], 0),
+    )
 
 
-_MINOR_LEFT, _MINOR_RIGHT, _PF_ENTRY, _PF_MINOR = _pfaffian_tables()
+def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
+    """The rows padded with ``fill`` to equal length, transposed: column r
+    holds row r."""
+    width = max(map(len, rows), default=0)
+    table = np.array([row + [fill] * (width - len(row)) for row in rows], dtype=np.intp)
+    return table.reshape(len(rows), width).T.copy()
 
 
-def _principal_pfaffians(u: np.ndarray) -> np.ndarray:
+def _principal_pfaffians(u: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
     """The vector p with adj K = p p^T, from the upper triangle of K.
 
-    ``u`` holds the 21 entries above the diagonal on its first axis, in
-    row-major order, and one column per matrix; the result has shape
-    (7, columns).
+    ``u`` holds the entries above the diagonal at the positions of
+    ``pattern`` in _UPPER_PAIRS (_FULL_PATTERN for all 21, in row-major
+    order) on its first axis, and one column per matrix; the result has
+    shape (7, columns).
     """
-    signed = np.concatenate([u, -u])
-    products = signed[_MINOR_LEFT]
-    products *= u[_MINOR_RIGHT]
+    minor_left, minor_right, entry, entry_minor = _pfaffian_tables(pattern)
+    signed = np.concatenate([u, -u, np.zeros((1, u.shape[1]))])
+    products = signed[minor_left]
+    products *= signed[minor_right]
     minors = products.sum(axis=0)
-    terms = signed[_PF_ENTRY]
-    terms *= minors[_PF_MINOR]
+    terms = signed[entry]
+    terms *= minors[entry_minor]
     return terms.sum(axis=0)
 
 
@@ -429,7 +469,8 @@ def pairing_rank(k: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     numeric_rank unchanged: ranks 0, 2 and 4, forms that are not exactly
     antisymmetric or not finite, and forms near the bound.  Below the
     floor every form goes to numeric_rank.  The result therefore equals
-    numeric_rank(k, tol) form by form.
+    numeric_rank(k, tol) form by form.  kirillov_rank runs the same
+    certificate on Kirillov forms given by their functionals.
 
     Accepts stacks of 7x7 matrices on leading axes.
     """
@@ -439,36 +480,99 @@ def pairing_rank(k: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     if not tol >= PAIRING_TOL_FLOOR:
         return numeric_rank(k, tol)
     flat = k.reshape(-1, DIM * DIM)
-    certified = np.empty(len(flat), dtype=bool)
-    for start in range(0, len(flat), _PAIRING_CHUNK):
+    rank = _certified_rank(
+        len(flat),
+        lambda chunk: _pfaffian_certificate(flat[chunk].T, tol)[0],
+        lambda rest: numeric_rank(flat[rest].reshape(-1, DIM, DIM), tol),
+    )
+    return _shaped(rank, k.shape[:-2])
+
+
+def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
+    """numeric_rank(algebra.kirillov(f), tol), certifying rank six from f.
+
+    The entries above the diagonal of the Kirillov form are linear in f,
+    and for the catalog algebras only 6 to 11 of the 21 are not
+    identically zero.  One matmul by algebra.pairing_operand gives those
+    entries, and pairing_rank's certificate runs on them with Pfaffian
+    tables pruned to algebra.pairing_support.  The form is antisymmetric
+    by construction, and pruning leaves out only exact zeros, so the
+    Pfaffian vector, the Frobenius norm and the certificate are those
+    pairing_rank computes on kirillov(f), up to the sign of a zero.  A
+    form the certificate leaves open, and every form below
+    PAIRING_TOL_FLOOR, is ranked by numeric_rank(algebra.kirillov(...)),
+    so the result equals numeric_rank(algebra.kirillov(f), tol) row by
+    row, and kirillov is called only for those rows.
+
+    Batched over leading axes of f; one functional gives an int.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (DIM,):
+        raise ValueError(f"kirillov_rank expects functionals of length 7, got shape {f.shape}")
+    if not tol >= PAIRING_TOL_FLOOR:
+        return numeric_rank(algebra.kirillov(f), tol)
+    flat = f.reshape(-1, DIM)
+    operand, pattern = algebra.pairing_operand, algebra.pairing_support
+    rank = _certified_rank(
+        len(flat),
+        lambda chunk: _certify(operand @ flat[chunk].T, pattern, tol)[0],
+        lambda rest: numeric_rank(algebra.kirillov(flat[rest]), tol),
+    )
+    return _shaped(rank, f.shape[:-1])
+
+
+def _certified_rank(count: int, certify, fallback) -> np.ndarray:
+    """Rank six for the rows that ``certify`` certifies, one chunk of
+    _PAIRING_CHUNK rows at a time, and ``fallback``'s ranks for the rest,
+    given as a boolean mask."""
+    certified = np.empty(count, dtype=bool)
+    for start in range(0, count, _PAIRING_CHUNK):
         chunk = slice(start, start + _PAIRING_CHUNK)
-        certified[chunk] = _pfaffian_certificate(flat[chunk].T, tol)[0]
-    rank = np.full(len(flat), 6)
+        certified[chunk] = certify(chunk)
+    rank = np.full(count, 6)
     if not certified.all():
-        rank[~certified] = numeric_rank(flat[~certified].reshape(-1, DIM, DIM), tol)
-    if k.ndim == 2:
+        rank[~certified] = fallback(~certified)
+    return rank
+
+
+def _shaped(rank: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | int:
+    """Ranks in the given leading shape, or an int for one form."""
+    if not shape:
         return int(rank[0])
-    return rank.reshape(k.shape[:-2])
+    return rank.reshape(shape)
 
 
 def _pfaffian_certificate(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """pairing_rank's rank-six certificate for 7x7 forms, one per column of
     ``t`` (shape (49, forms), the flattened forms transposed).
 
-    Returns whether each form is exactly antisymmetric with
-    2^(3/2) |p| / |K|_F^3 above 2 tol, which certifies rank six for tol at
-    or above PAIRING_TOL_FLOOR, and the Pfaffian vectors p of the forms
-    divided by their largest entries, shape (7, forms), which span ker K
-    where a form has rank six.  Zero and non-finite forms, and forms whose
-    largest entry is subnormal, turn into NaN or inf here, fail the
-    comparison and stay uncertified.
+    Returns whether each form is exactly antisymmetric and passes _certify,
+    and the Pfaffian vectors p of the forms divided by their largest
+    entries, shape (7, forms), which span ker K where a form has rank six.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         u = t[_UPPER]
         exact = ~np.any(u + t[_LOWER], axis=0) & ~np.any(t[_DIAG], axis=0)
-        u *= 1.0 / np.abs(u).max(axis=0)
+    certified, p = _certify(u, _FULL_PATTERN, tol)
+    return exact & certified, p
+
+
+def _certify(u: np.ndarray, pattern: tuple[int, ...], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-six certificate of antisymmetric 7x7 forms given by their
+    entries above the diagonal at ``pattern``, one form per column of
+    ``u``, which is scaled in place.
+
+    Returns whether 2^(3/2) |p| / |K|_F^3 exceeds 2 tol for each form,
+    which certifies rank six for tol at or above PAIRING_TOL_FLOOR, and
+    the Pfaffian vectors p of the forms divided by their largest entries,
+    shape (7, forms).  Zero and non-finite forms, and forms whose largest
+    entry is subnormal, turn into NaN or inf here, fail the comparison and
+    stay uncertified.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        u *= 1.0 / np.abs(u).max(axis=0, initial=0.0)
         half_square_norm = np.einsum("ij,ij->j", u, u)
-        p = _principal_pfaffians(u)
+        p = _principal_pfaffians(u, pattern)
         # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
         bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
-    return exact & bound, p
+    return bound, p

@@ -1,14 +1,16 @@
 """Coadjoint action, orbit dimensions, predicates, and orbit types."""
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from korbit import catalog, coadjoint, rng, verify
-from korbit.liecore import UnsupportedFamilyError, numeric_rank
+from korbit import catalog, coadjoint, liecore, rng, verify
+from korbit.liecore import PAIRING_TOL_FLOOR, DomainError, UnsupportedFamilyError, numeric_rank
 
 HALF = Fraction(1, 2)
 REL = 1e-12
@@ -91,20 +93,105 @@ def _rank_pool(seed, n, *key):
     return np.concatenate(pool)
 
 
+def _probe_points(*key):
+    """Generic functionals, all fifteen coordinate strata of x2..x5 (the
+    zero functional among them for some families), and the G1 quadric
+    x2 = x3 x4 / x5, each also scaled by 1e-150 and 1e150."""
+    generic = rng.sample_functionals(0, 200, "pairing-probe-points", *key)
+    pool = [generic]
+    for size in range(1, 5):
+        for zeros in itertools.combinations(range(1, 5), size):
+            stratum = generic[:20].copy()
+            stratum[:, list(zeros)] = 0.0
+            pool.append(stratum)
+    quadric = generic[:40].copy()
+    quadric[:, 1] = quadric[:, 2] * quadric[:, 3] / quadric[:, 4]
+    pool.append(quadric)
+    points = np.concatenate(pool)
+    return np.concatenate([points, points * 1e-150, points * 1e150])
+
+
 @pytest.mark.parametrize("family", catalog.FAMILIES)
 def test_orbit_dimension_equals_svd_rank_on_every_grid_entry(family):
     """The Pfaffian-certified orbit dimension equals the SVD rank of the
     Kirillov form row by row, at the representative parameters and at
-    every default grid entry, planted zeros and the origin included."""
+    every default grid entry, planted zeros, coordinate strata, the G1
+    quadric, scaled points and the origin included, at the default tol
+    and at 1e-13, below the floor, where the SVD ranks every row."""
     grid = (verify.REPRESENTATIVE_PARAMS[family],) + catalog.default_parameter_grid(family)
     for params in grid:
         algebra = catalog.build(family, params)
-        f = _rank_pool(0, 800, family, *params)
-        np.testing.assert_array_equal(
-            coadjoint.orbit_dimension(algebra, f),
-            numeric_rank(algebra.kirillov(f)),
-            err_msg=f"{family} {params}",
-        )
+        f = np.concatenate([_rank_pool(0, 800, family, *params), _probe_points(family, *params)])
+        k = algebra.kirillov(f)
+        for tol in (1e-9, 1e-13):
+            np.testing.assert_array_equal(
+                coadjoint.orbit_dimension(algebra, f, tol),
+                numeric_rank(k, tol),
+                err_msg=f"{family} {params} {tol}",
+            )
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_pruned_certificate_equals_the_full_one(family):
+    """On every default grid entry, the certificate run on the algebra's
+    structurally nonzero pairing entries gives the Pfaffian vector and the
+    verdict of _pfaffian_certificate on the full Kirillov form, and the
+    same scaled entries and Frobenius norm, entry by entry up to the sign
+    of a zero; the entries it leaves out are exact zeros."""
+    for params in catalog.default_parameter_grid(family):
+        algebra = catalog.build(family, params)
+        f = _probe_points(family, *params)
+        support = list(algebra.pairing_support)
+        flat = algebra.kirillov(f).reshape(-1, 49).T
+        upper = flat[liecore._UPPER]
+        assert not np.delete(upper, support, axis=0).any(), (family, params)
+        for tol in (1e-9, PAIRING_TOL_FLOOR):
+            expected, expected_p = liecore._pfaffian_certificate(flat, tol)
+            full, pruned = upper.copy(), algebra.pairing_operand @ f.T
+            liecore._certify(full, liecore._FULL_PATTERN, tol)
+            certified, p = liecore._certify(pruned, algebra.pairing_support, tol)
+            message = f"{family} {params} {tol}"
+            np.testing.assert_array_equal(certified, expected, err_msg=message)
+            np.testing.assert_array_equal(p, expected_p, err_msg=message)
+            np.testing.assert_array_equal(pruned, full[support], err_msg=message)
+            np.testing.assert_array_equal(
+                np.einsum("ij,ij->j", pruned, pruned),
+                np.einsum("ij,ij->j", full, full),
+                err_msg=message,
+            )
+
+
+def test_orbit_dimension_shapes():
+    """One functional gives an int, stacks keep their leading axes and
+    empty batches stay empty, above and below the floor."""
+    algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    f = rng.sample_functionals(0, 40, "orbit-dimension-shapes").reshape(8, 5, 7)
+    f[0, 0, [3, 4]] = 0.0
+    for tol in (1e-9, 1e-13):
+        single = coadjoint.orbit_dimension(algebra, f[0, 1], tol)
+        assert single == 6 and isinstance(single, int)
+        dims = coadjoint.orbit_dimension(algebra, f, tol)
+        assert dims.shape == (8, 5)
+        np.testing.assert_array_equal(dims, numeric_rank(algebra.kirillov(f), tol))
+        assert dims[0, 0] < 6
+        assert np.shape(coadjoint.orbit_dimension(algebra, np.zeros((0, 7)), tol)) == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_functionals_raise_domain_error(bad):
+    """A NaN or infinite coordinate makes orbit_dimension and orbit_type
+    raise DomainError naming the first such functional, where the SVD
+    used to raise LinAlgError."""
+    algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    f = rng.sample_functionals(0, 6, "non-finite-functionals")
+    f[2, 3] = f[4, 0] = bad
+    first = re.escape(str(f[2].tolist()))
+    with pytest.raises(DomainError, match=first):
+        coadjoint.orbit_dimension(algebra, f)
+    with pytest.raises(DomainError, match=first):
+        coadjoint.orbit_dimension(algebra, f.reshape(2, 3, 7), 1e-13)
+    with pytest.raises(DomainError, match=first):
+        coadjoint.orbit_type(algebra, f[2])
 
 
 @pytest.mark.parametrize("lam", [0, 1])

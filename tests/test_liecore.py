@@ -17,6 +17,7 @@ from korbit.liecore import (
     DomainError,
     LieAlgebra7,
     exp_matrix,
+    kirillov_rank,
     numeric_rank,
     pairing_rank,
     phi1,
@@ -230,7 +231,7 @@ def _adjugate(m):
 def _pfaffians(k):
     """The vector p of principal Pfaffians, as pairing_rank computes it."""
     k = np.asarray(k, dtype=float).reshape(-1, DIM * DIM)
-    return liecore._principal_pfaffians(k.T[liecore._UPPER])
+    return liecore._principal_pfaffians(k.T[liecore._UPPER], liecore._FULL_PATTERN)
 
 
 def test_principal_pfaffians_norm_is_product_of_paired_singular_values():
@@ -364,6 +365,53 @@ def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, middle, 
     k = _antisymmetric(sigmas, seed)
     assert pairing_rank(k) == numeric_rank(k)
     assert pairing_rank(k, 1e-12) == numeric_rank(k, 1e-12)
+
+
+def test_kirillov_rank_certifies_catalog_functionals_without_kirillov(monkeypatch):
+    """Generic G13 functionals are certified from the pruned entries: no
+    Kirillov form is built and no SVD runs.  Planted rank drops go to
+    numeric_rank(kirillov(...)) alone, and below the floor every row does."""
+    algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    f = rng.sample_functionals(0, 3000, "kirillov-rank-certified")
+    f[:7, [3, 4]] = 0.0
+    expected = numeric_rank(algebra.kirillov(f))
+    built, kirillov = [], LieAlgebra7.kirillov
+
+    def counting(self, g):
+        built.append(len(g))
+        return kirillov(self, g)
+
+    monkeypatch.setattr(LieAlgebra7, "kirillov", counting)
+    sent = _sent_to_svd(monkeypatch)
+    np.testing.assert_array_equal(kirillov_rank(algebra, f), expected)
+    assert built == sent == [7]
+    kirillov_rank(algebra, f, 1e-13)
+    assert built == sent == [7, len(f)]
+    assert len(algebra.pairing_support) == algebra.pairing_operand.shape[0] == 11
+
+
+def test_kirillov_rank_on_hand_built_algebras(monkeypatch):
+    """Outside the catalog: the seven-dimensional Heisenberg algebra,
+    [e_i, e_(i+3)] = e_7 for i = 1, 2, 3, has orbit dimension six exactly
+    where f7 is nonzero, and the abelian algebra has no pairing entries
+    and orbit dimension zero everywhere."""
+    heisenberg = LieAlgebra7("h7", (), {(0, 3): {6: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}})
+    abelian = LieAlgebra7("abelian", (), {})
+    f = rng.sample_functionals(0, 400, "hand-built")
+    f[:50, 6] = 0.0
+    assert [liecore._UPPER_PAIRS[n] for n in heisenberg.pairing_support] == [(0, 3), (1, 4), (2, 5)]
+    assert abelian.pairing_support == () and abelian.pairing_operand.shape == (0, DIM)
+    for tol in (1e-9, 1e-13):
+        rank = kirillov_rank(heisenberg, f, tol)
+        np.testing.assert_array_equal(rank, np.where(f[:, 6] == 0, 0, 6))
+        np.testing.assert_array_equal(rank, numeric_rank(heisenberg.kirillov(f), tol))
+        np.testing.assert_array_equal(kirillov_rank(abelian, f, tol), np.zeros(len(f)))
+    sent = _sent_to_svd(monkeypatch)
+    kirillov_rank(heisenberg, f)
+    kirillov_rank(abelian, f)
+    assert sent == [50, len(f)]
+    with pytest.raises(ValueError):
+        kirillov_rank(heisenberg, np.zeros((3, 6)))
 
 
 def test_verify_jacobi_is_exactly_zero_on_catalog_members():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from korbit import catalog, coadjoint
 from korbit.liecore import DIM, exp_matrix, numeric_rank, verify_jacobi
@@ -109,3 +110,27 @@ def test_coadjoint_action_is_a_group_action(seed):
     twice = coadjoint.coadjoint_act(algebra, u, once)
     direct = coadjoint.coadjoint_act(algebra, 2.0 * u, f)
     np.testing.assert_allclose(twice, direct, rtol=1e-9, atol=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(catalog.FAMILIES),
+    raw=st.tuples(rationals, rationals),
+    f=arrays(
+        float,
+        (4, DIM),
+        elements=st.just(0.0) | st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+    ),
+    scale=st.sampled_from([1.0, 1e-150, 1e150]),
+)
+def test_orbit_dimension_equals_svd_rank(family, raw, f, scale):
+    """The orbit dimension certified from the functional equals the SVD
+    rank of its Kirillov form, on any member, functional and scale."""
+    params = _valid_params(family, raw)
+    if params is None:
+        return
+    algebra = catalog.build(family, params)
+    f = f * scale
+    np.testing.assert_array_equal(
+        coadjoint.orbit_dimension(algebra, f), numeric_rank(algebra.kirillov(f))
+    )

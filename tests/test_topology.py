@@ -47,6 +47,24 @@ def test_manifold_membership_and_margins():
     assert math.isclose(float(topology.boundary_margin(topology.Manifold.V3, v)), 0.3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", [0, 3, 6])
+def test_non_finite_points_lie_outside_every_manifold(bad, column):
+    """A NaN or infinite coordinate, deciding or not, puts a point outside
+    all three manifolds, so the G13 invariant and every leaf map raise
+    DomainError instead of returning NaN."""
+    v = np.array([1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 1.0])
+    v[column] = bad
+    for manifold in topology.Manifold:
+        assert not bool(topology.contains(manifold, v))
+        np.testing.assert_array_equal(topology.contains(manifold, np.stack([v, v])), [False, False])
+    with pytest.raises(DomainError):
+        foliation.invariant("G13", (HALF,), v)
+    for name in topology.LEAF_MAP_NAMES:
+        with pytest.raises(DomainError):
+            topology.leaf_map(name).apply(v)
+
+
 def test_connected_components():
     """Component labels follow the signs of the deciding coordinates."""
     assert topology.component_of(topology.Manifold.V1, np.array([0.0, 0, 0, 1, -1, 0, 0])) == "+-"
