@@ -50,7 +50,6 @@ from .liecore import (
     UnsupportedFamilyError,
     exp_matrix,
     numeric_rank,
-    pairing_rank,
     phi1,
     verify_jacobi,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "numeric_rank",
     "orbit_dimension",
     "orbit_type",
-    "pairing_rank",
     "phi1",
     "rank_condition",
     "run_family_suite",

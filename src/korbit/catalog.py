@@ -5,17 +5,31 @@ nonzero brackets are [e1, e2] = e4 and [e1, e3] = e5, by two commuting
 derivations (up to a central correction in one family).  derivation_pair
 records how the two extra generators act on the nilradical, row j giving
 the image of nilradical generator j.  record holds the other per-family
-facts that several modules read, and the module-level tables are views of
-those records.
+facts that several modules read, among them which closed forms the source
+prints for the family, and the module-level tables are views of those
+records.
 """
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 from typing import Callable
 
 from .liecore import LieAlgebra7, ParameterError, UnsupportedFamilyError
+
+
+class ClosedForm(enum.Enum):
+    """A closed form the source prints for some of the families.  The value
+    is how a check names the form when the family has none."""
+
+    PREDICATE = "rank predicate"
+    FIELDS = "generating system"
+    INVARIANT = "orbit invariant"
+    PAIRING = "pairing matrix"
+    EXPONENTIAL = "exponential table"
+    FLOWS = "flow table"
 
 
 @dataclass(frozen=True)
@@ -26,10 +40,14 @@ class FamilyRecord:
     predicate, taking the parameters as arguments, that it states; the
     listing joins the texts and validate_params quotes the violated one.
     ``manifold`` names the foliated manifold (V1, V2 or V3), which
-    topology maps to its enum.  ``cataloged`` says whether the family has
-    a closed-form rank-six predicate and a generating field system.
-    ``swapped`` says whether the printed field system lists the second
-    derivation of derivation_pair before the first.
+    topology maps to its enum.  ``closed_forms`` lists the closed forms
+    cataloged for the family; every check and every closed-form function
+    asks has() or require() whether one is there.  ``locus`` is the
+    branch locus of an angle-valued invariant: "a" where it jumps as the
+    fifth coordinate vanishes, "b" as the fourth does, with the index of
+    the algebra coordinate that shifts the orbit phase.  ``swapped`` says
+    whether the printed field system lists the second derivation of
+    derivation_pair before the first.
     """
 
     param_names: tuple[str, ...] = ()
@@ -38,7 +56,8 @@ class FamilyRecord:
     grid: tuple[tuple[Fraction, ...], ...] = ((),)
     manifold: str = "V1"
     exponential: bool = True
-    cataloged: bool = True
+    closed_forms: frozenset[ClosedForm] = frozenset()
+    locus: tuple[str, int] | None = None
     swapped: bool = False
 
     @property
@@ -62,10 +81,19 @@ _L12 = ("λ1", "λ2")
 _REAL = (("λ ∈ R", lambda lam: True),)
 _NONNEGATIVE = (("λ ≥ 0", lambda lam: lam >= 0),)
 
+#: The rank predicate, generating system and pairing matrix come together;
+#: most families also have a printed invariant, and three of them the
+#: exponential and flow tables worked in full.
+_SYSTEM = frozenset({ClosedForm.PREDICATE, ClosedForm.FIELDS, ClosedForm.PAIRING})
+_PRINTED = _SYSTEM | {ClosedForm.INVARIANT}
+_WORKED = _PRINTED | {ClosedForm.EXPONENTIAL, ClosedForm.FLOWS}
+
 _RECORDS: dict[str, FamilyRecord] = {
-    "G1": FamilyRecord(_L, _REAL, (_ONE,), ((_ZERO,), (_ONE,)), swapped=True),
-    "G2": FamilyRecord(cataloged=False),
-    "G3": FamilyRecord(cataloged=False),
+    "G1": FamilyRecord(
+        _L, _REAL, (_ONE,), ((_ZERO,), (_ONE,)), closed_forms=_PRINTED, swapped=True
+    ),
+    "G2": FamilyRecord(closed_forms=frozenset({ClosedForm.INVARIANT})),
+    "G3": FamilyRecord(),
     "G4": FamilyRecord(
         _L12,
         (
@@ -74,18 +102,23 @@ _RECORDS: dict[str, FamilyRecord] = {
         ),
         (_ZERO, _TWO),
         _G4_GRID,
+        closed_forms=_WORKED,
     ),
-    "G5": FamilyRecord(),
-    "G6": FamilyRecord(_L, _REAL, (_HALF,), _LINE, swapped=True),
-    "G7": FamilyRecord(),
-    "G8": FamilyRecord(_L, _REAL, (_HALF,), _LINE),
-    "G9": FamilyRecord(cataloged=False),
-    "G10": FamilyRecord(_L, _REAL, (_HALF,), _LINE, cataloged=False),
-    "G11": FamilyRecord(),
+    "G5": FamilyRecord(closed_forms=_SYSTEM),
+    "G6": FamilyRecord(_L, _REAL, (_HALF,), _LINE, closed_forms=_SYSTEM, swapped=True),
+    "G7": FamilyRecord(closed_forms=_PRINTED),
+    "G8": FamilyRecord(_L, _REAL, (_HALF,), _LINE, closed_forms=_PRINTED),
+    "G9": FamilyRecord(),
+    "G10": FamilyRecord(_L, _REAL, (_HALF,), _LINE),
+    "G11": FamilyRecord(closed_forms=_PRINTED),
     "G12": FamilyRecord(
-        _L, (("λ ∈ R \\ {−1}", lambda lam: lam != -1),), (_HALF,), _LINE, manifold="V2"
+        _L, (("λ ∈ R \\ {−1}", lambda lam: lam != -1),), (_HALF,), _LINE, manifold="V2",
+        closed_forms=_WORKED,
     ),
-    "G13": FamilyRecord(_L, _NONNEGATIVE, (_HALF,), _LINE, manifold="V3", exponential=False),
+    "G13": FamilyRecord(
+        _L, _NONNEGATIVE, (_HALF,), _LINE, manifold="V3", exponential=False,
+        closed_forms=_WORKED, locus=("a", 6),
+    ),
     "G14": FamilyRecord(
         _L12,
         (("λ1 ≠ −1", lambda l1, l2: l1 != -1), ("λ2 ≥ 0", lambda l1, l2: l2 >= 0)),
@@ -93,9 +126,14 @@ _RECORDS: dict[str, FamilyRecord] = {
         _PLANE,
         manifold="V3",
         exponential=False,
+        closed_forms=_PRINTED,
+        locus=("a", 6),
     ),
-    "G15": FamilyRecord(manifold="V3", exponential=False),
-    "G16": FamilyRecord(_L, _NONNEGATIVE, (_HALF,), _LINE, manifold="V3", exponential=False),
+    "G15": FamilyRecord(manifold="V3", exponential=False, closed_forms=_PRINTED),
+    "G16": FamilyRecord(
+        _L, _NONNEGATIVE, (_HALF,), _LINE, manifold="V3", exponential=False,
+        closed_forms=_PRINTED, locus=("a", 5),
+    ),
 }
 
 FAMILIES: tuple[str, ...] = tuple(_RECORDS)
@@ -106,11 +144,6 @@ PARAM_NAMES: dict[str, tuple[str, ...]] = {
     name: r.param_names for name, r in _RECORDS.items() if r.param_names
 }
 
-#: Families with a cataloged rank-six predicate and generating field system.
-CATALOGED_FAMILIES: frozenset[str] = frozenset(
-    name for name, r in _RECORDS.items() if r.cataloged
-)
-
 
 def record(family: str) -> FamilyRecord:
     """The catalog record of a family."""
@@ -118,6 +151,23 @@ def record(family: str) -> FamilyRecord:
         return _RECORDS[family]
     except KeyError:
         raise UnsupportedFamilyError(f"unknown family {family!r}") from None
+
+
+def has(family: str, form: ClosedForm) -> bool:
+    """Whether the family's record catalogs the closed form.  Raises
+    UnsupportedFamilyError for an unknown family."""
+    return form in record(family).closed_forms
+
+
+def require(family: str, form: ClosedForm) -> None:
+    """Raise UnsupportedFamilyError unless the family catalogs the form."""
+    if not has(family, form):
+        raise UnsupportedFamilyError(f"no cataloged {form.value} for {family}")
+
+
+def families_with(form: ClosedForm) -> frozenset[str]:
+    """The families whose records catalog the closed form."""
+    return frozenset(name for name, r in _RECORDS.items() if form in r.closed_forms)
 
 
 def validate_params(family: str, params: tuple[Real, ...]) -> None:

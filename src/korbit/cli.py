@@ -320,7 +320,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     invariant_value: float | None = None
     deviation: float | None = None
     n_evaluated = 0
-    if family in foliation.INVARIANT_FAMILIES and topology.contains(
+    if catalog.has(family, catalog.ClosedForm.INVARIANT) and topology.contains(
         topology.manifold_of(family), f
     ):
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -328,7 +328,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         if math.isfinite(base):
             invariant_value = base
             keep = topology.contains(topology.manifold_of(family), points)
-            locus = verify.INVARIANT_LOCUS.get(family)
+            locus = catalog.record(family).locus
             if locus is not None:
                 u = coadjoint.orbit_elements(algebra, args.n, args.seed)
                 keep &= verify.same_branch(f, u, locus)

@@ -2,8 +2,8 @@
 
 The simply connected group acts on functionals through transposed matrix
 exponentials of adjoint representatives.  Orbit dimension is the numeric
-rank of the pairing form, and the families whose catalog record is marked
-cataloged carry a closed-form predicate for where that rank reaches six.
+rank of the pairing form, and the families whose catalog record lists the
+rank predicate carry a closed form for where that rank reaches six.
 """
 from __future__ import annotations
 
@@ -12,10 +12,11 @@ import enum
 import numpy as np
 
 from . import catalog, rng, topology
-from .liecore import DomainError, LieAlgebra7, UnsupportedFamilyError, exp_matrix, kirillov_rank
+from .catalog import ClosedForm
+from .liecore import DomainError, LieAlgebra7, exp_matrix, kirillov_rank
 
 #: Families with a cataloged closed-form rank-six predicate.
-RANK_CONDITION_FAMILIES: frozenset[str] = catalog.CATALOGED_FAMILIES
+RANK_CONDITION_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.PREDICATE)
 
 
 def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
@@ -66,6 +67,7 @@ def rank_condition(family: str, f: np.ndarray) -> np.ndarray | bool:
     the decision boundary or exactly on the intended zero locus.  Raises
     UnsupportedFamilyError for the four families without a cataloged form.
     """
+    catalog.require(family, ClosedForm.PREDICATE)
     f = np.asarray(f, dtype=float)
     a2, a3, a4, a5 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
     if family == "G1":
@@ -74,11 +76,8 @@ def rank_condition(family: str, f: np.ndarray) -> np.ndarray | bool:
         out = np.where(a4 == 0, a2 * a5 != 0, np.hypot(a3, a5) != 0)
     elif family in ("G7", "G8", "G11", "G12"):
         out = (a5 != 0) | (a3 * a4 != 0)
-    elif family in ("G13", "G14", "G15", "G16"):
+    else:  # G13..G16
         out = np.hypot(a4, a5) != 0
-    else:
-        catalog.record(family)
-        raise UnsupportedFamilyError(f"no cataloged rank condition for {family}")
     if np.ndim(out) == 0:
         return bool(out)
     return out
@@ -90,8 +89,10 @@ def condition_margin(family: str, f: np.ndarray) -> np.ndarray:
     Small values flag proximity to a rank boundary (or, for the first
     family, to the locus where the cataloged form and the true rank
     disagree); infinity marks points whose deciding products vanish exactly,
-    where the verdict is structural rather than marginal.
+    where the verdict is structural rather than marginal.  Raises
+    UnsupportedFamilyError where rank_condition does.
     """
+    catalog.require(family, ClosedForm.PREDICATE)
     f = np.asarray(f, dtype=float)
     a2, a3, a4, a5 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
     if family == "G1":
@@ -106,11 +107,8 @@ def condition_margin(family: str, f: np.ndarray) -> np.ndarray:
     if family in ("G7", "G8", "G11", "G12"):
         strength = np.maximum(np.abs(a5), np.abs(a3 * a4))
         return np.where(strength == 0, np.inf, strength)
-    if family in ("G13", "G14", "G15", "G16"):
-        norm = np.hypot(a4, a5)
-        return np.where(norm == 0, np.inf, norm)
-    catalog.record(family)
-    raise UnsupportedFamilyError(f"no cataloged rank condition for {family}")
+    norm = np.hypot(a4, a5)  # G13..G16
+    return np.where(norm == 0, np.inf, norm)
 
 
 class OrbitType(enum.Enum):

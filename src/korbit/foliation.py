@@ -1,18 +1,18 @@
 """Generating vector fields of the orbit foliations and orbit invariants.
 
-Each family with a cataloged generating system carries six affine vector
-fields on orbit space whose span at every point of the foliated manifold
-equals the tangent space of the orbit through that point.  Three of the
-fields are coordinate translations and one is a fixed shear; the other two
-are derived, not transcribed: they are the family's two derivations from
-catalog.derivation_pair acting on the second through fifth coordinates,
-in the order the catalog record gives.  The module also
+Each family whose catalog record lists a generating system carries six
+affine vector fields on orbit space whose span at every point of the
+foliated manifold equals the tangent space of the orbit through that
+point.  Three of the fields are coordinate translations and one is a fixed
+shear; the other two are derived, not transcribed: they are the family's
+two derivations from catalog.derivation_pair acting on the second through
+fifth coordinates, in the order the catalog record gives.  The module also
 evaluates the closed-form flows printed for three representative families
 and the scalar invariant that labels the leaves of each foliation.
 
 The two foliation checks decide most points without an SVD.  The Pfaffian
-vector p of the pairing matrix K (ker K = span p, from liecore's
-pairing_rank certificate) and the vector n of the six field values' signed
+vector p of the pairing matrix K (ker K = span p, from the certificate of
+liecore.kirillov_rank) and the vector n of the six field values' signed
 6x6 minors bound the singular-value ratios that numeric ranks compare with
 their tolerance, by Weyl's bound and interlacing (Golub & Van Loan,
 *Matrix Computations*, section 8.6): distribution_equiv certifies the three
@@ -30,27 +30,25 @@ from typing import Sequence
 import numpy as np
 
 from . import catalog, topology
+from .catalog import ClosedForm
 from .liecore import (
     DIM,
     PAIRING_TOL_FLOOR,
     DomainError,
     LieAlgebra7,
-    UnsupportedFamilyError,
-    _pfaffian_certificate,
+    _certify,
+    kirillov_rank,
     numeric_rank,
-    pairing_rank,
 )
 
 #: Families with a cataloged generating system of vector fields.
-SYSTEM_FAMILIES: frozenset[str] = catalog.CATALOGED_FAMILIES
+SYSTEM_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.FIELDS)
 
 #: Families with a cataloged closed-form orbit invariant.
-INVARIANT_FAMILIES: frozenset[str] = frozenset(
-    {"G1", "G2", "G4", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16"}
-)
+INVARIANT_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.INVARIANT)
 
 #: Families whose closed-form flows are cataloged for every field.
-FLOW_FAMILIES: frozenset[str] = frozenset({"G4", "G12", "G13"})
+FLOW_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.FLOWS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +99,8 @@ def system_fields(family: str, params: tuple[Real, ...] = ()) -> tuple[LinearVec
     in the order of the catalog record.
     """
     a, b, _ = catalog.derivation_pair(family, tuple(params))
-    fam = catalog.record(family)
-    if not fam.cataloged:
-        raise UnsupportedFamilyError(f"no cataloged generating system for {family}")
-    m2, m3 = (b, a) if fam.swapped else (a, b)
+    catalog.require(family, ClosedForm.FIELDS)
+    m2, m3 = (b, a) if catalog.record(family).swapped else (a, b)
     shear = np.zeros((DIM, DIM))
     shear[1, 3] = 1.0
     shear[2, 4] = 1.0
@@ -144,8 +140,7 @@ def flow_closed(
     ``field_index`` is one-based, matching the order of system_fields.
     Broadcasts over leading axes of ``t`` and ``v``.
     """
-    if family not in FLOW_FAMILIES:
-        raise UnsupportedFamilyError(f"no cataloged closed-form flows for {family}")
+    catalog.require(family, ClosedForm.FLOWS)
     catalog.validate_params(family, tuple(params))
     if field_index not in range(1, 7):
         raise ValueError("field_index must be between 1 and 6")
@@ -249,8 +244,7 @@ def invariant(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarra
     angle-bearing forms jump across their branch loci, which orbit+-sampling
     campaigns must reject.
     """
-    if family not in INVARIANT_FAMILIES:
-        raise UnsupportedFamilyError(f"no cataloged orbit invariant for {family}")
+    catalog.require(family, ClosedForm.INVARIANT)
     catalog.validate_params(family, tuple(params))
     v = np.asarray(v, dtype=float)
     if not np.all(topology.contains(topology.manifold_of(family), v)):
@@ -370,12 +364,14 @@ def _normal(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normal, frob6
 
 
-def _span_certificate(span: np.ndarray, pairing: np.ndarray, tol: float) -> np.ndarray:
+def _span_certificate(
+    algebra: LieAlgebra7, points: np.ndarray, span: np.ndarray, pairing: np.ndarray, tol: float
+) -> np.ndarray:
     """Points where closed-form bounds prove all three ranks of
     distribution_decision to be six at tol; see its docstring."""
     if not tol >= PAIRING_TOL_FLOOR:
-        return np.zeros(len(span), dtype=bool)
-    certified, p = _pfaffian_certificate(pairing.reshape(-1, DIM * DIM).T, tol)
+        return np.zeros(len(points), dtype=bool)
+    certified, p = _certify(algebra.pairing_operand @ points.T, algebra.pairing_support, tol)
     normal, span_frob6 = _normal(span)
     # Uncertified forms and zero rows give NaN, which fails every comparison.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -404,7 +400,8 @@ def distribution_decision(
     use the Pfaffian vector p of K, with unit vector p^ (ker K = span p),
     and the vector n of S's signed 6x6 minors, det [S; x] = n . x:
 
-    - rank K = 6, certified as liecore.pairing_rank certifies it, by
+    - rank K = 6, certified as liecore.kirillov_rank certifies it, from
+      the algebra's structurally nonzero pairing entries of v, by
       2^(3/2) |p| / |K|_F^3 > 2 tol;
     - rank S = 6: s6(S) / s1(S) >= |det [S; p^]| / |S|_F^6 = |n . p^| /
       |S|_F^6 > 2 tol;
@@ -417,19 +414,20 @@ def distribution_decision(
     least sqrt(2) tol s1([S; K]) since s1([S; K])^2 <= s1(S)^2 + s1(K)^2.
     By Weyl's bound on perturbed singular values (Golub & Van Loan,
     *Matrix Computations*, section 8.6, for it and for interlacing), the
-    SVD ranks of a certified point are then six, as in pairing_rank.
+    SVD ranks of a certified point are then six, as in kirillov_rank.
     Every other point, and every point below the floor, is ranked by the
-    SVD of liecore.numeric_rank and by pairing_rank, as before, so the
-    verdict equals those three ranks point by point.
+    SVDs of liecore.numeric_rank and by kirillov_rank, so the verdict
+    equals those three ranks point by point.
 
     Raises DomainError unless every point is finite and on the family's
     foliated manifold.  Batched over leading axes.
     """
     fields = system_fields(algebra.family, algebra.params)
     v = _foliated(algebra.family, v)
-    span = field_values(fields, v).reshape(-1, DIM - 1, DIM)
-    pairing = algebra.kirillov(v).reshape(-1, DIM, DIM)
-    certified = _span_certificate(span, pairing, tol)
+    points = v.reshape(-1, DIM)
+    span = field_values(fields, points)
+    pairing = algebra.kirillov(points)
+    certified = _span_certificate(algebra, points, span, pairing, tol)
     spans = certified.copy()
     rest = ~certified
     if rest.any():
@@ -437,7 +435,7 @@ def distribution_decision(
         stacked = np.concatenate([span, pairing], axis=-2)
         spans[rest] = (
             (numeric_rank(span, tol) == 6)
-            & (pairing_rank(pairing, tol) == 6)
+            & (kirillov_rank(algebra, points[rest], tol) == 6)
             & (numeric_rank(stacked, tol) == 6)
         )
     return spans.reshape(v.shape[:-1]), certified.reshape(v.shape[:-1])

@@ -352,14 +352,10 @@ def _matchings(indices: tuple[int, ...]):
             yield sign * inner, (pair,) + pairs
 
 
-#: Flat positions (7i + j) of the 21 entries above the diagonal, of their
-#: mirror images below it, and of the diagonal.
+#: Index pairs and flat positions (7i + j) of the 21 entries above the
+#: diagonal.
 _UPPER_PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
 _UPPER = np.array([DIM * i + j for i, j in _UPPER_PAIRS])
-_LOWER = np.array([DIM * j + i for i, j in _UPPER_PAIRS])
-_DIAG = np.arange(DIM) * (DIM + 1)
-#: The pattern of a form with no entry known to vanish.
-_FULL_PATTERN = tuple(range(len(_UPPER_PAIRS)))
 
 
 @lru_cache(maxsize=None)
@@ -421,7 +417,7 @@ def _principal_pfaffians(u: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
     """The vector p with adj K = p p^T, from the upper triangle of K.
 
     ``u`` holds the entries above the diagonal at the positions of
-    ``pattern`` in _UPPER_PAIRS (_FULL_PATTERN for all 21, in row-major
+    ``pattern`` in _UPPER_PAIRS (range(21) for all of them, in row-major
     order) on its first axis, and one column per matrix; the result has
     shape (7, columns).
     """
@@ -435,7 +431,7 @@ def _principal_pfaffians(u: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
     return terms.sum(axis=0)
 
 
-#: Smallest rank tolerance at which pairing_rank certifies.  In units of
+#: Smallest rank tolerance at which kirillov_rank certifies.  In units of
 #: the largest entry, |p| is computed to about 400 eps (1e-13), and the
 #: singular values LAPACK returns are those of a matrix within a small
 #: multiple of eps |K| of K.  At tol >= 1e-12 (about 4500 eps) a certified
@@ -443,17 +439,17 @@ def _principal_pfaffians(u: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
 #: above tol s1 while s7 stays below.  A fixed constant, not a setting.
 PAIRING_TOL_FLOOR = 1e-12
 
-#: Forms per chunk in pairing_rank: the gathered products of 1,024 forms
+#: Forms per chunk in kirillov_rank: the gathered products of 1,024 forms
 #: (45 and 35 rows of 8 kB) stay in a 2 MB L2 cache.  On a 2-core x86-64
-#: machine the certificate took 3.1-3.5 ms per 10k G13 forms at 1,024 and
-#: 4.4-5.0 ms at 256.
+#: machine the certificate took 3.1-3.5 ms per 10k full G13 forms at 1,024
+#: and 4.4-5.0 ms at 256.
 _PAIRING_CHUNK = 1024
 
 
-def pairing_rank(k: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
-    """numeric_rank of antisymmetric 7x7 forms, certifying rank six cheaply.
+def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
+    """numeric_rank(algebra.kirillov(f), tol), certifying rank six from f.
 
-    For antisymmetric 7x7 K the singular values pair up,
+    For an antisymmetric 7x7 form K the singular values pair up,
     s1 = s2 >= s3 = s4 >= s5 = s6, with s7 = 0, and the seven principal
     6x6 Pfaffians form a vector p with adj K = p p^T, so that
     |p| = s1 s3 s5.  With s3 <= s1 and s1^2 <= |K|_F^2 / 2 this gives
@@ -464,97 +460,39 @@ def pairing_rank(k: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     Weyl's bound on perturbed singular values (Golub & Van Loan, *Matrix
     Computations*, section 8.6), the SVD of such a form keeps s5 and s6
     above tol s1 and s7 below it, for tol at or above PAIRING_TOL_FLOOR.
-    The Pfaffians are computed on the form divided by its largest entry,
-    so they neither overflow nor underflow.  Every other form goes to
-    numeric_rank unchanged: ranks 0, 2 and 4, forms that are not exactly
-    antisymmetric or not finite, and forms near the bound.  Below the
-    floor every form goes to numeric_rank.  The result therefore equals
-    numeric_rank(k, tol) form by form.  kirillov_rank runs the same
-    certificate on Kirillov forms given by their functionals.
-
-    Accepts stacks of 7x7 matrices on leading axes.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.shape[-2:] != (DIM, DIM):
-        raise ValueError(f"pairing_rank expects 7x7 matrices, got shape {k.shape}")
-    if not tol >= PAIRING_TOL_FLOOR:
-        return numeric_rank(k, tol)
-    flat = k.reshape(-1, DIM * DIM)
-    rank = _certified_rank(
-        len(flat),
-        lambda chunk: _pfaffian_certificate(flat[chunk].T, tol)[0],
-        lambda rest: numeric_rank(flat[rest].reshape(-1, DIM, DIM), tol),
-    )
-    return _shaped(rank, k.shape[:-2])
-
-
-def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
-    """numeric_rank(algebra.kirillov(f), tol), certifying rank six from f.
 
     The entries above the diagonal of the Kirillov form are linear in f,
     and for the catalog algebras only 6 to 11 of the 21 are not
     identically zero.  One matmul by algebra.pairing_operand gives those
-    entries, and pairing_rank's certificate runs on them with Pfaffian
-    tables pruned to algebra.pairing_support.  The form is antisymmetric
-    by construction, and pruning leaves out only exact zeros, so the
-    Pfaffian vector, the Frobenius norm and the certificate are those
-    pairing_rank computes on kirillov(f), up to the sign of a zero.  A
-    form the certificate leaves open, and every form below
-    PAIRING_TOL_FLOOR, is ranked by numeric_rank(algebra.kirillov(...)),
-    so the result equals numeric_rank(algebra.kirillov(f), tol) row by
-    row, and kirillov is called only for those rows.
+    entries, and _certify runs on them, _PAIRING_CHUNK functionals at a
+    time, with Pfaffian tables pruned to algebra.pairing_support; pruning
+    leaves out only exact zeros, so p, |K|_F and the verdict are those of
+    the full form up to the sign of a zero.  The Pfaffians are computed
+    on the form divided by its largest entry, so they neither overflow nor
+    underflow.  Every functional the certificate leaves open (ranks 0, 2
+    and 4, non-finite forms, forms near the bound), and every functional
+    below the floor, is ranked by numeric_rank(algebra.kirillov(...)), so
+    the result equals numeric_rank(algebra.kirillov(f), tol) row by row,
+    and kirillov is called only for those rows.
 
     Batched over leading axes of f; one functional gives an int.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (DIM,):
         raise ValueError(f"kirillov_rank expects functionals of length 7, got shape {f.shape}")
-    if not tol >= PAIRING_TOL_FLOOR:
-        return numeric_rank(algebra.kirillov(f), tol)
     flat = f.reshape(-1, DIM)
-    operand, pattern = algebra.pairing_operand, algebra.pairing_support
-    rank = _certified_rank(
-        len(flat),
-        lambda chunk: _certify(operand @ flat[chunk].T, pattern, tol)[0],
-        lambda rest: numeric_rank(algebra.kirillov(flat[rest]), tol),
-    )
-    return _shaped(rank, f.shape[:-1])
-
-
-def _certified_rank(count: int, certify, fallback) -> np.ndarray:
-    """Rank six for the rows that ``certify`` certifies, one chunk of
-    _PAIRING_CHUNK rows at a time, and ``fallback``'s ranks for the rest,
-    given as a boolean mask."""
-    certified = np.empty(count, dtype=bool)
-    for start in range(0, count, _PAIRING_CHUNK):
-        chunk = slice(start, start + _PAIRING_CHUNK)
-        certified[chunk] = certify(chunk)
-    rank = np.full(count, 6)
+    certified = np.zeros(len(flat), dtype=bool)
+    if tol >= PAIRING_TOL_FLOOR:
+        for start in range(0, len(flat), _PAIRING_CHUNK):
+            chunk = slice(start, start + _PAIRING_CHUNK)
+            entries = algebra.pairing_operand @ flat[chunk].T
+            certified[chunk] = _certify(entries, algebra.pairing_support, tol)[0]
+    rank = np.full(len(flat), 6)
     if not certified.all():
-        rank[~certified] = fallback(~certified)
-    return rank
-
-
-def _shaped(rank: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | int:
-    """Ranks in the given leading shape, or an int for one form."""
-    if not shape:
+        rank[~certified] = numeric_rank(algebra.kirillov(flat[~certified]), tol)
+    if f.ndim == 1:
         return int(rank[0])
-    return rank.reshape(shape)
-
-
-def _pfaffian_certificate(t: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """pairing_rank's rank-six certificate for 7x7 forms, one per column of
-    ``t`` (shape (49, forms), the flattened forms transposed).
-
-    Returns whether each form is exactly antisymmetric and passes _certify,
-    and the Pfaffian vectors p of the forms divided by their largest
-    entries, shape (7, forms), which span ker K where a form has rank six.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        u = t[_UPPER]
-        exact = ~np.any(u + t[_LOWER], axis=0) & ~np.any(t[_DIAG], axis=0)
-    certified, p = _certify(u, _FULL_PATTERN, tol)
-    return exact & certified, p
+    return rank.reshape(f.shape[:-1])
 
 
 def _certify(u: np.ndarray, pattern: tuple[int, ...], tol: float) -> tuple[np.ndarray, np.ndarray]:

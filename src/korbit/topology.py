@@ -263,7 +263,7 @@ class LeafMap:
     campaign that tests leaf preservation: "residual" where the target
     invariant is cataloged, "constancy" where it is pulled back from the
     source, None where neither applies.  ``locus`` is the branch locus of
-    the pulled-back invariant in the form of ``verify.INVARIANT_LOCUS``,
+    the pulled-back invariant in the form of ``catalog.FamilyRecord.locus``,
     and ``graded`` marks a map whose constancy failure is reported as a
     finding about the catalog rather than breaking the run.
     """

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import catalog, coadjoint, foliation, rng, topology
+from .catalog import ClosedForm
 from .liecore import (
     LieAlgebra7,
     _integer_tensors,
@@ -51,15 +52,6 @@ FIBRATION_RATIO_CAP = 10.0
 #: for the whole family.
 REPRESENTATIVE_PARAMS: dict[str, tuple[Fraction, ...]] = {
     family: catalog.record(family).representative for family in catalog.FAMILIES
-}
-
-#: Branch locus of each angle-bearing invariant: "a" jumps where the fifth
-#: coordinate vanishes, "b" where the fourth does; the second entry is the
-#: index of the algebra coordinate that shifts the orbit phase.
-INVARIANT_LOCUS: dict[str, tuple[str, int]] = {
-    "G13": ("a", 6),
-    "G14": ("a", 6),
-    "G16": ("a", 5),
 }
 
 #: Leaf maps whose target invariant is cataloged alongside the source's,
@@ -103,6 +95,8 @@ class CheckResult:
 
 
 def _unsupported(name: str, what: str) -> CheckResult:
+    """The result of a check whose closed form the family's record, or the
+    leaf map's, does not catalog: it evaluates nothing."""
     return CheckResult(
         name=name,
         passed=True,
@@ -369,7 +363,8 @@ def jacobi_result(
 def _golden_pairing(family: str, params: tuple[Real, ...]):
     """Frozen linear forms of the pairing matrix: (row, col) -> {k: coeff}
     meaning the entry equals sum of coeff times the k-th coordinate of the
-    functional (rows, columns, and k are one-based)."""
+    functional (rows, columns, and k are one-based), for the families whose
+    record lists the pairing matrix."""
     base = {(1, 2): {4: 1}, (1, 3): {5: 1}}
     if family == "G1":
         (lam,) = params
@@ -437,15 +432,13 @@ def _golden_pairing(family: str, params: tuple[Real, ...]):
             (2, 6): {3: -1}, (2, 7): {2: -1, 5: -1}, (3, 6): {2: 1}, (3, 7): {3: -1, 4: 1},
             (4, 6): {5: -1}, (4, 7): {4: -1}, (5, 6): {4: 1}, (5, 7): {5: -1},
         }
-    elif family == "G16":
+    else:  # G16
         (lam,) = params
         extra = {
             (2, 6): {3: -1, 5: -1}, (2, 7): {2: -1, 5: -lam}, (3, 6): {2: 1},
             (3, 7): {3: -1, 4: lam}, (4, 6): {5: -1}, (4, 7): {4: -1},
             (5, 6): {4: 1}, (5, 7): {5: -1},
         }
-    else:
-        return None
     base.update(extra)
     return base
 
@@ -456,9 +449,8 @@ def golden_pairing_result(
 ) -> CheckResult:
     """Coefficient-exact match of computed pairing matrices against the
     frozen linear-form tables, tested one basis functional at a time."""
-    probe = _golden_pairing(family, REPRESENTATIVE_PARAMS.get(family, ()))
-    if probe is None:
-        return _unsupported("golden_pairing", "pairing matrix")
+    if not catalog.has(family, ClosedForm.PAIRING):
+        return _unsupported("golden_pairing", ClosedForm.PAIRING.value)
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
     tally = _Tally()
@@ -526,8 +518,8 @@ def rank_agreement_result(
     fourth, fifth, and jointly third and fifth coordinates, where the
     predicate's verdict is structural.
     """
-    if family not in coadjoint.RANK_CONDITION_FAMILIES:
-        return _unsupported("rank_agreement", "rank predicate")
+    if not catalog.has(family, ClosedForm.PREDICATE):
+        return _unsupported("rank_agreement", ClosedForm.PREDICATE.value)
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
     per = max(samples // len(params_list), 1)
@@ -560,7 +552,8 @@ def rank_agreement_result(
 # --- Golden exponentials --------------------------------------------------
 
 def _golden_exp(family: str, params: tuple[Real, ...], u: np.ndarray):
-    """Frozen entries of exp(ad_U) for the three worked families.
+    """Frozen entries of exp(ad_U) for the three families whose record
+    lists the exponential table.
 
     Returns the golden matrix batch and the boolean cell mask of entries
     the source states in full; unmasked cells are exact zeros or ones.
@@ -626,8 +619,8 @@ def golden_exponential_result(
     tol: float = 1e-10,
 ) -> CheckResult:
     """Numeric exp(ad_U) against the frozen closed-form entries."""
-    if family not in ("G4", "G12", "G13"):
-        return _unsupported("golden_exponential", "exponential table")
+    if not catalog.has(family, ClosedForm.EXPONENTIAL):
+        return _unsupported("golden_exponential", ClosedForm.EXPONENTIAL.value)
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
     tally = _Tally()
@@ -694,8 +687,9 @@ def _derived_value(map_obj: topology.LeafMap) -> Callable[[np.ndarray], np.ndarr
 def same_branch(f: np.ndarray, u: np.ndarray, locus: tuple[str, int]) -> np.ndarray:
     """Whether the coadjoint image of f under exp(u) stays in the branch bin
     of f for an angle-valued invariant with branch ``locus`` (see
-    INVARIANT_LOCUS).  The phase shift is exactly the ``locus`` coordinate
-    of u.  Broadcasts over leading axes of ``f`` and ``u``.
+    catalog.FamilyRecord.locus).  The phase shift is exactly the
+    ``locus`` coordinate of u.  Broadcasts over leading axes of ``f`` and
+    ``u``.
     """
     kind, axis = locus
     edge = math.pi / 2 if kind == "a" else 0.0
@@ -751,13 +745,13 @@ def invariant_constancy_result(
     tol: float = 1e-7,
 ) -> CheckResult:
     """Orbit invariant unchanged along sampled coadjoint motions."""
-    if family not in foliation.INVARIANT_FAMILIES:
-        return _unsupported("invariant_constancy", "orbit invariant")
+    if not catalog.has(family, ClosedForm.INVARIANT):
+        return _unsupported("invariant_constancy", ClosedForm.INVARIANT.value)
     algebra = catalog.build(family, params)
     f = _generic_functionals(family, params, functionals, seed, "invariant", None)
     u = rng.sample_coordinates(seed, group_samples, "invariant-u", family, *params)
     tally = _constancy_campaign(
-        algebra, f, u, _printed_value(family, params), INVARIANT_LOCUS.get(family)
+        algebra, f, u, _printed_value(family, params), catalog.record(family).locus
     )
     return tally.result(
         "invariant_constancy",
@@ -774,13 +768,13 @@ def orbit_constancy_result(
     tol: float = 1e-7,
 ) -> CheckResult:
     """Invariant constancy along one orbit through a generic functional."""
-    if family not in foliation.INVARIANT_FAMILIES:
-        return _unsupported("orbit_constancy", "orbit invariant")
+    if not catalog.has(family, ClosedForm.INVARIANT):
+        return _unsupported("orbit_constancy", ClosedForm.INVARIANT.value)
     algebra = catalog.build(family, params)
     f = _generic_functionals(family, params, 64, seed, "orbit-base", None)[:1]
     u = rng.sample_coordinates(seed, group_samples, "orbit-u", family, *params)
     tally = _constancy_campaign(
-        algebra, f, u, _printed_value(family, params), INVARIANT_LOCUS.get(family)
+        algebra, f, u, _printed_value(family, params), catalog.record(family).locus
     )
     return tally.result(
         "orbit_constancy",
@@ -818,8 +812,8 @@ def distribution_result(
     rank_tol: float = 1e-9,
 ) -> CheckResult:
     """Generating fields span exactly the orbit tangent space."""
-    if family not in foliation.SYSTEM_FAMILIES:
-        return _unsupported("distribution_span", "generating system")
+    if not catalog.has(family, ClosedForm.FIELDS):
+        return _unsupported("distribution_span", ClosedForm.FIELDS.value)
     algebra = catalog.build(family, params)
     points = _foliation_points(family, params, samples, seed, "distribution")
     spans, certified = foliation.distribution_decision(algebra, points, rank_tol)
@@ -843,8 +837,8 @@ def involutivity_result(
     tol: float = 1e-9,
 ) -> CheckResult:
     """Pairwise field brackets stay inside the pointwise span."""
-    if family not in foliation.SYSTEM_FAMILIES:
-        return _unsupported("involutivity", "generating system")
+    if not catalog.has(family, ClosedForm.FIELDS):
+        return _unsupported("involutivity", ClosedForm.FIELDS.value)
     points = _foliation_points(family, params, samples, seed, "distribution")
     residual, certified = foliation.involutivity_decision(family, params, points)
     tally = _Tally()
@@ -884,8 +878,8 @@ def flow_result(
     steps: int = 512,
 ) -> CheckResult:
     """Closed-form flows against Runge-Kutta integration of the fields."""
-    if family not in foliation.FLOW_FAMILIES:
-        return _unsupported("flow_equivalence", "flow table")
+    if not catalog.has(family, ClosedForm.FLOWS):
+        return _unsupported("flow_equivalence", ClosedForm.FLOWS.value)
     fields = foliation.system_fields(family, params)
     t = rng.generator(seed, "flow-time", family, *params).uniform(-1.0, 1.0, starts)
     v = rng.sample_coordinates(seed, starts, "flow-start", family, *params)
@@ -965,9 +959,9 @@ def leaf_residual_result(
     Available for the maps whose source and target invariants are both
     cataloged; the source is always the parameter-zero member.
     """
-    if map_name not in RESIDUAL_MAPS:
-        return _unsupported(f"leaf_residual_{map_name}", "invariant pair")
     map_obj = topology.leaf_map(map_name, params)
+    if map_obj.check != "residual":
+        return _unsupported(f"leaf_residual_{map_name}", "invariant pair")
     src_params = _base_params(map_obj)
     points = rng.sample_coordinates(
         seed, 2 * samples, "leaf-residual", map_name, *map_obj.params
@@ -1001,9 +995,9 @@ def leaf_constancy_result(
     Results for a graded map are findings about the cataloged formulas
     rather than hard failures.
     """
-    if map_name not in DERIVED_MAPS:
-        return _unsupported(f"leaf_constancy_{map_name}", "derived invariant")
     map_obj = topology.leaf_map(map_name, params)
+    if map_obj.check != "constancy":
+        return _unsupported(f"leaf_constancy_{map_name}", "derived invariant")
     target_family = map_obj.target
     target_params = tuple(map_obj.params) or REPRESENTATIVE_PARAMS[target_family]
     algebra = catalog.build(target_family, target_params)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from korbit import catalog, coadjoint, foliation, topology, verify
+from korbit.catalog import ClosedForm
 from korbit.liecore import ParameterError, UnsupportedFamilyError
 
 HALF = Fraction(1, 2)
@@ -136,6 +137,8 @@ def test_record_rejects_unknown_family():
     """The record accessor names an unknown family."""
     with pytest.raises(UnsupportedFamilyError, match="G17"):
         catalog.record("G17")
+    with pytest.raises(UnsupportedFamilyError, match="G17"):
+        catalog.has("G17", ClosedForm.FIELDS)
 
 
 def test_representative_params_validate_and_lie_in_the_grid():
@@ -148,11 +151,17 @@ def test_representative_params_validate_and_lie_in_the_grid():
 
 def test_derived_views_of_the_records():
     """The module tables read from the records keep their cataloged values."""
-    assert catalog.CATALOGED_FAMILIES == {
-        "G1", "G4", "G5", "G6", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16",
+    system = {"G1", "G4", "G5", "G6", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16"}
+    assert coadjoint.RANK_CONDITION_FAMILIES == system
+    assert foliation.SYSTEM_FAMILIES == system
+    assert catalog.families_with(ClosedForm.PAIRING) == system
+    assert foliation.INVARIANT_FAMILIES == {
+        "G1", "G2", "G4", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16",
     }
-    assert coadjoint.RANK_CONDITION_FAMILIES is catalog.CATALOGED_FAMILIES
-    assert foliation.SYSTEM_FAMILIES is catalog.CATALOGED_FAMILIES
+    assert foliation.FLOW_FAMILIES == {"G4", "G12", "G13"}
+    assert catalog.families_with(ClosedForm.EXPONENTIAL) == {"G4", "G12", "G13"}
+    loci = {f: catalog.record(f).locus for f in catalog.FAMILIES if catalog.record(f).locus}
+    assert loci == {"G13": ("a", 6), "G14": ("a", 6), "G16": ("a", 5)}
     assert catalog.PARAM_ARITY == {
         "G1": 1, "G2": 0, "G3": 0, "G4": 2, "G5": 0, "G6": 1, "G7": 0, "G8": 1,
         "G9": 0, "G10": 1, "G11": 0, "G12": 1, "G13": 1, "G14": 2, "G15": 0, "G16": 1,

@@ -135,9 +135,10 @@ def test_orbit_dimension_equals_svd_rank_on_every_grid_entry(family):
 def test_pruned_certificate_equals_the_full_one(family):
     """On every default grid entry, the certificate run on the algebra's
     structurally nonzero pairing entries gives the Pfaffian vector and the
-    verdict of _pfaffian_certificate on the full Kirillov form, and the
-    same scaled entries and Frobenius norm, entry by entry up to the sign
-    of a zero; the entries it leaves out are exact zeros."""
+    verdict of the certificate on all 21 entries above the diagonal of the
+    Kirillov form, and the same scaled entries and Frobenius norm, entry by
+    entry up to the sign of a zero; the entries it leaves out are exact
+    zeros."""
     for params in catalog.default_parameter_grid(family):
         algebra = catalog.build(family, params)
         f = _probe_points(family, *params)
@@ -146,9 +147,8 @@ def test_pruned_certificate_equals_the_full_one(family):
         upper = flat[liecore._UPPER]
         assert not np.delete(upper, support, axis=0).any(), (family, params)
         for tol in (1e-9, PAIRING_TOL_FLOOR):
-            expected, expected_p = liecore._pfaffian_certificate(flat, tol)
             full, pruned = upper.copy(), algebra.pairing_operand @ f.T
-            liecore._certify(full, liecore._FULL_PATTERN, tol)
+            expected, expected_p = liecore._certify(full, tuple(range(21)), tol)
             certified, p = liecore._certify(pruned, algebra.pairing_support, tol)
             message = f"{family} {params} {tol}"
             np.testing.assert_array_equal(certified, expected, err_msg=message)

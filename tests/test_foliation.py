@@ -10,8 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korbit import catalog, coadjoint, foliation, rng, topology, verify
-from korbit.liecore import PAIRING_TOL_FLOOR, DomainError, UnsupportedFamilyError, numeric_rank
+from korbit import catalog, coadjoint, foliation, liecore, rng, topology, verify
+from korbit.liecore import (
+    PAIRING_TOL_FLOOR,
+    DomainError,
+    LieAlgebra7,
+    UnsupportedFamilyError,
+    numeric_rank,
+)
 
 HALF = Fraction(1, 2)
 FLOW_TOL = 1e-9
@@ -344,6 +350,37 @@ def test_distribution_decision_equals_three_svd_ranks(tol):
         assert decided == 0
     else:
         assert decided > 0
+
+
+def _full_pattern(algebra: LieAlgebra7) -> LieAlgebra7:
+    """The algebra with its pairing support widened to all 21 entries above
+    the diagonal, so that the rank certificate runs on the full Kirillov
+    form rather than on the structurally nonzero entries."""
+    full = LieAlgebra7(algebra.family, algebra.params, algebra.brackets)
+    full.__dict__["pairing_support"] = tuple(range(21))
+    full.__dict__["pairing_operand"] = np.ascontiguousarray(
+        full.kirillov_operand[:, liecore._UPPER].T
+    )
+    return full
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+def test_distribution_decision_equals_the_full_pattern_certificate(scale):
+    """On generic, stratum, quadric and scaled points of all twelve
+    families, at tol 1e-9, 1e-12 and 1e-13, the verdict and the mask of
+    certified points equal those of the certificate on the full Kirillov
+    form, point by point."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        full = _full_pattern(algebra)
+        assert len(algebra.pairing_support) < 21, family
+        v = _span_points(family) * scale
+        for tol in (1e-9, 1e-12, 1e-13):
+            message = f"{family} {scale} {tol}"
+            spans, certified = foliation.distribution_decision(algebra, v, tol)
+            reference, reference_certified = foliation.distribution_decision(full, v, tol)
+            np.testing.assert_array_equal(spans, reference, err_msg=message)
+            np.testing.assert_array_equal(certified, reference_certified, err_msg=message)
 
 
 def test_distribution_certifies_every_campaign_point():

@@ -19,7 +19,6 @@ from korbit.liecore import (
     exp_matrix,
     kirillov_rank,
     numeric_rank,
-    pairing_rank,
     phi1,
     verify_jacobi,
 )
@@ -229,9 +228,10 @@ def _adjugate(m):
 
 
 def _pfaffians(k):
-    """The vector p of principal Pfaffians, as pairing_rank computes it."""
+    """The vector p of principal Pfaffians, as the rank certificate computes
+    it on all 21 entries above the diagonal."""
     k = np.asarray(k, dtype=float).reshape(-1, DIM * DIM)
-    return liecore._principal_pfaffians(k.T[liecore._UPPER], liecore._FULL_PATTERN)
+    return liecore._principal_pfaffians(k.T[liecore._UPPER], tuple(range(21)))
 
 
 def test_principal_pfaffians_norm_is_product_of_paired_singular_values():
@@ -271,84 +271,87 @@ def _sent_to_svd(monkeypatch):
     return sent
 
 
+def _form_algebra(*forms):
+    """A seven-dimensional bracket (not a Lie algebra) whose Kirillov form at
+    the basis functional e_(n+1) is forms[n], exactly: the e_(n+1)
+    coefficient of [e_i, e_j] is forms[n][i, j]."""
+    brackets = {
+        (i, j): {n: k[i, j] for n, k in enumerate(forms)}
+        for i in range(DIM)
+        for j in range(i + 1, DIM)
+    }
+    return LieAlgebra7("forms", (), brackets)
+
+
 def test_pairing_rank_certifies_most_generic_forms(monkeypatch):
-    """Generic G13 forms are certified without SVD; those that are not go
-    to numeric_rank, and the ranks agree row by row."""
+    """kirillov_rank certifies generic G13 functionals without SVD; those it
+    does not go to numeric_rank, and the ranks agree row by row."""
     algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
-    k = algebra.kirillov(rng.sample_functionals(0, 5000, "pairing-certified"))
-    expected = numeric_rank(k)
+    f = rng.sample_functionals(0, 5000, "pairing-certified")
+    expected = numeric_rank(algebra.kirillov(f))
     sent = _sent_to_svd(monkeypatch)
-    np.testing.assert_array_equal(pairing_rank(k), expected)
-    assert sum(sent) < 0.05 * len(k)
+    np.testing.assert_array_equal(kirillov_rank(algebra, f), expected)
+    assert sum(sent) < 0.05 * len(f)
 
 
 def test_pairing_rank_below_floor_sends_every_form_to_svd(monkeypatch):
-    """At tol = 1e-15, below the floor, every form goes to numeric_rank."""
+    """At tol = 1e-15, below the floor, every functional goes to numeric_rank."""
     assert PAIRING_TOL_FLOOR > 1e-15
     algebra = catalog.build("G8", verify.REPRESENTATIVE_PARAMS["G8"])
-    k = algebra.kirillov(rng.sample_functionals(0, 2000, "pairing-floor"))
-    expected = numeric_rank(k, 1e-15)
+    f = rng.sample_functionals(0, 2000, "pairing-floor")
+    expected = numeric_rank(algebra.kirillov(f), 1e-15)
     sent = _sent_to_svd(monkeypatch)
-    np.testing.assert_array_equal(pairing_rank(k, 1e-15), expected)
-    assert sent == [len(k)]
+    np.testing.assert_array_equal(kirillov_rank(algebra, f, 1e-15), expected)
+    assert sent == [len(f)]
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_pairing_rank_equals_numeric_rank_on_scaled_forms(scale, monkeypatch):
-    """Forms scaled by 1e+-150 get their SVD ranks, and are certified as
-    often as unscaled ones: the Pfaffians of the form divided by its
-    largest entry neither overflow nor underflow."""
+    """Functionals scaled by 1e+-150 get the SVD ranks of their forms, and
+    are certified as often as unscaled ones: the Pfaffians of the form
+    divided by its largest entry neither overflow nor underflow."""
     for family in catalog.FAMILIES:
         algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
         f = rng.sample_functionals(0, 300, "pairing-scaled", family)
         f[:100, [3, 4]] = 0.0
-        k = algebra.kirillov(f)
-        expected = numeric_rank(k * scale)
+        expected = numeric_rank(algebra.kirillov(f * scale))
         with monkeypatch.context() as patch:
             sent = _sent_to_svd(patch)
-            np.testing.assert_array_equal(pairing_rank(k * scale), expected, err_msg=family)
-            pairing_rank(k)
+            np.testing.assert_array_equal(
+                kirillov_rank(algebra, f * scale), expected, err_msg=family
+            )
+            kirillov_rank(algebra, f)
         assert sent[0] == sent[1], family
 
 
 def test_pairing_rank_non_finite_forms_behave_as_numeric_rank():
-    """A NaN form makes the SVD fail as it does in numeric_rank; an
-    infinite form gets numeric_rank's rank."""
+    """A NaN or an infinite functional makes the SVD fail as it does in
+    numeric_rank of its Kirillov form (inf times a zero operand entry is
+    NaN there)."""
     algebra = catalog.build("G4", verify.REPRESENTATIVE_PARAMS["G4"])
-    k = algebra.kirillov(rng.sample_functionals(0, 20, "pairing-nan"))
-    k[3] = np.nan
-    with pytest.raises(np.linalg.LinAlgError):
-        numeric_rank(k)
-    with pytest.raises(np.linalg.LinAlgError):
-        pairing_rank(k)
-    k[3] = 0.0
-    k[3, 0, 1], k[3, 1, 0] = np.inf, -np.inf
-    np.testing.assert_array_equal(pairing_rank(k), numeric_rank(k))
-
-
-def test_pairing_rank_sends_non_antisymmetric_matrices_to_svd():
-    """The certificate holds only for antisymmetric forms; a nonzero
-    diagonal entry or a broken mirror entry keeps the SVD's answer."""
-    k = _antisymmetric([2.0, 1.0, 0.5], seed=1)
-    diagonal, mirror = k.copy(), k.copy()
-    diagonal[6, 6] = 1.0
-    mirror[0, 1] += 1e-3
-    stack = np.stack([k, diagonal, mirror, np.random.default_rng(2).normal(size=(DIM, DIM))])
-    np.testing.assert_array_equal(pairing_rank(stack), numeric_rank(stack))
-    assert pairing_rank(diagonal) == 7
+    f = rng.sample_functionals(0, 20, "pairing-nan")
+    for bad in (np.nan, np.inf):
+        f[3, 4] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                numeric_rank(algebra.kirillov(f))
+            with pytest.raises(np.linalg.LinAlgError):
+                kirillov_rank(algebra, f)
 
 
 def test_pairing_rank_shapes():
-    """One form gives an int, stacks keep their leading axes, and anything
-    but 7x7 is refused."""
+    """One functional gives an int, stacks keep their leading axes, and
+    anything but length-7 functionals is refused."""
     k = _antisymmetric([2.0, 1.0, 0.5], seed=3)
-    assert pairing_rank(k) == 6 and isinstance(pairing_rank(k), int)
-    assert pairing_rank(np.zeros((DIM, DIM))) == 0
-    stack = np.stack([k, np.zeros((DIM, DIM)), _antisymmetric([1.0, 1.0, 0.0], seed=4)])
-    np.testing.assert_array_equal(pairing_rank(stack.reshape(1, 3, DIM, DIM)), [[6, 0, 4]])
-    assert pairing_rank(np.zeros((0, DIM, DIM))).shape == (0,)
+    algebra = _form_algebra(k, np.zeros((DIM, DIM)), _antisymmetric([1.0, 1.0, 0.0], seed=4))
+    basis = np.eye(DIM)
+    single = kirillov_rank(algebra, basis[0])
+    assert single == 6 and isinstance(single, int)
+    assert kirillov_rank(algebra, basis[1]) == 0
+    np.testing.assert_array_equal(kirillov_rank(algebra, basis[:3].reshape(1, 3, DIM)), [[6, 0, 4]])
+    assert kirillov_rank(algebra, np.zeros((0, DIM))).shape == (0,)
     with pytest.raises(ValueError):
-        pairing_rank(np.zeros((6, 6)))
+        kirillov_rank(algebra, np.zeros((3, 6)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -359,12 +362,15 @@ def test_pairing_rank_shapes():
     st.floats(min_value=1e-100, max_value=1e100),
 )
 def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, middle, scale):
-    """Q blockdiag(s1 J, s3 J, s5 J, 0) Q^T with s5 / s1 from 1e-10 to
-    1e-8, around tol = 1e-9: certified or not, the rank is the SVD's."""
+    """The Kirillov form Q blockdiag(s1 J, s3 J, s5 J, 0) Q^T at e1, with
+    s5 / s1 from 1e-10 to 1e-8, around tol = 1e-9: certified or not, the
+    rank is the SVD's."""
     sigmas = scale * np.array([1.0, max(middle, 10.0**log_gap), 10.0**log_gap])
     k = _antisymmetric(sigmas, seed)
-    assert pairing_rank(k) == numeric_rank(k)
-    assert pairing_rank(k, 1e-12) == numeric_rank(k, 1e-12)
+    algebra, e1 = _form_algebra(k), np.eye(DIM)[0]
+    np.testing.assert_array_equal(algebra.kirillov(e1), k)
+    assert kirillov_rank(algebra, e1) == numeric_rank(k)
+    assert kirillov_rank(algebra, e1, 1e-12) == numeric_rank(k, 1e-12)
 
 
 def test_kirillov_rank_certifies_catalog_functionals_without_kirillov(monkeypatch):

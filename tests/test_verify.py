@@ -1,6 +1,7 @@
 """The campaign tally's worst-sample rule, which checks of a fixed-seed
 suite record no worst sample, how the foliation checks decided their
-points, the leaf-map campaign lists, and the Jacobi certificate."""
+points, the leaf-map campaign lists, which checks each family's record
+supports, and the Jacobi certificate."""
 from __future__ import annotations
 
 import math
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korbit import catalog, rng, verify
-from korbit.liecore import verify_jacobi
+from korbit import catalog, coadjoint, foliation, rng, topology, verify
+from korbit.catalog import ClosedForm
+from korbit.liecore import UnsupportedFamilyError, verify_jacobi
 from korbit.verify import _Tally
 
 POINTS = np.arange(21.0).reshape(3, 7)
@@ -146,6 +148,98 @@ def test_leaf_map_views_keep_their_order():
     assert verify.CONSTANCY_FAMILIES == (
         "G4", "G12", "G13", "G1", "G7", "G8", "G11", "G14", "G15", "G16",
     )
+
+
+#: Every campaign whose guard reads the family's record, at a small volume,
+#: with the closed form the guard asks for.
+GUARDED = {
+    "golden_pairing": (
+        ClosedForm.PAIRING, lambda family, params: verify.golden_pairing_result(family, (params,))
+    ),
+    "rank_agreement": (
+        ClosedForm.PREDICATE,
+        lambda family, params: verify.rank_agreement_result(
+            family, (params,), samples=40, probes_per_pattern=4
+        ),
+    ),
+    "golden_exponential": (
+        ClosedForm.EXPONENTIAL,
+        lambda family, params: verify.golden_exponential_result(family, (params,), samples=4),
+    ),
+    "invariant_constancy": (
+        ClosedForm.INVARIANT,
+        lambda family, params: verify.invariant_constancy_result(family, params, 8, 8),
+    ),
+    "orbit_constancy": (
+        ClosedForm.INVARIANT,
+        lambda family, params: verify.orbit_constancy_result(family, params, 8),
+    ),
+    "distribution_span": (
+        ClosedForm.FIELDS, lambda family, params: verify.distribution_result(family, params, 20)
+    ),
+    "involutivity": (
+        ClosedForm.FIELDS, lambda family, params: verify.involutivity_result(family, params, 20)
+    ),
+    "flow_equivalence": (
+        ClosedForm.FLOWS,
+        lambda family, params: verify.flow_result(family, params, starts=4, steps=16),
+    ),
+}
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_availability_is_pinned_to_the_record(family):
+    """Each guarded check is unsupported, quoting the form's text, exactly
+    when the family's record lacks the form, and each closed-form function
+    raises UnsupportedFamilyError exactly then."""
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    for name, (form, campaign) in GUARDED.items():
+        result = campaign(family, params)
+        assert result.name == name
+        assert result.skipped == (not catalog.has(family, form)), (name, result)
+        if result.skipped:
+            assert result.details == (
+                f"unsupported: no closed-form {form.value} is cataloged for this family"
+            )
+    v = np.array([[1.0, 0.5, -0.7, 0.9, 1.1, 0.2, 0.3]])
+    functions = {
+        ClosedForm.PREDICATE: (
+            lambda: coadjoint.rank_condition(family, v),
+            lambda: coadjoint.condition_margin(family, v),
+        ),
+        ClosedForm.FIELDS: (lambda: foliation.system_fields(family, params),),
+        ClosedForm.INVARIANT: (lambda: foliation.invariant(family, params, v),),
+        ClosedForm.FLOWS: (lambda: foliation.flow_closed(family, params, 2, 0.5, v),),
+    }
+    for form, calls in functions.items():
+        for call in calls:
+            if catalog.has(family, form):
+                call()
+            else:
+                with pytest.raises(UnsupportedFamilyError, match=form.value):
+                    call()
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_an_unknown_family_raises_instead_of_skipping(name):
+    with pytest.raises(UnsupportedFamilyError, match="G99"):
+        GUARDED[name][1]("G99", ())
+
+
+def test_leaf_campaigns_follow_the_map_record():
+    """A leaf campaign is unsupported exactly when the map's record names
+    another check, and an unknown map name raises."""
+    for name in topology.LEAF_MAP_NAMES:
+        check = topology.leaf_map(name).check
+        residual = verify.leaf_residual_result(name, samples=20)
+        constancy = verify.leaf_constancy_result(name, functionals=4, group_samples=4)
+        assert residual.skipped == (check != "residual"), name
+        assert constancy.skipped == (check != "constancy"), name
+    for campaign in (
+        verify.leaf_residual_result, verify.leaf_constancy_result, verify.leaf_roundtrip_result
+    ):
+        with pytest.raises(ValueError, match="h99"):
+            campaign("h99")
 
 
 def test_orbit_boundary_reports_the_functional_of_its_largest_invariant():
