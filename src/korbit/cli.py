@@ -24,7 +24,7 @@ import numpy as np
 from . import catalog, coadjoint, foliation, topology, verify
 from .liecore import DomainError, ParameterError, UnsupportedFamilyError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _NILRADICAL = "g5,2"
 
@@ -215,6 +215,7 @@ def _run_report(
         "checks": [
             {
                 "name": r.name,
+                "status": r.status,
                 "passed": r.passed,
                 "graded": r.graded,
                 "max_residual": _finite_or_none(float(r.max_residual)),
@@ -237,10 +238,7 @@ def _human_report(report: dict[str, Any], results: Sequence[verify.CheckResult])
         f"samples={report['samples']} =="
     ]
     for r in results:
-        if r.skipped:
-            verdict = "SKIP"
-        else:
-            verdict = "PASS" if r.passed else ("FIND" if r.graded else "FAIL")
+        verdict = r.status.upper()[:4]  # PASS, FAIL, FIND or SKIP
         residual = float(r.max_residual)
         shown = _format_float(residual) if math.isfinite(residual) else str(residual)
         line = (

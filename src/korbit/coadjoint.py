@@ -40,12 +40,23 @@ def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> n
 
 
 def coadjoint_act(algebra: LieAlgebra7, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Image of the functional f under the group element exp(u).
-
-    Broadcasts over leading axes of ``u`` and ``f``.
-    """
+    """Images of every functional in f under every group element exp(u), in
+    shape ``u.shape[:-1] + f.shape[:-1] + (7,)``: one matrix product per
+    element, with the functionals as rows.  Raises DomainError naming the
+    first element of u whose exponential overflows."""
     f = np.asarray(f, dtype=float)
-    return np.einsum("...ij,...i->...j", exp_matrix(algebra.ad(u)), f)
+    elements = np.asarray(u, dtype=float).reshape(-1, 7)
+    try:
+        actions = exp_matrix(algebra.ad(elements))
+    except DomainError:
+        for element in elements:
+            try:
+                exp_matrix(algebra.ad(element))
+            except DomainError as err:
+                raise DomainError(f"{err} for algebra element {element.tolist()}") from None
+        raise
+    images = np.matmul(f.reshape(-1, 7), actions)
+    return images.reshape(np.shape(u)[:-1] + f.shape[:-1] + (7,))
 
 
 def jacobian_check(algebra: LieAlgebra7, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,6 +157,7 @@ def sample_orbit(
     """Draw n points of the orbit through f from exponentials of uniform
     algebra elements with coordinates in [-radius, radius].
 
+    The points are coadjoint_act's images of f under those elements.
     Raises DomainError naming the offending element if the action
     overflows, which large parameters can provoke.
     """
@@ -154,7 +166,7 @@ def sample_orbit(
         raise ValueError("sample_orbit expects a single functional")
     u = orbit_elements(algebra, n, seed, radius)
     with np.errstate(over="ignore", invalid="ignore"):
-        points = np.einsum("...ij,...i->...j", _safe_exp(algebra, u), f)
+        points = coadjoint_act(algebra, u, f)
     bad = ~np.all(np.isfinite(points), axis=-1)
     if np.any(bad):
         culprit = u[np.argmax(bad)]
@@ -172,20 +184,3 @@ def orbit_elements(
     the order of its points."""
     gen = rng.generator(seed, "orbit", algebra.family, *algebra.params)
     return gen.uniform(-radius, radius, size=(n, 7))
-
-
-def _safe_exp(algebra: LieAlgebra7, u: np.ndarray) -> np.ndarray:
-    """exp of adjoint representatives that reports overflow via the caller."""
-    try:
-        return exp_matrix(algebra.ad(u))
-    except DomainError:
-        mats = algebra.ad(u)
-        out = np.empty_like(mats)
-        for idx in np.ndindex(mats.shape[:-2]):
-            try:
-                out[idx] = exp_matrix(mats[idx])
-            except DomainError:
-                raise DomainError(
-                    f"orbit point overflowed for algebra element {u[idx].tolist()}"
-                ) from None
-        return out

@@ -93,6 +93,13 @@ class CheckResult:
         nothing and its details say so.  It still reports passed=True."""
         return self.n_evaluated == 0 and self.details.startswith("unsupported")
 
+    @property
+    def status(self) -> str:
+        """Report status: "skip" when skipped, else "pass", "finding" or "fail"."""
+        if self.skipped:
+            return "skip"
+        return "pass" if self.passed else ("finding" if self.graded else "fail")
+
 
 def _unsupported(name: str, what: str) -> CheckResult:
     """The result of a check whose closed form the family's record, or the
@@ -688,13 +695,13 @@ def same_branch(f: np.ndarray, u: np.ndarray, locus: tuple[str, int]) -> np.ndar
     """Whether the coadjoint image of f under exp(u) stays in the branch bin
     of f for an angle-valued invariant with branch ``locus`` (see
     catalog.FamilyRecord.locus).  The phase shift is exactly the
-    ``locus`` coordinate of u.  Broadcasts over leading axes of ``f`` and
-    ``u``.
+    ``locus`` coordinate of u.  Like coadjoint.coadjoint_act, pairs every
+    element of ``u`` with every functional of ``f``.
     """
     kind, axis = locus
     edge = math.pi / 2 if kind == "a" else 0.0
     phase = np.arctan2(f[..., 3], f[..., 4])
-    shifted = phase + u[..., axis]
+    shifted = np.add.outer(u[..., axis], phase)
     return np.floor((phase - edge) / math.pi) == np.floor((shifted - edge) / math.pi)
 
 
@@ -707,7 +714,7 @@ def _constancy_campaign(
     extra: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> _Tally:
     """Tally of the relative deviation of ``value`` between functionals
-    ``f`` and their coadjoint images under every element of ``u``.
+    ``f`` and their images under every element of ``u``: coadjoint_act's grid.
 
     Pairs are dropped when the image misses the manifold margin, fails
     ``extra``, crosses the branch ``locus``, or evaluates non-finite.
@@ -715,18 +722,18 @@ def _constancy_campaign(
     tally = _Tally()
     if f.size == 0:
         return tally
-    images = coadjoint.coadjoint_act(algebra, u[:, None, :], f[None, :, :])
+    images = coadjoint.coadjoint_act(algebra, u, f)
     keep = topology.boundary_margin(topology.manifold_of(algebra.family), images) > MARGIN
     if extra is not None:
         keep &= extra(images)
     if locus is not None:
-        keep &= same_branch(f[None, :, :], u[:, None, :], locus)
+        keep &= same_branch(f, u, locus)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         base = value(f)
         moved = np.full(keep.shape, np.nan)
         if np.any(keep):
             moved[keep] = value(images[keep])
-    spread = np.broadcast_to(base[None, :], keep.shape)
+    spread = np.broadcast_to(base, keep.shape)
     ok = keep & np.isfinite(moved) & np.isfinite(spread)
     residual = np.zeros(keep.shape)
     residual[ok] = np.abs(moved[ok] - spread[ok]) / (1.0 + np.abs(spread[ok]))

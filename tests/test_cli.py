@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, and reproducibility."""
 from __future__ import annotations
 
+import collections
 import json
 
 import numpy as np
@@ -53,17 +54,18 @@ def test_verify_single_family_report_schema(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["family"] == "G4"
     assert report["params"] == [0.0, 2.0]
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names))
     for check in report["checks"]:
         assert set(check) >= {
-            "name", "passed", "graded", "max_residual",
+            "name", "status", "passed", "graded", "max_residual",
             "tolerance", "n_evaluated",
         }
     assert all(c["passed"] for c in report["checks"])
+    assert {c["status"] for c in report["checks"]} <= {"pass", "skip"}
 
 
 def test_verify_reports_are_reproducible(capsys):
@@ -84,6 +86,7 @@ def test_verify_family_without_invariant_degrades(capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     degraded = by_name["invariant_constancy"]
     assert degraded["passed"] and degraded["n_evaluated"] == 0
+    assert degraded["status"] == "skip"
     assert "unsupported" in degraded["details"]
 
 
@@ -96,6 +99,7 @@ def test_verify_graded_finding_does_not_fail_the_run(capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     finding = by_name["leaf_constancy_h11"]
     assert finding["graded"] and not finding["passed"]
+    assert finding["status"] == "finding"
 
 
 def test_verify_reports_a_nan_residual_as_a_failure(capsys, monkeypatch):
@@ -121,6 +125,7 @@ def test_verify_reports_a_nan_residual_as_a_failure(capsys, monkeypatch):
     by_name = {c["name"]: c for c in json.loads(out)["checks"]}
     planted = by_name.pop("measure_invariance")
     assert planted["max_residual"] is None and not planted["passed"]
+    assert planted["status"] == "fail"
     assert planted["worst_sample"] is not None
     assert all(isinstance(c["max_residual"], (int, float)) for c in by_name.values())
 
@@ -271,13 +276,13 @@ def test_human_verify_output_has_one_line_per_check(capsys):
 
 def test_human_verify_prints_unsupported_checks_as_skips(capsys):
     """An unsupported check prints SKIP and leaves the passed count; the
-    JSON report still marks it passed with nothing evaluated."""
+    JSON report gives it status skip, and passed with nothing evaluated."""
     code, out, _ = _run(["verify", "--family", "G2", "--json", *VERIFY_FAST], capsys)
     assert code == 0
     checks = json.loads(out)["checks"]
     unsupported = [c["name"] for c in checks if c["details"].startswith("unsupported")]
     assert unsupported and all(
-        c["passed"] and c["n_evaluated"] == 0
+        c["passed"] and c["n_evaluated"] == 0 and c["status"] == "skip"
         for c in checks
         if c["name"] in unsupported
     )
@@ -287,3 +292,18 @@ def test_human_verify_prints_unsupported_checks_as_skips(capsys):
     assert [line.split()[1] for line in lines if line.startswith("SKIP")] == unsupported
     summary = f"{len(checks) - len(unsupported)}/{len(checks) - len(unsupported)} checks passed"
     assert lines[-1].startswith(f"{summary}, {len(unsupported)} skipped in ")
+
+
+def test_verify_all_report_statuses(capsys):
+    """Seed 0 over all sixteen families: the 52 unsupported checks are the
+    skips, leaf_constancy_h11 is the one finding, and every other check
+    passes."""
+    code, out, _ = _run(["verify", "--family", "all", "--seed", "0", "--json"], capsys)
+    assert code == 0
+    checks = [c for run in json.loads(out) for c in run["checks"]]
+    status = collections.Counter(c["status"] for c in checks)
+    assert status == {"pass": len(checks) - 53, "skip": 52, "finding": 1}
+    assert all(
+        (c["status"] == "skip") == c["details"].startswith("unsupported") for c in checks
+    )
+    assert [c["name"] for c in checks if c["status"] == "finding"] == ["leaf_constancy_h11"]

@@ -307,3 +307,56 @@ def test_empty_batches_give_empty_results():
     det, exp_trace = coadjoint.jacobian_check(algebra, np.zeros((0, 7)))
     assert det.shape == exp_trace.shape == (0,)
     assert np.shape(coadjoint.orbit_dimension(algebra, np.zeros((0, 7)))) == (0,)
+
+
+GRID_SHAPES = {
+    "one-by-one": ((7,), (7,), (7,)),
+    "one-by-batch": ((7,), (5, 7), (5, 7)),
+    "batch-by-one": ((6, 7), (7,), (6, 7)),
+    "batch-by-batch": ((6, 7), (5, 7), (6, 5, 7)),
+    "stack-by-batch": ((2, 3, 7), (4, 7), (2, 3, 4, 7)),
+    "empty-u": ((0, 7), (5, 7), (0, 5, 7)),
+    "empty-f": ((6, 7), (0, 7), (6, 0, 7)),
+}
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+@pytest.mark.parametrize(
+    "u_shape, f_shape, image_shape", GRID_SHAPES.values(), ids=GRID_SHAPES.keys()
+)
+def test_coadjoint_act_images_every_functional_under_every_element(
+    family, u_shape, f_shape, image_shape
+):
+    """coadjoint_act returns the (group element x functional) grid of
+    images, equal to an einsum over the action matrices to rounding."""
+    algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+    u = rng.sample_coordinates(0, math.prod(u_shape[:-1]), "grid-u", family).reshape(u_shape)
+    f = rng.sample_functionals(0, math.prod(f_shape[:-1]), "grid-f", family).reshape(f_shape)
+    images = coadjoint.coadjoint_act(algebra, u, f)
+    assert images.shape == image_shape
+    actions = liecore.exp_matrix(algebra.ad(u)).reshape(-1, 7, 7)
+    expected = np.einsum("gij,fi->gfj", actions, f.reshape(-1, 7)).reshape(image_shape)
+    if expected.size:
+        assert np.abs(images - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def test_sample_orbit_names_the_first_element_whose_exponential_overflows():
+    """At a huge parameter the action overflows; the error names the first
+    orbit element whose own exponential overflows."""
+    algebra = catalog.build("G12", (1e300,))
+    f = np.array([0.4, -0.3, 1.1, 0.8, -0.9, 0.0, 0.0])
+    with pytest.raises(DomainError) as exc:
+        coadjoint.sample_orbit(algebra, f, 50, seed=9)
+    named = [float(x) for x in re.search(r"\[(.*)\]", str(exc.value))[1].split(",")]
+
+    def overflows(element: np.ndarray) -> bool:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                liecore.exp_matrix(algebra.ad(element))
+        except DomainError:
+            return True
+        return False
+
+    elements = coadjoint.orbit_elements(algebra, 50, seed=9)
+    first = next(k for k, element in enumerate(elements) if overflows(element))
+    assert named == elements[first].tolist()

@@ -242,6 +242,16 @@ def test_leaf_campaigns_follow_the_map_record():
             campaign("h99")
 
 
+@pytest.mark.parametrize("family, invariant, orbit", [("G13", 7441, 99), ("G16", 7397, 187)])
+def test_branch_locus_constancy_counts_are_pinned(family, invariant, orbit):
+    """The seed-0 sample counts of the two constancy campaigns on the
+    branch-locus families.  The branch filter pairs each group element
+    with each functional; pairing them any other way keeps other pairs."""
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    assert verify.invariant_constancy_result(family, params, seed=0).n_evaluated == invariant
+    assert verify.orbit_constancy_result(family, params, seed=0).n_evaluated == orbit
+
+
 def test_orbit_boundary_reports_the_functional_of_its_largest_invariant():
     """The worst sample is the functional whose invariant magnitude is the
     residual, not the boundary functional where it is never evaluated."""
