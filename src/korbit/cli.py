@@ -312,8 +312,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     algebra = catalog.build(family, params)
     f = np.asarray(args.functional, dtype=float)
     points = coadjoint.sample_orbit(algebra, f, args.n, args.seed)
-    kind = coadjoint.orbit_type(algebra, f)
     dimension = int(coadjoint.orbit_dimension(algebra, f))
+    kind = coadjoint.orbit_type(algebra, f, dimension=dimension)
 
     invariant_value: float | None = None
     deviation: float | None = None

@@ -130,17 +130,23 @@ class OrbitType(enum.Enum):
     LOWER_DIMENSIONAL = "LowerDimensional"
 
 
-def orbit_type(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> OrbitType:
+def orbit_type(
+    algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9, *, dimension: int | None = None
+) -> OrbitType:
     """Classify the orbit through a single functional f.
 
     Six-dimensional orbits through the foliated manifold are generic;
     six-dimensional orbits outside it are maximal without being generic;
-    everything else is lower dimensional.
+    everything else is lower dimensional.  A caller that already holds
+    orbit_dimension(algebra, f, tol) passes it as dimension, and it is not
+    computed again.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise ValueError("orbit_type classifies one functional at a time")
-    if orbit_dimension(algebra, f, tol) < 6:
+    if dimension is None:
+        dimension = orbit_dimension(algebra, f, tol)
+    if dimension < 6:
         return OrbitType.LOWER_DIMENSIONAL
     if topology.contains(topology.manifold_of(algebra.family), f):
         return OrbitType.GENERIC

@@ -260,6 +260,29 @@ def test_orbit_boundary_functional_is_lower_type(capsys):
     assert payload["orbit_dimension"] == 6
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["G13", "1", "1", "1", "1", "1", "0", "0", "--l", "1/2"], "Generic"),
+        (["G4", "1", "1", "1", "0", "1", "0", "0", "--l1", "0", "--l2", "2"], "Type1MaxNonGeneric"),
+        (["G3", "0", "0", "0", "0", "0", "0", "1"], "LowerDimensional"),
+    ],
+)
+def test_orbit_computes_the_orbit_dimension_once(argv, kind, capsys, monkeypatch):
+    calls = []
+    inner = coadjoint.orbit_dimension
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(coadjoint, "orbit_dimension", counting)
+    code, out, _ = _run(["orbit", *argv, "--n", "50"], capsys)
+    assert code == 0
+    assert json.loads(out)["orbit_type"] == kind
+    assert len(calls) == 1
+
+
 def test_orbit_on_family_without_invariant_reports_null(capsys):
     code, out, _ = _run(["orbit", "G3", "1", "1", "1", "1", "1", "0", "0"], capsys)
     assert code == 0

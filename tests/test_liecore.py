@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +183,98 @@ def test_exp_matrix_inverse_is_exp_of_negative(a):
     forward, backward = exp_matrix(a), exp_matrix(-a)
     scale = np.abs(forward).sum(axis=-1).max() * np.abs(backward).sum(axis=-1).max()
     assert np.abs(forward @ backward - np.eye(DIM)).max() <= INVERSE_RTOL * scale
+
+
+EXP_STACK_SIZES = [1, 511, 512, 513, 1000, 1537, 3072, 10_000]
+
+
+def _on_cores(monkeypatch, cores):
+    """Make exp_matrix see `cores` cores, whatever the machine has."""
+    monkeypatch.setattr(liecore.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.mark.parametrize("n", EXP_STACK_SIZES)
+def test_exp_matrix_is_the_same_on_one_two_and_three_spans(n, monkeypatch):
+    """Splitting the chunks over 2 or 3 spans changes no bit of the
+    exponentials, on every family's ad stack and on Gaussian stacks."""
+    gen = np.random.default_rng(n)
+    stacks = [_ad_stack(family, n, seed=n) for family in catalog.FAMILIES]
+    stacks += [gen.normal(0.0, scale, (n, DIM, DIM)) for scale in (0.1, 1.0, 3.0)]
+    _on_cores(monkeypatch, 1)
+    reference = [exp_matrix(stack) for stack in stacks]
+    for cores in (2, 3):
+        _on_cores(monkeypatch, cores)
+        for stack, expected in zip(stacks, reference):
+            assert np.array_equal(exp_matrix(stack), expected), (cores, n)
+
+
+@pytest.mark.parametrize(
+    "n, cores, spans",
+    [
+        (1, 3, [(0, 1)]),
+        (512, 2, [(0, 512)]),
+        (1536, 3, [(0, 1536)]),
+        (1537, 3, [(0, 1024), (1024, 1537)]),
+        (3072, 3, [(0, 1024), (1024, 2048), (2048, 3072)]),
+        (10_000, 3, [(0, 3072), (3072, 6656), (6656, 10_000)]),
+    ],
+)
+def test_exp_matrix_splits_whole_chunks_into_one_span_per_core(n, cores, spans, monkeypatch):
+    """Spans of at least two whole chunks, one per core: the calling
+    thread takes the first and one thread each the others; a stack of up
+    to three chunks starts no thread, and every thread has finished when
+    the call returns."""
+    seen = []
+    inner = liecore._exp_chunks
+
+    def recording(mats, result, squarings, lo, hi, work):
+        seen.append((lo, hi, threading.get_ident()))
+        inner(mats, result, squarings, lo, hi, work)
+
+    monkeypatch.setattr(liecore, "_exp_chunks", recording)
+    _on_cores(monkeypatch, cores)
+    before = threading.active_count()
+    exp_matrix(np.zeros((n, DIM, DIM)))
+    assert threading.active_count() == before
+    assert sorted((lo, hi) for lo, hi, _ in seen) == spans
+    callers = [ident for lo, _, ident in seen if lo == 0]
+    assert callers == [threading.get_ident()]
+    assert len({ident for _, _, ident in seen}) == len(spans)
+
+
+def test_exp_matrix_overflow_on_several_spans_keeps_the_callers_error_state(monkeypatch):
+    """Under the caller's errstate(over="ignore"), an overflow in any span
+    warns nowhere and ends in DomainError, as on one span."""
+    stack = np.broadcast_to(800 * np.eye(DIM), (2000, DIM, DIM))
+    for cores in (1, 2, 3):
+        _on_cores(monkeypatch, cores)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with np.errstate(over="ignore"), pytest.raises(DomainError):
+                exp_matrix(stack)
+        assert not caught, (cores, [str(w.message) for w in caught])
+
+
+class _Planted(Exception):
+    pass
+
+
+def test_exp_matrix_raises_what_a_span_thread_raised(monkeypatch):
+    """An exception in a thread's span reaches the caller, after every
+    thread has finished."""
+    inner = liecore._exp_chunks
+
+    def planted(mats, result, squarings, lo, hi, work):
+        if lo > 0:
+            raise _Planted(f"span from row {lo}")
+        inner(mats, result, squarings, lo, hi, work)
+
+    monkeypatch.setattr(liecore, "_exp_chunks", planted)
+    _on_cores(monkeypatch, 2)
+    before = threading.active_count()
+    with pytest.raises(_Planted, match="span from row 1024"):
+        exp_matrix(np.zeros((2048, DIM, DIM)))
+    assert threading.active_count() == before
 
 
 def test_phi1_known_value_and_small_argument_branch():
