@@ -12,18 +12,18 @@ and the scalar invariant that labels the leaves of each foliation.
 
 The two foliation checks decide most points without an SVD.  The Pfaffian
 vector p of the pairing matrix K (ker K = span p, from the certificate of
-liecore.kirillov_rank) and the vector n of the six field values' signed
-6x6 minors bound the singular-value ratios that numeric ranks compare with
-their tolerance, by Weyl's bound and interlacing (Golub & Van Loan,
-*Matrix Computations*, section 8.6): distribution_equiv certifies the three
-ranks from them, and involutivity_residual measures each bracket along n.
+liecore.kirillov_rank) and the normal n of the six field values, the 4-D
+cross product of the three non-translation fields on coordinates 2..5,
+bound the singular-value ratios that numeric ranks compare with their
+tolerance, by Weyl's bound and interlacing (Golub & Van Loan, *Matrix
+Computations*, section 8.6): distribution_decision certifies the three
+ranks from them, and involutivity_decision measures each bracket along n.
 Only the points the bounds cannot decide reach the SVD, so the verdicts
 equal the SVD verdicts point by point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from numbers import Real
 from typing import Sequence
 
@@ -293,74 +293,49 @@ def _foliated(family: str, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _minor_tables() -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
-    """Gather tables for the signed 6x6 minors of six rows in R^7.
-
-    Level k holds the (k+1)-row minors on every (k+1)-subset T of the
-    columns, expanded along row k: the sum over positions i of
-    (-1)^(k+i) S[k, T[i]] times the k-row minor on T without T[i].  An
-    entry indexes the signed row (+S[k], -S[k]), which folds the sign into
-    the gather, and the tables are term-major, as in liecore's Pfaffian
-    tables.  The last table puts the minor omitting column j at place j.
-    """
-    levels = []
-    previous = [(c,) for c in range(DIM)]
-    for k in range(1, DIM - 1):
-        subsets = list(combinations(range(DIM), k + 1))
-        place = {subset: n for n, subset in enumerate(previous)}
-        entry = [[s[i] + DIM * ((k + i) % 2) for s in subsets] for i in range(k + 1)]
-        minor = [[place[s[:i] + s[i + 1 :]] for s in subsets] for i in range(k + 1)]
-        levels.append((np.array(entry), np.array(minor)))
-        previous = subsets
-    omitted = [previous.index(tuple(c for c in range(DIM) if c != j)) for j in range(DIM)]
-    return tuple(levels), np.array(omitted)
-
-
-_MINOR_LEVELS, _OMITTED = _minor_tables()
-_ALTERNATING = np.array([(-1.0) ** j for j in range(DIM)])
-
 #: Index pairs (i, j), i < j, of the fifteen field brackets.
 _PAIRS = tuple((i, j) for i in range(DIM - 1) for j in range(i + 1, DIM - 1))
 
-
-#: Points per chunk in _normal.  Its largest gathers (140 and 105 rows)
-#: then stay near 140 kB; on a 2-core x86-64 machine 1,000 points took
-#: 1.1 ms in chunks of 128 and 3.1 ms in one chunk of 1,000, where every
-#: call faulted in fresh pages for its temporaries.
-_NORMAL_CHUNK = 128
+#: Values of fields one, five and six (rows 0, 4 and 5) of every system.
+_TRANSLATIONS = np.eye(DIM)[[0, 5, 6]]
 
 
 def _normal(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized cross product of six field values, with |S|_F^6.
+    """Normal vector of six field values, with |S|_F^6.
 
-    For a stack of 6x7 matrices S, each divided by its largest entry so
-    that nothing overflows, n_j = (-1)^j det(S without column j), the
-    expansion of det [S; x] = n . x along its last row.  n is normal to the
-    rows of S and |n| = s1 s2 ... s6 (Cauchy-Binet), so for every unit x
+    For a stack of 6x7 matrices S, each divided by its largest entry s so
+    that nothing overflows, n_j = (-1)^j det(S without column j), columns
+    counted from 0, the expansion of det [S; x] = n . x along its last row.
+    n is normal to the rows of S and |n| = s1 s2 ... s6 (Cauchy-Binet), so
+    for every unit x
 
         s6 / s1 >= |n . x| / s1^6 >= |n . x| / |S|_F^6,
 
-    which is scale-free.  The Laplace expansion sums at most 720 products
-    whose magnitudes add up to less than 1.6 |S|_F^6, so n is computed to
-    a few eps |S|_F^6.  A zero matrix gives NaN.
+    which is scale-free.  Rows one, five and six of S are the translations
+    e1, e6 and e7, here 1/s times unit rows; row operations with them clear
+    columns 0, 5 and 6 from the other rows, so det [S; x] = s^-3 det [T; x']
+    for the values T of fields two to four on coordinates 2..5 (columns 1
+    to 4) and x' = x[1:5].  n is therefore s^-3 times the 4-D cross product
+    of T's rows a, b, c, four 3x3 determinants, in columns 1 to 4.  Each is
+    a sum of 6 products of size at most |a||b||c|, and by AM-GM over the
+    six squared row norms of S, three of them 1/s^2,
+    s^-3 |a||b||c| <= (|S|_F^2 / 6)^3 = |S|_F^6 / 216, so n is computed to
+    a few eps |S|_F^6.  Where the three rows are not exactly e1, e6, e7
+    (no catalog system), n is set to 0, which no bound certifies.
     """
-    flat = span.reshape(-1, (DIM - 1) * DIM)
-    normal = np.empty((len(flat), DIM))
-    frob6 = np.empty(len(flat))
+    flat = span.reshape(-1, DIM - 1, DIM)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(flat), _NORMAL_CHUNK):
-            chunk = slice(start, start + _NORMAL_CHUNK)
-            t = flat[chunk].T.copy()
-            t *= 1.0 / np.abs(t).max(axis=0)
-            rows = t.reshape(DIM - 1, DIM, -1)
-            signed = np.concatenate([rows, -rows], axis=1)
-            minors = rows[0]
-            for k, (entry, minor) in enumerate(_MINOR_LEVELS, 1):
-                terms = signed[k][entry]
-                terms *= minors[minor]
-                minors = terms.sum(axis=0)
-            normal[chunk] = (minors[_OMITTED] * _ALTERNATING[:, None]).T
-            frob6[chunk] = np.einsum("ij,ij->j", t, t) ** 3
+        inverse = 1.0 / np.abs(flat).max(axis=(-2, -1))
+        t = flat * inverse[:, None, None]
+        normal = np.zeros((len(flat), DIM))
+        rows = t[:, 1:4, 1:5]
+        for j in range(1, 5):
+            minor = np.delete(rows, j - 1, axis=-1)
+            triple = np.einsum("ni,ni->n", minor[:, 0], np.cross(minor[:, 1], minor[:, 2]))
+            normal[:, j] = (-1) ** j * triple
+        normal *= (inverse**3)[:, None]
+        frob6 = np.einsum("nij,nij->n", t, t) ** 3
+    normal[~np.all(flat[:, [0, 4, 5]] == _TRANSLATIONS, axis=(-2, -1))] = 0.0
     return normal, frob6
 
 
@@ -398,7 +373,7 @@ def distribution_decision(
     rank six.  Where tol >= liecore.PAIRING_TOL_FLOOR, three bounds decide
     a point without an SVD, each with a factor-2 margin against tol.  They
     use the Pfaffian vector p of K, with unit vector p^ (ker K = span p),
-    and the vector n of S's signed 6x6 minors, det [S; x] = n . x:
+    and the normal n of S from _normal, det [S; x] = n . x:
 
     - rank K = 6, certified as liecore.kirillov_rank certifies it, from
       the algebra's structurally nonzero pairing entries of v, by
@@ -465,19 +440,20 @@ def involutivity_decision(
     params: tuple[Real, ...],
     v: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """involutivity_residual at each point of v, and whether the minors
+    """involutivity_residual at each point of v, and whether the normal
     vector, rather than an SVD, gave it.
 
     The fifteen pairwise brackets of the affine fields are computed exactly
     and stacked into one (15, 7, 7) / (15, 7) affine stack.  Where the six
     field values S have rank six, the component of a bracket value w
     orthogonal to their span is (n^ . w) n^, for the unit vector n^ along
-    the vector n of S's signed 6x6 minors (their generalized cross
-    product), so the residual is the largest |n^ . w|; the stack gives all
-    fifteen n . w in one matrix product.  That holds at every point whose n
-    certifies s6(S) / s1(S) > 2 liecore.PAIRING_TOL_FLOOR by the bound
-    |n| / |S|_F^6 (see distribution_decision).  Every other point keeps the
-    projection onto the six right singular vectors of S.
+    the normal n of S, the 4-D cross product of fields two to four on
+    coordinates 2..5 (see _normal), so the residual is the largest
+    |n^ . w|; the stack gives all fifteen n . w in one matrix product.
+    That holds at every point whose n certifies s6(S) / s1(S) >
+    2 liecore.PAIRING_TOL_FLOOR by the bound |n| / |S|_F^6 (see
+    distribution_decision).  Every other point keeps the projection onto
+    the six right singular vectors of S.
 
     Raises DomainError unless every point is finite and on the family's
     foliated manifold.  Batched over leading axes.

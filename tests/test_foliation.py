@@ -333,6 +333,50 @@ def _repeated_translation(fields):
     return fields[4]
 
 
+def _tilted_translation(fields):
+    """A translation along e6 + e2/2 in place of the sixth coordinate's.
+    Wherever e2 is tangent the six values span the same distribution as
+    before, but the row is not the unit row e6 that the closed-form normal
+    relies on."""
+    const = np.zeros(7)
+    const[[1, 5]] = 0.5, 1.0
+    return foliation.LinearVectorField(np.zeros((7, 7)), const)
+
+
+def _determinant_normal(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: n_j = (-1)^j det(S without column j), columns counted
+    from 0, by LU determinants of S scaled by its largest entry, and the
+    scaled S's |S|_F^6."""
+    scaled = span / np.abs(span).max(axis=(-2, -1), keepdims=True)
+    normal = np.stack(
+        [(-1) ** j * np.linalg.det(np.delete(scaled, j, axis=-1)) for j in range(7)], axis=-1
+    )
+    return normal, np.sum(scaled * scaled, axis=(-2, -1)) ** 3
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+@pytest.mark.parametrize(
+    ("slot", "plant"),
+    [(None, None), (3, _non_involutive), (5, _repeated_translation)],
+    ids=["catalog", "non-tangent", "five-dimensional"],
+)
+def test_normal_equals_the_determinant_expansion(slot, plant, scale):
+    """On generic, stratum, quadric and scaled points of all twelve
+    systems, and of two planted ones, the closed-form normal is the signed
+    6x6 determinant expansion to 1e-14 |S|_F^6, point by point."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        fields = list(foliation.system_fields(family, verify.REPRESENTATIVE_PARAMS[family]))
+        if plant is not None:
+            fields[slot] = plant(fields)
+        span = foliation.field_values(fields, _span_points(family) * scale)
+        normal, frob6 = foliation._normal(span)
+        reference, reference_frob6 = _determinant_normal(span)
+        assert np.all(np.isfinite(normal)) and np.all(np.isfinite(frob6)), family
+        np.testing.assert_allclose(frob6, reference_frob6, rtol=1e-14, atol=0, err_msg=family)
+        error = np.abs(normal - reference).max(axis=-1)
+        assert np.all(error <= 1e-14 * reference_frob6), family
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-13])
 def test_distribution_decision_equals_three_svd_ranks(tol):
     """On generic, stratum, quadric and scaled points of all twelve
@@ -425,8 +469,11 @@ def test_distribution_equiv_shapes():
     empty = foliation.distribution_equiv(algebra, np.zeros((0, 7)))
     assert empty.shape == (0,) and empty.dtype == bool
     assert foliation.distribution_equiv(algebra, v.reshape(3, 4, 7)).shape == (3, 4)
-    residual = foliation.involutivity_residual("G13", verify.REPRESENTATIVE_PARAMS["G13"], v[0])
-    assert residual.shape == ()
+    params = verify.REPRESENTATIVE_PARAMS["G13"]
+    assert foliation.involutivity_residual("G13", params, v[0]).shape == ()
+    empty = foliation.involutivity_residual("G13", params, np.zeros((0, 7)))
+    assert empty.shape == (0,)
+    assert foliation.involutivity_residual("G13", params, v.reshape(3, 4, 7)).shape == (3, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -488,6 +535,26 @@ def test_rank_deficient_system_keeps_the_svd_projection(monkeypatch):
         residual, certified = foliation.involutivity_decision(family, params, v)
         assert not certified.any(), family
         np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
+
+
+def test_tilted_translation_goes_to_the_svd(monkeypatch):
+    """A translation that is not a unit row gives no closed-form normal, so
+    neither check certifies a point: the span verdicts are the three-SVD
+    verdicts, some of them true, and the residuals the SVD projection's."""
+    _planted(monkeypatch, 4, _tilted_translation)
+    spanned = 0
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        algebra = catalog.build(family, params)
+        v = _span_points(family, count=40)
+        spans, certified = foliation.distribution_decision(algebra, v)
+        assert not certified.any(), family
+        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9), err_msg=family)
+        spanned += int(np.count_nonzero(spans))
+        residual, certified = foliation.involutivity_decision(family, params, v)
+        assert not certified.any(), family
+        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
+    assert spanned > 0
 
 
 @pytest.mark.parametrize(
