@@ -23,8 +23,8 @@ def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> n
     """Dimension of the coadjoint orbit through f (rank of the pairing).
 
     The rank of the Kirillov form comes from liecore.kirillov_rank, which
-    certifies rank six by the form's principal Pfaffians, computed from f
-    on the algebra's structurally nonzero pairing entries, and sends every
+    certifies rank six by the form's principal Pfaffians, in closed form
+    on the pairing entries that the g5,2 nilradical leaves, and sends every
     other functional to the SVD of numeric_rank(algebra.kirillov(f), tol),
     with the same result row by row.  Batched over leading axes of f; one
     functional gives an int.  Raises DomainError naming the first

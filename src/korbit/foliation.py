@@ -11,7 +11,8 @@ evaluates the closed-form flows printed for three representative families
 and the scalar invariant that labels the leaves of each foliation.
 
 The two foliation checks decide most points without an SVD.  The Pfaffian
-vector p of the pairing matrix K (ker K = span p, from the certificate of
+vector p of the pairing matrix K (ker K = span p, in the closed form that
+the g5,2 nilradical gives it in liecore._certify, the certificate of
 liecore.kirillov_rank) and the normal n of the six field values, the 4-D
 cross product of the three non-translation fields on coordinates 2..5,
 bound the singular-value ratios that numeric ranks compare with their
@@ -344,9 +345,9 @@ def _span_certificate(
 ) -> np.ndarray:
     """Points where closed-form bounds prove all three ranks of
     distribution_decision to be six at tol; see its docstring."""
-    if not tol >= PAIRING_TOL_FLOOR:
+    if not tol >= PAIRING_TOL_FLOOR or algebra.pairing_operand is None:
         return np.zeros(len(points), dtype=bool)
-    certified, p = _certify(algebra.pairing_operand @ points.T, algebra.pairing_support, tol)
+    certified, p = _certify(algebra.pairing_operand @ points.T, tol)
     normal, span_frob6 = _normal(span)
     # Uncertified forms and zero rows give NaN, which fails every comparison.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -376,8 +377,8 @@ def distribution_decision(
     and the normal n of S from _normal, det [S; x] = n . x:
 
     - rank K = 6, certified as liecore.kirillov_rank certifies it, from
-      the algebra's structurally nonzero pairing entries of v, by
-      2^(3/2) |p| / |K|_F^3 > 2 tol;
+      the closed form of p on the g5,2 pattern of the pairing entries of
+      v, by 2^(3/2) |p| / |K|_F^3 > 2 tol;
     - rank S = 6: s6(S) / s1(S) >= |det [S; p^]| / |S|_F^6 = |n . p^| /
       |S|_F^6 > 2 tol;
     - rank [S; K] <= 6: s7 <= |[S; K] p^| and s1 >= |[S; K]|_F / sqrt(7),
@@ -390,9 +391,10 @@ def distribution_decision(
     By Weyl's bound on perturbed singular values (Golub & Van Loan,
     *Matrix Computations*, section 8.6, for it and for interlacing), the
     SVD ranks of a certified point are then six, as in kirillov_rank.
-    Every other point, and every point below the floor, is ranked by the
-    SVDs of liecore.numeric_rank and by kirillov_rank, so the verdict
-    equals those three ranks point by point.
+    Every other point, every point below the floor, and every point of an
+    algebra without the g5,2 pattern (pairing_operand is None), is ranked
+    by the SVDs of liecore.numeric_rank and by kirillov_rank, so the
+    verdict equals those three ranks point by point.
 
     Raises DomainError unless every point is finite and on the family's
     foliated manifold.  Batched over leading axes.

@@ -12,7 +12,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -58,9 +58,9 @@ class LieAlgebra7:
     read-only 7x49 operands cached from ``tensor``, ``bracket`` against
     ``tensor`` viewed as 49x7.  ``ad`` and ``kirillov`` give the same
     floats as the einsum contractions they replaced, entry for entry, on
-    every family and default grid entry.  ``pairing_operand`` holds only
-    the Kirillov form's upper-triangle entries that are not identically
-    zero, from which kirillov_rank certifies orbit dimension six.
+    every family and default grid entry.  ``pairing_operand`` holds the
+    Kirillov form's entries that can be nonzero on the g5,2 nilradical
+    pattern, from which kirillov_rank certifies orbit dimension six.
     """
 
     family: str
@@ -88,19 +88,19 @@ class LieAlgebra7:
         return _frozen(self.tensor.reshape(DIM * DIM, DIM).T)
 
     @cached_property
-    def pairing_support(self) -> tuple[int, ...]:
-        """Positions in the row-major upper triangle (liecore._UPPER_PAIRS)
-        of the Kirillov form's entries that are not identically zero."""
-        upper = self.kirillov_operand[:, _UPPER]
-        return tuple(int(n) for n in np.flatnonzero(np.any(upper != 0, axis=0)))
+    def pairing_operand(self) -> np.ndarray | None:
+        """Read-only 13x7 matrix whose rows are the columns of
+        kirillov_operand at _PAIRING_ENTRIES, so that pairing_operand @ f
+        gives the entries of kirillov(f) that the rank certificate reads.
 
-    @cached_property
-    def pairing_operand(self) -> np.ndarray:
-        """Read-only m x 7 matrix whose rows are the columns of
-        kirillov_operand at pairing_support, so that pairing_operand @ f
-        gives the m structurally nonzero entries above the diagonal of
-        kirillov(f).  For the catalog algebras m is 6 to 11 of the 21."""
-        return _frozen(self.kirillov_operand[:, _UPPER[list(self.pairing_support)]].T)
+        None when the nilradical generators pair otherwise than in g5,2,
+        that is, when an entry (i, j) with i < j < 5 outside
+        _PAIRING_ENTRIES is not identically zero.
+        """
+        nilradical = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        if any(self.tensor[i, j].any() for i, j in nilradical if (i, j) not in _PAIRING_ENTRIES):
+            return None
+        return _frozen(self.kirillov_operand[:, [DIM * i + j for i, j in _PAIRING_ENTRIES]].T)
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Bracket of two coordinate vectors, [u, v].
@@ -392,120 +392,28 @@ def numeric_rank(m: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
     return rank
 
 
-def _expand(indices: tuple[int, ...]):
-    """Expansion of a Pfaffian along its first index.
-
-    Pf(A) = sum over partners j of (-1)^pos a_{first, j} Pf(A without
-    first and j), where pos counts the indices between the two.  Yields
-    (sign, (first, j), remaining indices).
-    """
-    first, rest = indices[0], indices[1:]
-    for pos, partner in enumerate(rest):
-        yield (-1) ** pos, (first, partner), rest[:pos] + rest[pos + 1 :]
-
-
-def _matchings(indices: tuple[int, ...]):
-    """Signed perfect matchings of an even index tuple: the Pfaffian's terms."""
-    if not indices:
-        yield 1, ()
-        return
-    for sign, pair, remaining in _expand(indices):
-        for inner, pairs in _matchings(remaining):
-            yield sign * inner, (pair,) + pairs
-
-
-#: Index pairs and flat positions (7i + j) of the 21 entries above the
-#: diagonal.
-_UPPER_PAIRS = tuple((i, j) for i in range(DIM) for j in range(i + 1, DIM))
-_UPPER = np.array([DIM * i + j for i, j in _UPPER_PAIRS])
-
-
-@lru_cache(maxsize=None)
-def _pfaffian_tables(pattern: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables for the seven principal 6x6 Pfaffians of 7x7 forms
-    whose entries above the diagonal vanish outside ``pattern``.
-
-    ``pattern`` lists positions in _UPPER_PAIRS, and a form comes as its
-    entries at those positions.  Principal Pfaffian i omits index i and
-    carries the sign (-1)^i, so that the Pfaffians make the vector p with
-    adj K = p p^T.  Each is expanded once along its first index into five
-    entries times 4x4 Pfaffians; the 4x4 minors that occur are the fifteen
-    4-subsets of indices 1..6, each a sum of three matched products, so the
-    105 terms share their products.  Entries index the signed pattern
-    (+u, -u, 0), which folds every sign into a factor.
-
-    Products and terms with a factor outside the pattern are exact zeros.
-    They are left out, and so are minors left with no product; the sums
-    that come out short are padded at their end with products of the zero
-    entry.  That changes no sum but the sign of a zero.  All four tables are
-    term-major: row t holds the t-th term of every kept 4x4 minor or of
-    every 6x6 Pfaffian.  The full pattern gives every term, unpadded.
-    """
-    position = {_UPPER_PAIRS[n]: r for r, n in enumerate(pattern)}
-    zero = 2 * len(pattern)
-
-    def signed(sign: int, pair: tuple[int, int]) -> int:
-        return position[pair] + (len(pattern) if sign < 0 else 0)
-
-    expansions = [
-        [((-1) ** omit * sign, pair, minor) for sign, pair, minor in _expand(
-            tuple(i for i in range(DIM) if i != omit)
-        ) if pair in position]
-        for omit in range(DIM)
-    ]
-    matched = {
-        minor: [(s, pairs) for s, pairs in _matchings(minor) if set(pairs) <= position.keys()]
-        for minor in sorted({minor for terms in expansions for _, _, minor in terms})
-    }
-    minors = [minor for minor, products in matched.items() if products]
-    expansions = [[term for term in terms if term[2] in minors] for terms in expansions]
-    return (
-        _padded([[signed(s, pairs[0]) for s, pairs in matched[m]] for m in minors], zero),
-        _padded([[position[pairs[1]] for _, pairs in matched[m]] for m in minors], zero),
-        _padded([[signed(s, pair) for s, pair, _ in terms] for terms in expansions], zero),
-        _padded([[minors.index(m) for _, _, m in terms] for terms in expansions], 0),
-    )
-
-
-def _padded(rows: list[list[int]], fill: int) -> np.ndarray:
-    """The rows padded with ``fill`` to equal length, transposed: column r
-    holds row r."""
-    width = max(map(len, rows), default=0)
-    table = np.array([row + [fill] * (width - len(row)) for row in rows], dtype=np.intp)
-    return table.reshape(len(rows), width).T.copy()
-
-
-def _principal_pfaffians(u: np.ndarray, pattern: tuple[int, ...]) -> np.ndarray:
-    """The vector p with adj K = p p^T, from the upper triangle of K.
-
-    ``u`` holds the entries above the diagonal at the positions of
-    ``pattern`` in _UPPER_PAIRS (range(21) for all of them, in row-major
-    order) on its first axis, and one column per matrix; the result has
-    shape (7, columns).
-    """
-    minor_left, minor_right, entry, entry_minor = _pfaffian_tables(pattern)
-    signed = np.concatenate([u, -u, np.zeros((1, u.shape[1]))])
-    products = signed[minor_left]
-    products *= signed[minor_right]
-    minors = products.sum(axis=0)
-    terms = signed[entry]
-    terms *= minors[entry_minor]
-    return terms.sum(axis=0)
+#: 0-based (i, j) of the Kirillov form entries the rank certificate reads,
+#: row-major: (1,2), (1,3), (1..5, 6), (1..5, 7), (6,7) in 1-based terms.
+#: The nilradical g5,2 ([e1, e2] = e4, [e1, e3] = e5) zeroes all others.
+_PAIRING_ENTRIES = tuple(
+    (i, j) for i in range(DIM) for j in range(i + 1, DIM) if j >= 5 or (i, j) in ((0, 1), (0, 2))
+)
 
 
 #: Smallest rank tolerance at which kirillov_rank certifies.  In units of
-#: the largest entry, |p| is computed to about 400 eps (1e-13), and the
-#: singular values LAPACK returns are those of a matrix within a small
-#: multiple of eps |K| of K.  At tol >= 1e-12 (about 4500 eps) a certified
-#: form therefore has s5 >= 1.9 tol s1, and its computed s5 and s6 stay
-#: above tol s1 while s7 stays below.  A fixed constant, not a setting.
+#: the largest entry, each entry of p is at most two products of an entry
+#: and a 2x2 minor, computed to 8 eps, so |p| is computed to 16 eps
+#: (4e-15), and LAPACK's singular values are those of a matrix within a
+#: small multiple of eps |K| of K.  At tol >= 1e-12 a certified form
+#: therefore has s5 >= 1.99 tol s1, and its computed s5 and s6 stay above
+#: tol s1 while s7 stays below.  A fixed constant, not a setting.
 PAIRING_TOL_FLOOR = 1e-12
 
-#: Forms per chunk in kirillov_rank: the gathered products of 1,024 forms
-#: (45 and 35 rows of 8 kB) stay in a 2 MB L2 cache.  On a 2-core x86-64
-#: machine the certificate took 3.1-3.5 ms per 10k full G13 forms at 1,024
-#: and 4.4-5.0 ms at 256.
-_PAIRING_CHUNK = 1024
+#: Forms per chunk in kirillov_rank: the entries, minors and Pfaffians of
+#: 2,048 forms (about 40 rows of 16 kB) stay in a 2 MB L2 cache.  On a
+#: 2-core x86-64 machine, 16 families' 10k functionals took a median of
+#: 1.3 ms per 10k at 1,024, 1.0 ms at 2,048 and 4,096, and 1.9 ms unchunked.
+_PAIRING_CHUNK = 2048
 
 
 def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
@@ -523,19 +431,17 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     Computations*, section 8.6), the SVD of such a form keeps s5 and s6
     above tol s1 and s7 below it, for tol at or above PAIRING_TOL_FLOOR.
 
-    The entries above the diagonal of the Kirillov form are linear in f,
-    and for the catalog algebras only 6 to 11 of the 21 are not
-    identically zero.  One matmul by algebra.pairing_operand gives those
-    entries, and _certify runs on them, _PAIRING_CHUNK functionals at a
-    time, with Pfaffian tables pruned to algebra.pairing_support; pruning
-    leaves out only exact zeros, so p, |K|_F and the verdict are those of
-    the full form up to the sign of a zero.  The Pfaffians are computed
-    on the form divided by its largest entry, so they neither overflow nor
-    underflow.  Every functional the certificate leaves open (ranks 0, 2
-    and 4, non-finite forms, forms near the bound), and every functional
-    below the floor, is ranked by numeric_rank(algebra.kirillov(...)), so
-    the result equals numeric_rank(algebra.kirillov(f), tol) row by row,
-    and kirillov is called only for those rows.
+    On the nilradical g5,2 of every catalog algebra, p has the closed form
+    of _certify in the Kirillov form's entries at _PAIRING_ENTRIES.  One
+    matmul by algebra.pairing_operand gives them, and _certify runs on
+    them, _PAIRING_CHUNK functionals at a time, on the form divided by its
+    largest entry, so that p neither overflows nor underflows.  The
+    functionals the certificate leaves open (ranks 0, 2 and 4, non-finite
+    forms, forms near the bound), all functionals below the floor, and all
+    of an algebra without the g5,2 pattern (pairing_operand is None), are
+    ranked by numeric_rank(algebra.kirillov(...)), so the result equals
+    numeric_rank(algebra.kirillov(f), tol) row by row, and kirillov is
+    called only for those rows.
 
     Batched over leading axes of f; one functional gives an int.
     """
@@ -544,11 +450,11 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
         raise ValueError(f"kirillov_rank expects functionals of length 7, got shape {f.shape}")
     flat = f.reshape(-1, DIM)
     certified = np.zeros(len(flat), dtype=bool)
-    if tol >= PAIRING_TOL_FLOOR:
+    operand = algebra.pairing_operand
+    if tol >= PAIRING_TOL_FLOOR and operand is not None:
         for start in range(0, len(flat), _PAIRING_CHUNK):
             chunk = slice(start, start + _PAIRING_CHUNK)
-            entries = algebra.pairing_operand @ flat[chunk].T
-            certified[chunk] = _certify(entries, algebra.pairing_support, tol)[0]
+            certified[chunk] = _certify(operand @ flat[chunk].T, tol)[0]
     rank = np.full(len(flat), 6)
     if not certified.all():
         rank[~certified] = numeric_rank(algebra.kirillov(flat[~certified]), tol)
@@ -557,10 +463,21 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     return rank.reshape(f.shape[:-1])
 
 
-def _certify(u: np.ndarray, pattern: tuple[int, ...], tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-six certificate of antisymmetric 7x7 forms given by their
-    entries above the diagonal at ``pattern``, one form per column of
-    ``u``, which is scaled in place.
+def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-six certificate of antisymmetric 7x7 forms K on the g5,2
+    pattern, given by their entries at _PAIRING_ENTRIES, one form per
+    column of ``u``, which is scaled in place.
+
+    In 1-based indices, with a_j = K_j6, b_j = K_j7 and the 2x2 minors
+    m_jk = a_j b_k - a_k b_j, the vector p with adj K = p p^T is
+
+        p1 = p6 = p7 = 0,  p2 = K13 m45,  p3 = -K12 m45,
+        p4 = K12 m35 - K13 m25,  p5 = K13 m24 - K12 m34:
+
+    the principal Pfaffian that omits index i, signed (-1)^(i+1), is a sum
+    over the perfect matchings of the other six indices, and on this
+    pattern the only matchings left pair 1 with 2 or 3 and two of 2..5
+    with 6 and 7.  K16, K17 and K67 enter only |K|_F.
 
     Returns whether 2^(3/2) |p| / |K|_F^3 exceeds 2 tol for each form,
     which certifies rank six for tol at or above PAIRING_TOL_FLOOR, and
@@ -572,7 +489,19 @@ def _certify(u: np.ndarray, pattern: tuple[int, ...], tol: float) -> tuple[np.nd
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         u *= 1.0 / np.abs(u).max(axis=0, initial=0.0)
         half_square_norm = np.einsum("ij,ij->j", u, u)
-        p = _principal_pfaffians(u, pattern)
+        k12, k13 = u[0], u[1]
+        # a and b of indices 2..5, as rows 0..3.
+        a, b = u[4:12:2], u[5:12:2]
+
+        def minor(j: int, k: int) -> np.ndarray:
+            return a[j] * b[k] - a[k] * b[j]
+
+        m45 = minor(2, 3)
+        p = np.zeros((DIM, u.shape[1]))
+        p[1] = k13 * m45
+        p[2] = -k12 * m45
+        p[3] = k12 * minor(1, 3) - k13 * minor(0, 3)
+        p[4] = k13 * minor(0, 2) - k12 * minor(1, 2)
         # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
         bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
     return bound, p

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korbit import catalog, coadjoint, foliation, liecore, rng, topology, verify
+from korbit import catalog, coadjoint, foliation, rng, topology, verify
 from korbit.liecore import (
     PAIRING_TOL_FLOOR,
     DomainError,
@@ -377,7 +377,7 @@ def test_normal_equals_the_determinant_expansion(slot, plant, scale):
         assert np.all(error <= 1e-14 * reference_frob6), family
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-13])
 def test_distribution_decision_equals_three_svd_ranks(tol):
     """On generic, stratum, quadric and scaled points of all twelve
     families the verdict is the three-SVD verdict, point by point; below
@@ -396,35 +396,35 @@ def test_distribution_decision_equals_three_svd_ranks(tol):
         assert decided > 0
 
 
-def _full_pattern(algebra: LieAlgebra7) -> LieAlgebra7:
-    """The algebra with its pairing support widened to all 21 entries above
-    the diagonal, so that the rank certificate runs on the full Kirillov
-    form rather than on the structurally nonzero entries."""
-    full = LieAlgebra7(algebra.family, algebra.params, algebra.brackets)
-    full.__dict__["pairing_support"] = tuple(range(21))
-    full.__dict__["pairing_operand"] = np.ascontiguousarray(
-        full.kirillov_operand[:, liecore._UPPER].T
-    )
-    return full
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
-def test_distribution_decision_equals_the_full_pattern_certificate(scale):
-    """On generic, stratum, quadric and scaled points of all twelve
-    families, at tol 1e-9, 1e-12 and 1e-13, the verdict and the mask of
-    certified points equal those of the certificate on the full Kirillov
-    form, point by point."""
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_distribution_decision_equals_three_svd_ranks_on_scaled_points(scale):
+    """The points of test_distribution_decision_equals_three_svd_ranks
+    scaled by 1e+-100, at tol 1e-9, 1e-12 (the floor) and 1e-13: the
+    verdict is the three-SVD verdict, point by point, and only points with
+    rank six are certified, none below the floor."""
     for family in sorted(foliation.SYSTEM_FAMILIES):
         algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
-        full = _full_pattern(algebra)
-        assert len(algebra.pairing_support) < 21, family
         v = _span_points(family) * scale
         for tol in (1e-9, 1e-12, 1e-13):
             message = f"{family} {scale} {tol}"
             spans, certified = foliation.distribution_decision(algebra, v, tol)
-            reference, reference_certified = foliation.distribution_decision(full, v, tol)
-            np.testing.assert_array_equal(spans, reference, err_msg=message)
-            np.testing.assert_array_equal(certified, reference_certified, err_msg=message)
+            np.testing.assert_array_equal(spans, _three_ranks(algebra, v, tol), err_msg=message)
+            assert np.all(spans[certified]), message
+            assert tol >= PAIRING_TOL_FLOOR or not certified.any(), message
+
+
+def test_distribution_decision_without_the_g52_pattern_uses_the_svd():
+    """An algebra whose nilradical generators pair off the g5,2 pattern
+    (here G13 with [e2, e3] = e6 added, not a Lie algebra) has no pairing
+    operand, so no point is certified and the SVDs give the verdict."""
+    g13 = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    brackets = {**g13.brackets, (1, 2): {5: 1}}
+    algebra = LieAlgebra7(g13.family, g13.params, brackets)
+    assert g13.pairing_operand is not None and algebra.pairing_operand is None
+    v = _span_points("G13")
+    spans, certified = foliation.distribution_decision(algebra, v)
+    assert not certified.any()
+    np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9))
 
 
 def test_distribution_certifies_every_campaign_point():

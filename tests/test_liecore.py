@@ -30,9 +30,14 @@ EXP_RTOL = 1e-12
 #: the term-by-term loop by at most this factor.
 DET_GAP_FACTOR = 1.5
 INVERSE_RTOL = 1e-12
-#: |p| = s1 s3 s5 holds to rounding; the Pfaffians are computed to a few
-#: hundred eps of the largest entry.
+#: |p| = s1 s3 s5 holds to rounding on forms with s5 > 1e-2 s1; p is
+#: computed to 16 eps of the largest entry cubed, and the SVD to a few eps.
 PFAFFIAN_RTOL = 1e-12
+#: On forms divided by their largest entry: the closed-form p against the
+#: recursive Pfaffians (each a sum of 15 products of three entries), and
+#: p p^T against 6x6 determinants.
+PFAFFIAN_ATOL = 1e-14
+ADJUGATE_ATOL = 1e-13
 #: Without squaring the two evaluations differ by rounding alone, which
 #: leaves room to see a lost term of degree 12 or more (about 5e-13).
 UNSCALED_RTOL = 1e-14
@@ -312,45 +317,95 @@ def _antisymmetric(sigmas, seed):
 
 
 def _adjugate(m):
-    """Transposed cofactor matrix, one 6x6 determinant per entry."""
+    """Transposed cofactor matrices of a stack, one 6x6 determinant per entry."""
     out = np.empty_like(m)
     for i in range(DIM):
         for j in range(DIM):
-            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
-            out[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+            minor = np.delete(np.delete(m, j, axis=-2), i, axis=-1)
+            out[..., i, j] = (-1) ** (i + j) * np.linalg.det(minor)
     return out
 
 
-def _pfaffians(k):
-    """The vector p of principal Pfaffians, as the rank certificate computes
-    it on all 21 entries above the diagonal."""
-    k = np.asarray(k, dtype=float).reshape(-1, DIM * DIM)
-    return liecore._principal_pfaffians(k.T[liecore._UPPER], tuple(range(21)))
+def _pfaffian(k):
+    """Pfaffians of a stack of antisymmetric matrices of even size, by
+    expansion along the first row."""
+    n = k.shape[-1]
+    if n == 0:
+        return np.ones(k.shape[:-2])
+    total = np.zeros(k.shape[:-2])
+    for j in range(1, n):
+        rest = [i for i in range(1, n) if i != j]
+        total += (-1) ** (j - 1) * k[..., 0, j] * _pfaffian(k[..., rest, :][..., rest])
+    return total
 
 
-def test_principal_pfaffians_norm_is_product_of_paired_singular_values():
-    """|p| = s1 s3 s5 and adj K = p p^T, on matrices of known spectrum."""
-    gen = np.random.default_rng(23)
-    for seed in range(50):
-        sigmas = np.sort(gen.uniform(0.5, 2.0, 3))[::-1]
-        k = _antisymmetric(sigmas, seed)
-        p = _pfaffians(k)[:, 0]
-        assert math.isclose(np.linalg.norm(p), np.prod(sigmas), rel_tol=PFAFFIAN_RTOL)
-        np.testing.assert_allclose(np.outer(p, p), _adjugate(k), atol=1e-12)
+def _principal_pfaffians(k):
+    """Reference vector p with adj K = p p^T, on the last axis: the
+    principal Pfaffian that omits index i (0-based), signed (-1)^i."""
+    return np.stack(
+        [(-1) ** i * _pfaffian(np.delete(np.delete(k, i, -2), i, -1)) for i in range(DIM)],
+        axis=-1,
+    )
 
 
-def test_principal_pfaffians_norm_matches_svd_on_kirillov_forms():
-    """|p| = s1 s3 s5 against the SVD on well-conditioned Kirillov forms of
-    every family."""
-    for family in catalog.FAMILIES:
-        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
-        k = algebra.kirillov(rng.sample_functionals(0, 500, "pfaffian-identity", family))
-        s = np.linalg.svd(k, compute_uv=False)
-        conditioned = s[:, 4] > 1e-2 * s[:, 0]
-        assert np.count_nonzero(conditioned) > 100, family
-        norm = np.linalg.norm(_pfaffians(k[conditioned]), axis=0)
-        product = (s[:, 0] * s[:, 2] * s[:, 4])[conditioned]
-        assert np.abs(norm / product - 1.0).max() <= PFAFFIAN_RTOL, family
+def _g52_forms(count, seed):
+    """Random antisymmetric 7x7 forms on the g5,2 pattern: standard normal
+    entries at liecore._PAIRING_ENTRIES, zeros elsewhere."""
+    k = np.zeros((count, DIM, DIM))
+    rows, cols = zip(*liecore._PAIRING_ENTRIES)
+    k[:, rows, cols] = np.random.default_rng(seed).normal(size=(count, len(rows)))
+    return k - k.transpose(0, 2, 1)
+
+
+def _assert_pfaffians(k, p, message):
+    """p is the Pfaffian vector of each form divided by its largest entry:
+    it equals the recursive principal Pfaffians, adj K = p p^T, and on
+    forms with s5 > 1e-2 s1 |p| = s1 s3 s5.  Returns how many forms were
+    that well conditioned."""
+    scaled = k / np.abs(k).max(axis=(-2, -1))[:, None, None]
+    np.testing.assert_allclose(
+        p, _principal_pfaffians(scaled), rtol=0, atol=PFAFFIAN_ATOL, err_msg=message
+    )
+    np.testing.assert_allclose(
+        p[:, :, None] * p[:, None, :], _adjugate(scaled), rtol=0, atol=ADJUGATE_ATOL, err_msg=message
+    )
+    s = np.linalg.svd(scaled, compute_uv=False)
+    conditioned = s[:, 4] > 1e-2 * s[:, 0]
+    norm = np.linalg.norm(p[conditioned], axis=-1)
+    product = (s[:, 0] * s[:, 2] * s[:, 4])[conditioned]
+    assert np.abs(norm / product - 1.0).max(initial=0.0) <= PFAFFIAN_RTOL, message
+    return int(np.count_nonzero(conditioned))
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_certificate_pfaffians_on_catalog_forms(family):
+    """The closed-form p of the certificate, read through pairing_operand,
+    on the Kirillov forms of every family at its representative parameters
+    and every default grid entry, coordinate strata and functionals scaled
+    by 1e+-150 included."""
+    grid = (verify.REPRESENTATIVE_PARAMS[family],) + catalog.default_parameter_grid(family)
+    for params in grid:
+        algebra = catalog.build(family, params)
+        f = rng.sample_functionals(0, 200, "pfaffian-closed-form", family, *params)
+        f[:40, 4] = 0.0
+        f[40:80, 3] = 0.0
+        f[80:120, 1:3] = 0.0
+        f = np.concatenate([f, f * 1e-150, f * 1e150])
+        p = liecore._certify(algebra.pairing_operand @ f.T, 1e-9)[1].T
+        conditioned = _assert_pfaffians(algebra.kirillov(f), p, f"{family} {params}")
+        assert conditioned > 100, (family, params)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_certificate_pfaffians_on_random_g52_forms(scale):
+    """The closed-form p on random g5,2-pattern forms, scaled by 1e+-100:
+    p1 = p6 = p7 = 0, and p is the Pfaffian vector of the form divided by
+    its largest entry."""
+    k = _g52_forms(2000, 29) * scale
+    rows, cols = zip(*liecore._PAIRING_ENTRIES)
+    p = liecore._certify(k[:, rows, cols].T.copy(), 1e-9)[1].T
+    assert not p[:, [0, 5, 6]].any()
+    assert _assert_pfaffians(k, p, str(scale)) > 1500
 
 
 def _sent_to_svd(monkeypatch):
@@ -452,16 +507,30 @@ def test_pairing_rank_shapes():
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=-10.0, max_value=-8.0),
-    st.floats(min_value=1e-3, max_value=1.0),
     st.floats(min_value=1e-100, max_value=1e100),
 )
-def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, middle, scale):
-    """The Kirillov form Q blockdiag(s1 J, s3 J, s5 J, 0) Q^T at e1, with
-    s5 / s1 from 1e-10 to 1e-8, around tol = 1e-9: certified or not, the
-    rank is the SVD's."""
-    sigmas = scale * np.array([1.0, max(middle, 10.0**log_gap), 10.0**log_gap])
-    k = _antisymmetric(sigmas, seed)
+def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, scale):
+    """A g5,2-pattern form whose (., 7) column is c times its (., 6) column
+    plus delta w has p linear in delta, and s5 / s1 nearly so; with delta
+    set for s5 / s1 = 10^log_gap, from 1e-10 to 1e-8, around tol = 1e-9, as
+    the Kirillov form at e1: certified or not, the rank is the SVD's."""
+    c, *direction = np.random.default_rng((seed, 1)).normal(size=6)
+    base = _g52_forms(1, seed)[0]
+    base[:5, 6] = c * base[:5, 5]
+    base[6, :5] = -base[:5, 6]
+    w = np.zeros((DIM, DIM))
+    w[:5, 6] = direction
+    w -= w.T
+
+    def ratio(delta):
+        s = np.linalg.svd(base + delta * w, compute_uv=False)
+        return s[4] / s[0]
+
+    delta = 1e-9 * 10.0**log_gap / ratio(1e-9)
+    assert math.isclose(ratio(delta), 10.0**log_gap, rel_tol=1e-2)
+    k = scale * (base + delta * w)
     algebra, e1 = _form_algebra(k), np.eye(DIM)[0]
+    assert algebra.pairing_operand is not None
     np.testing.assert_array_equal(algebra.kirillov(e1), k)
     assert kirillov_rank(algebra, e1) == numeric_rank(k)
     assert kirillov_rank(algebra, e1, 1e-12) == numeric_rank(k, 1e-12)
@@ -487,20 +556,21 @@ def test_kirillov_rank_certifies_catalog_functionals_without_kirillov(monkeypatc
     assert built == sent == [7]
     kirillov_rank(algebra, f, 1e-13)
     assert built == sent == [7, len(f)]
-    assert len(algebra.pairing_support) == algebra.pairing_operand.shape[0] == 11
 
 
 def test_kirillov_rank_on_hand_built_algebras(monkeypatch):
     """Outside the catalog: the seven-dimensional Heisenberg algebra,
     [e_i, e_(i+3)] = e_7 for i = 1, 2, 3, has orbit dimension six exactly
-    where f7 is nonzero, and the abelian algebra has no pairing entries
-    and orbit dimension zero everywhere."""
+    where f7 is nonzero, and the abelian algebra has orbit dimension zero
+    everywhere.  The Heisenberg algebra pairs e1 with e4, off the g5,2
+    pattern, so it has no pairing operand, and the abelian algebra's is
+    zero: the SVD ranks every functional of both."""
     heisenberg = LieAlgebra7("h7", (), {(0, 3): {6: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}})
     abelian = LieAlgebra7("abelian", (), {})
     f = rng.sample_functionals(0, 400, "hand-built")
     f[:50, 6] = 0.0
-    assert [liecore._UPPER_PAIRS[n] for n in heisenberg.pairing_support] == [(0, 3), (1, 4), (2, 5)]
-    assert abelian.pairing_support == () and abelian.pairing_operand.shape == (0, DIM)
+    assert heisenberg.pairing_operand is None
+    assert abelian.pairing_operand.shape == (13, DIM) and not abelian.pairing_operand.any()
     for tol in (1e-9, 1e-13):
         rank = kirillov_rank(heisenberg, f, tol)
         np.testing.assert_array_equal(rank, np.where(f[:, 6] == 0, 0, 6))
@@ -509,7 +579,7 @@ def test_kirillov_rank_on_hand_built_algebras(monkeypatch):
     sent = _sent_to_svd(monkeypatch)
     kirillov_rank(heisenberg, f)
     kirillov_rank(abelian, f)
-    assert sent == [50, len(f)]
+    assert sent == [len(f), len(f)]
     with pytest.raises(ValueError):
         kirillov_rank(heisenberg, np.zeros((3, 6)))
 
