@@ -311,7 +311,8 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     catalog.validate_params(family, params)
     algebra = catalog.build(family, params)
     f = np.asarray(args.functional, dtype=float)
-    points = coadjoint.sample_orbit(algebra, f, args.n, args.seed)
+    u = coadjoint.orbit_elements(algebra, args.n, args.seed)
+    points = coadjoint.orbit_points(algebra, f, u)
     dimension = int(coadjoint.orbit_dimension(algebra, f))
     kind = coadjoint.orbit_type(algebra, f, dimension=dimension)
 
@@ -328,7 +329,6 @@ def cmd_orbit(args: argparse.Namespace) -> int:
             keep = topology.contains(topology.manifold_of(family), points)
             locus = catalog.record(family).locus
             if locus is not None:
-                u = coadjoint.orbit_elements(algebra, args.n, args.seed)
                 keep &= verify.same_branch(f, u, locus)
             values = np.full(args.n, np.nan)
             if np.any(keep):

@@ -161,16 +161,21 @@ def sample_orbit(
     radius: float = rng.COORDINATE_RADIUS,
 ) -> np.ndarray:
     """Draw n points of the orbit through f from exponentials of uniform
-    algebra elements with coordinates in [-radius, radius].
+    algebra elements with coordinates in [-radius, radius]: orbit_points
+    at orbit_elements(algebra, n, seed, radius)."""
+    return orbit_points(algebra, f, orbit_elements(algebra, n, seed, radius))
 
-    The points are coadjoint_act's images of f under those elements.
+
+def orbit_points(algebra: LieAlgebra7, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The images of one functional f under the exponentials of the algebra
+    elements u, as coadjoint_act gives them.
+
     Raises DomainError naming the offending element if the action
     overflows, which large parameters can provoke.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (7,):
-        raise ValueError("sample_orbit expects a single functional")
-    u = orbit_elements(algebra, n, seed, radius)
+        raise ValueError("orbit points need a single functional")
     with np.errstate(over="ignore", invalid="ignore"):
         points = coadjoint_act(algebra, u, f)
     bad = ~np.all(np.isfinite(points), axis=-1)

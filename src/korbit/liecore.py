@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -148,6 +148,33 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jacobiator(inner: Brackets, outer: Brackets) -> dict[tuple[int, int, int, int], Real]:
+    """The bilinear form behind the Jacobiator, on exact bracket tables.
+
+    Entry (i, j, k, l), for i < j < k, is the e_l coefficient of the cyclic
+    sum of [e_a, [e_b, e_c]] over (a, b, c) = (i, j, k), (j, k, i),
+    (k, i, j), with the inner bracket read from ``inner`` and the outer one
+    from ``outer``.  With both tables equal to C it is the Jacobiator of C,
+    and it is linear in each table.  Only nonzero entries are returned, in
+    sorted order.
+
+    The sum runs over the entries of ``inner``: [e_a, [e_b, e_c]] with
+    b < c counts toward the sorted triple of (a, b, c), with the sign of
+    the sort, which is odd exactly when b < a < c.
+    """
+    acc: dict[tuple[int, int, int, int], Real] = {}
+    for (b, c), coeffs in inner.items():
+        for m, w in coeffs.items():
+            for a in range(DIM):
+                if a == b or a == c:
+                    continue
+                triple = tuple(sorted((a, b, c)))
+                sign = -1 if b < a < c else 1
+                for l, w2 in bracket_coefficients(outer, a, m).items():
+                    acc[triple + (l,)] = acc.get(triple + (l,), 0) + sign * w * w2
+    return {index: acc[index] for index in sorted(acc) if acc[index]}
+
+
 def verify_jacobi(algebra: LieAlgebra7) -> tuple[Real, list[tuple[int, int, int, Real]]]:
     """Exact Jacobi residual over all basis triples.
 
@@ -156,67 +183,11 @@ def verify_jacobi(algebra: LieAlgebra7) -> tuple[Real, list[tuple[int, int, int,
     list of violating triples.  With exact (int or fraction) structure
     constants the residual is exactly zero for a Lie algebra.
     """
-    brackets = algebra.brackets
-    worst: Real = 0
-    violations: list[tuple[int, int, int, Real]] = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(j + 1, DIM):
-                acc: dict[int, Real] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, w in bracket_coefficients(brackets, b, c).items():
-                        for l, w2 in bracket_coefficients(brackets, a, m).items():
-                            acc[l] = acc.get(l, 0) + w * w2
-                residual = max((abs(x) for x in acc.values()), default=0)
-                if residual != 0:
-                    violations.append((i, j, k, residual))
-                if residual > worst:
-                    worst = residual
-    return worst, violations
-
-
-#: Exact (int or Fraction) bracket entries: (i, j, k) -> the e_k
-#: coefficient of [e_i, e_j], for i < j.
-Entries = Mapping[tuple[int, int, int], Real]
-
-
-def _integer_tensors(tables: Sequence[Entries]) -> tuple[np.ndarray, int]:
-    """Antisymmetric int64 structure tensors of exact bracket tables, all
-    scaled by the least common multiple of their entries' denominators.
-
-    Returns the stack, one tensor per table, and the scale.
-    """
-    scale = math.lcm(*(v.denominator for table in tables for v in table.values()))
-    out = np.zeros((len(tables), DIM, DIM, DIM), dtype=np.int64)
-    for n, table in enumerate(tables):
-        for (i, j, k), v in table.items():
-            out[n, i, j, k] = int(v * scale)
-            out[n, j, i, k] = -out[n, i, j, k]
-    return out, scale
-
-
-def _jacobi_form(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The bilinear form behind the Jacobiator, on int64 structure tensors.
-
-    B(A, B)[i, j, k, l] = sum_m A[j, k, m] B[i, m, l] plus its two cyclic
-    shifts in (i, j, k), so that B(C, C)[i, j, k, l] is the e_l coefficient
-    of [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]].  Broadcasts over
-    leading axes.  Every entry is a sum of 3 * 7 products, so the result is
-    exact unless that bound reaches 2^62, which raises OverflowError (the
-    margin leaves room to add two such forms).
-    """
-    bound = 3 * DIM * int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0))
-    if bound >= 2**62:
-        raise OverflowError("structure constants too large for an exact int64 Jacobiator")
-    t = np.einsum("...jkm,...iml->...ijkl", a, b)
-    n = t.ndim - 4
-    lead = tuple(range(n))
-    # At (i, j, k, l) the two transposes hold t[j, k, i, l] and t[k, i, j, l].
-    return (
-        t
-        + t.transpose(lead + tuple(n + axis for axis in (2, 0, 1, 3)))
-        + t.transpose(lead + tuple(n + axis for axis in (1, 2, 0, 3)))
-    )
+    residuals: dict[tuple[int, int, int], Real] = {}
+    for (i, j, k, _), x in _jacobiator(algebra.brackets, algebra.brackets).items():
+        residuals[i, j, k] = max(residuals.get((i, j, k), 0), abs(x))
+    violations = [(i, j, k, r) for (i, j, k), r in residuals.items()]
+    return max(residuals.values(), default=0), violations
 
 
 #: Weights of the Paterson-Stockmeyer steps behind exp_matrix, applied to

@@ -271,12 +271,17 @@ class LeafMap:
     name: str
     source: str
     target: str
-    manifold: Manifold
     params: tuple[Real, ...]
     kind: str
     check: str | None = None
     locus: tuple[str, int] | None = None
     graded: bool = False
+
+    @property
+    def manifold(self) -> Manifold:
+        """The manifold the map acts on, the target family's (and the
+        source's)."""
+        return manifold_of(self.target)
 
     def _check(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -337,24 +342,23 @@ class LeafMap:
 
 
 _HALF = Fraction(1, 2)
-_V1, _V2, _V3 = Manifold.V1, Manifold.V2, Manifold.V3
 
 #: The eleven maps at their default parameters; a map's arity is the
 #: length of its default parameter tuple.
 _LEAF_MAPS: dict[str, LeafMap] = {
     m.name: m
     for m in (
-        LeafMap("h1", "G2", "G1", _V1, (), "shear", "constancy"),
-        LeafMap("h2", "G2", "G4", _V1, (Fraction(0), Fraction(2)), "scale", "residual"),
-        LeafMap("h3", "G2", "G7", _V1, (), "scaled_offset", "constancy"),
-        LeafMap("h4", "G2", "G8", _V1, (_HALF,), "scaled_offset", "constancy"),
-        LeafMap("h5", "G2", "G11", _V1, (), "scale", "constancy"),
-        LeafMap("h6", "G3", "G5", _V1, (), "scale"),
-        LeafMap("h7", "G12", "G12", _V2, (_HALF,), "scale", "residual"),
-        LeafMap("h8", "G13", "G13", _V3, (_HALF,), "scale", "residual"),
-        LeafMap("h9", "G13", "G14", _V3, (_HALF, Fraction(1)), "scale", "constancy", ("a", 6)),
-        LeafMap("h10", "G13", "G15", _V3, (), "offset", "constancy"),
-        LeafMap("h11", "G13", "G16", _V3, (_HALF,), "offset", "constancy", ("b", 5), True),
+        LeafMap("h1", "G2", "G1", (), "shear", "constancy"),
+        LeafMap("h2", "G2", "G4", (Fraction(0), Fraction(2)), "scale", "residual"),
+        LeafMap("h3", "G2", "G7", (), "scaled_offset", "constancy"),
+        LeafMap("h4", "G2", "G8", (_HALF,), "scaled_offset", "constancy"),
+        LeafMap("h5", "G2", "G11", (), "scale", "constancy"),
+        LeafMap("h6", "G3", "G5", (), "scale"),
+        LeafMap("h7", "G12", "G12", (_HALF,), "scale", "residual"),
+        LeafMap("h8", "G13", "G13", (_HALF,), "scale", "residual"),
+        LeafMap("h9", "G13", "G14", (_HALF, Fraction(1)), "scale", "constancy", ("a", 6)),
+        LeafMap("h10", "G13", "G15", (), "offset", "constancy"),
+        LeafMap("h11", "G13", "G16", (_HALF,), "offset", "constancy", ("b", 5), True),
     )
 }
 

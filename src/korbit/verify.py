@@ -32,8 +32,7 @@ from . import catalog, coadjoint, foliation, rng, topology
 from .catalog import ClosedForm
 from .liecore import (
     LieAlgebra7,
-    _integer_tensors,
-    _jacobi_form,
+    _jacobiator,
     exp_matrix,
     phi1,
     verify_jacobi,
@@ -223,7 +222,7 @@ class _JacobiCertificate:
     T = (C0, D_1, ..., D_n) and m = (1, t_1, ..., t_n) the Jacobiator is
     J(p) = B(C(p), C(p)) = sum over a <= b of m_a m_b Q_ab, where
     Q_aa = B(T_a, T_a) and Q_ab = B(T_a, T_b) + B(T_b, T_a) for the form B
-    of liecore._jacobi_form.  ``terms`` holds the nonzero Q_ab, keyed
+    of liecore._jacobiator.  ``terms`` holds the nonzero Q_ab, keyed
     (a, b), as exact entries (i, j, k, l) with i < j < k.
     """
 
@@ -278,17 +277,19 @@ def _jacobi_certificate(family: str) -> _JacobiCertificate:
     )
     terms: dict[tuple[int, int], dict[tuple[int, int, int, int], Fraction]] = {}
     if deviation == 0:
-        stack, scale = _integer_tensors([c0, *directions])
-        form = _jacobi_form(stack[:, None], stack[None, :])
+        tables: list[dict[tuple[int, int], dict[int, Fraction]]] = []
+        for entries in (c0, *directions):
+            tables.append({})
+            for (i, j, k), v in entries.items():
+                tables[-1].setdefault((i, j), {})[k] = v
         for a in range(n + 1):
             for b in range(a, n + 1):
-                q = form[a, a] if a == b else form[a, b] + form[b, a]
-                terms[a, b] = {
-                    (i, j, k, l): Fraction(int(q[i, j, k, l]), scale * scale)
-                    for i, j, k, l in zip(*np.nonzero(q))
-                    if i < j < k
-                }
-        terms = {key: entries for key, entries in terms.items() if entries}
+                q: dict[tuple[int, int, int, int], Fraction] = {}
+                for x, y in {(a, b), (b, a)}:
+                    for index, v in _jacobiator(tables[x], tables[y]).items():
+                        q[index] = q.get(index, 0) + v
+                if q := {index: v for index, v in q.items() if v}:
+                    terms[a, b] = q
     return _JacobiCertificate(base, holdout, deviation, terms)
 
 
@@ -310,11 +311,12 @@ def jacobi_result(
     is lossless for floats), and at every draw.  The certificate is sound
     only where the structure constants are affine in the parameters, which
     is checked at its held-out point; otherwise the check fails as "not
-    affine".  verify_jacobi's loop over basis triples runs once, at the
-    configured parameters or else at the held-out point, and must give
-    the polynomial's value there.  Only nonzero residuals are folded into
-    the tally, so the worst sample is the worst draw on a failure and None
-    on a pass.
+    affine".  verify_jacobi, the same exact form on the built algebra
+    itself, runs once, at the configured parameters or else at the
+    held-out point, and must give the polynomial's value there, which
+    checks the affine model and its expansion.  Only nonzero residuals are
+    folded into the tally, so the worst sample is the worst draw on a
+    failure and None on a pass.
     """
     gen = rng.generator(seed, "jacobi", family)
     trials: list[tuple[Fraction, ...]] = []
@@ -924,7 +926,6 @@ def _map_samples(
 
 def leaf_roundtrip_result(
     map_name: str,
-    params: tuple[Real, ...] | None = None,
     samples: int = 200,
     seed: int = 0,
     tol: float = 1e-10,
@@ -932,7 +933,7 @@ def leaf_roundtrip_result(
     """Inverse-after-forward and forward-after-inverse both recover the
     input, including on the planted degenerate branches.  The inverse
     direction keeps the points whose preimage clears the manifold margin."""
-    map_obj = topology.leaf_map(map_name, params)
+    map_obj = topology.leaf_map(map_name)
     tally = _Tally()
     for direction in ("forward", "inverse"):
         for batch in _map_samples(map_obj, samples, seed, f"roundtrip-{direction}"):
@@ -956,7 +957,6 @@ def leaf_roundtrip_result(
 
 def leaf_residual_result(
     map_name: str,
-    params: tuple[Real, ...] | None = None,
     samples: int = 1000,
     seed: int = 0,
     tol: float = 1e-8,
@@ -966,7 +966,7 @@ def leaf_residual_result(
     Available for the maps whose source and target invariants are both
     cataloged; the source is always the parameter-zero member.
     """
-    map_obj = topology.leaf_map(map_name, params)
+    map_obj = topology.leaf_map(map_name)
     if map_obj.check != "residual":
         return _unsupported(f"leaf_residual_{map_name}", "invariant pair")
     src_params = _base_params(map_obj)
@@ -987,7 +987,6 @@ def leaf_residual_result(
 
 def leaf_constancy_result(
     map_name: str,
-    params: tuple[Real, ...] | None = None,
     functionals: int = 50,
     group_samples: int = 200,
     seed: int = 0,
@@ -1002,7 +1001,7 @@ def leaf_constancy_result(
     Results for a graded map are findings about the cataloged formulas
     rather than hard failures.
     """
-    map_obj = topology.leaf_map(map_name, params)
+    map_obj = topology.leaf_map(map_name)
     if map_obj.check != "constancy":
         return _unsupported(f"leaf_constancy_{map_name}", "derived invariant")
     target_family = map_obj.target
@@ -1143,11 +1142,11 @@ def run_family_suite(
         map_obj = topology.leaf_map(map_name)
         if map_obj.source != family:
             continue
-        results.append(leaf_roundtrip_result(map_name, None, min(samples, 200), seed))
+        results.append(leaf_roundtrip_result(map_name, min(samples, 200), seed))
         if map_obj.check == "residual":
-            results.append(leaf_residual_result(map_name, None, samples, seed))
+            results.append(leaf_residual_result(map_name, samples, seed))
         if map_obj.check == "constancy":
             results.append(
-                leaf_constancy_result(map_name, None, 50, min(samples, 200), seed, inv_tol)
+                leaf_constancy_result(map_name, 50, min(samples, 200), seed, inv_tol)
             )
     return results

@@ -283,6 +283,31 @@ def test_orbit_computes_the_orbit_dimension_once(argv, kind, capsys, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["G13", "1", "1", "1", "1", "1", "0", "0", "--l", "1/2"],
+        ["G16", "1", "2", "3", "0.5", "1.5", "0", "0", "--l", "1"],
+        ["G1", "1", "2", "3", "0.5", "1.5", "0", "0", "--l", "1/2"],
+    ],
+)
+def test_orbit_draws_its_group_elements_once(argv, capsys, monkeypatch):
+    """The orbit's points and the branch filter of an angle-valued
+    invariant (G13, G16) read one draw of group elements."""
+    calls = []
+    inner = coadjoint.orbit_elements
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(coadjoint, "orbit_elements", counting)
+    code, out, _ = _run(["orbit", *argv, "--n", "50"], capsys)
+    assert code == 0
+    assert json.loads(out)["n_deviation_evaluated"] > 0
+    assert len(calls) == 1
+
+
 def test_orbit_on_family_without_invariant_reports_null(capsys):
     code, out, _ = _run(["orbit", "G3", "1", "1", "1", "1", "1", "0", "0"], capsys)
     assert code == 0

@@ -233,7 +233,7 @@ def test_exp_matrix_splits_whole_chunks_into_one_span_per_core(n, cores, spans, 
     inner = liecore._exp_chunks
 
     def recording(mats, result, squarings, lo, hi, work):
-        seen.append((lo, hi, threading.get_ident()))
+        seen.append((lo, hi, threading.current_thread()))
         inner(mats, result, squarings, lo, hi, work)
 
     monkeypatch.setattr(liecore, "_exp_chunks", recording)
@@ -242,9 +242,11 @@ def test_exp_matrix_splits_whole_chunks_into_one_span_per_core(n, cores, spans, 
     exp_matrix(np.zeros((n, DIM, DIM)))
     assert threading.active_count() == before
     assert sorted((lo, hi) for lo, hi, _ in seen) == spans
-    callers = [ident for lo, _, ident in seen if lo == 0]
-    assert callers == [threading.get_ident()]
-    assert len({ident for _, _, ident in seen}) == len(spans)
+    callers = [thread for lo, _, thread in seen if lo == 0]
+    assert callers == [threading.current_thread()]
+    # seen keeps every Thread object alive, so distinct threads stay
+    # distinct objects even where the system reuses a finished one's ident.
+    assert len({thread for _, _, thread in seen}) == len(spans)
 
 
 def test_exp_matrix_overflow_on_several_spans_keeps_the_callers_error_state(monkeypatch):
@@ -609,54 +611,117 @@ def test_verify_jacobi_flags_an_inconsistent_bracket_table():
     assert violations
 
 
-def _entries(brackets):
-    return {(i, j, k): v for (i, j), coeffs in brackets.items() for k, v in coeffs.items()}
+def _sparse_sum(*tables):
+    """Entrywise sum of sparse tables, without the entries that cancel."""
+    out = {}
+    for table in tables:
+        for key, value in table.items():
+            out[key] = out.get(key, 0) + value
+    return {key: value for key, value in out.items() if value}
+
+
+def _dense(brackets):
+    """The exact antisymmetric structure tensor of a bracket table, as
+    nested lists: c[i][j][k] is the e_k coefficient of [e_i, e_j]."""
+    c = [[[0] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    for (i, j), coeffs in brackets.items():
+        for k, v in coeffs.items():
+            c[i][j][k], c[j][i][k] = v, -v
+    return c
+
+
+def _reference_jacobiator(inner, outer):
+    """The cyclic sum of [e_a, [e_b, e_c]] over every triple i < j < k and
+    every e_l, term by term on the dense tensors."""
+    dense_inner, dense_outer = _dense(inner), _dense(outer)
+    out = {}
+    for i in range(DIM):
+        for j in range(i + 1, DIM):
+            for k in range(j + 1, DIM):
+                for l in range(DIM):
+                    x = sum(
+                        dense_inner[b][c][m] * dense_outer[a][m][l]
+                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                        for m in range(DIM)
+                    )
+                    if x:
+                        out[i, j, k, l] = x
+    return out
 
 
 @pytest.mark.parametrize("factor", [1, Fraction(2, 3)])
-def test_integer_jacobi_form_matches_the_loop_on_a_broken_table(factor):
-    """B(C, C) on the scaled int64 tensor, divided by the squared scale, has
-    verify_jacobi's worst residual and its violating triples, and like the
-    Jacobiator it is antisymmetric in (i, j, k)."""
+def test_jacobiator_matches_the_loop_on_a_broken_table(factor):
+    """J(C, C) is the term-by-term cyclic sum on the dense tensor, and has
+    verify_jacobi's worst residual and its violating triples."""
     brackets = {pair: {k: factor * v for k, v in c.items()} for pair, c in BROKEN_BRACKETS.items()}
-    stack, scale = liecore._integer_tensors([_entries(brackets)])
-    assert scale == Fraction(factor).denominator
-    jacobiator = liecore._jacobi_form(stack[0], stack[0])
-    assert np.array_equal(jacobiator, -jacobiator.transpose(1, 0, 2, 3))
-    assert np.array_equal(jacobiator, -jacobiator.transpose(0, 2, 1, 3))
+    jacobiator = liecore._jacobiator(brackets, brackets)
+    assert jacobiator == _reference_jacobiator(brackets, brackets)
     worst, violations = verify_jacobi(LieAlgebra7(family="G2", params=(), brackets=brackets))
-    assert Fraction(int(np.abs(jacobiator).max()), scale * scale) == worst
-    triples = sorted({(i, j, k) for i, j, k, _ in zip(*np.nonzero(jacobiator)) if i < j < k})
+    assert max(abs(x) for x in jacobiator.values()) == worst > 0
+    triples = sorted({(i, j, k) for i, j, k, _ in jacobiator})
     assert triples == [(i, j, k) for i, j, k, _ in violations]
 
 
-def test_integer_jacobi_form_is_zero_on_every_family():
+def test_jacobiator_is_the_term_by_term_sum_on_planted_families():
+    """On every family with e1 planted in [e2, e6] and e1 + e2/2 in
+    [e6, e7], J(C, C) and the cross term J(C0, C) against the unplanted
+    table are the term-by-term sums on the dense tensors, and some entries
+    are nonzero on e1."""
+    on_e1 = 0
     for family in catalog.FAMILIES:
-        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
-        stack, _ = liecore._integer_tensors([_entries(algebra.brackets)])
-        assert not np.any(liecore._jacobi_form(stack[0], stack[0])), family
+        unplanted = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family]).brackets
+        planted = {pair: dict(coeffs) for pair, coeffs in unplanted.items()}
+        for pair, k, v in (((1, 5), 0, 1), ((5, 6), 0, 1), ((5, 6), 1, Fraction(1, 2))):
+            coeffs = planted.setdefault(pair, {})
+            coeffs[k] = coeffs.get(k, 0) + v
+        for inner, outer in ((planted, planted), (unplanted, planted)):
+            jacobiator = liecore._jacobiator(inner, outer)
+            assert jacobiator == _reference_jacobiator(inner, outer), family
+            on_e1 += any(l == 0 for *_, l in jacobiator)
+    assert on_e1
 
 
-def test_integer_jacobi_form_broadcasts_over_stacks():
-    """B(A, B) on stacks equals B on each pair."""
-    a = catalog.build("G8", (Fraction(0),)).brackets
+def _inversions(seq):
+    return sum(a > b for n, a in enumerate(seq) for b in seq[n + 1:])
+
+
+@pytest.mark.parametrize(
+    "perm", [(1, 0, 2, 3, 4, 5, 6), (0, 2, 5, 1, 3, 6, 4), (6, 5, 4, 3, 2, 1, 0)]
+)
+def test_jacobiator_is_antisymmetric_in_its_triple(perm):
+    """Relabelling e_i as e_perm(i) moves entry (i, j, k, l) to the sorted
+    (perm(i), perm(j), perm(k)) and perm(l), with the sign of the sort:
+    the entries are those of a form antisymmetric in (i, j, k)."""
+    relabelled = {}
+    for (i, j), coeffs in BROKEN_BRACKETS.items():
+        sign = (-1) ** _inversions((perm[i], perm[j]))
+        pair = tuple(sorted((perm[i], perm[j])))
+        relabelled[pair] = {perm[k]: sign * v for k, v in coeffs.items()}
+    expected = {}
+    for (i, j, k, l), x in liecore._jacobiator(BROKEN_BRACKETS, BROKEN_BRACKETS).items():
+        triple = (perm[i], perm[j], perm[k])
+        expected[tuple(sorted(triple)) + (perm[l],)] = (-1) ** _inversions(triple) * x
+    assert liecore._jacobiator(relabelled, relabelled) == expected
+
+
+def test_jacobiator_is_zero_on_every_family():
+    for family in catalog.FAMILIES:
+        brackets = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family]).brackets
+        assert liecore._jacobiator(brackets, brackets) == {}, family
+
+
+def test_jacobiator_is_bilinear():
+    """J(A + B, A + B) = J(A, A) + J(A, B) + J(B, A) + J(B, B), with nonzero
+    cross terms."""
+    a = {pair: {k: Fraction(2, 3) * v for k, v in c.items()} for pair, c in BROKEN_BRACKETS.items()}
     b = catalog.build("G8", (Fraction(1, 3),)).brackets
-    stack, scale = liecore._integer_tensors([_entries(a), _entries(b)])
-    assert scale == 3
-    form = liecore._jacobi_form(stack[:, None], stack[None, :])
-    assert form.shape == (2, 2) + (DIM,) * 4
-    for x in range(2):
-        for y in range(2):
-            assert np.array_equal(form[x, y], liecore._jacobi_form(stack[x], stack[y]))
-
-
-def test_integer_jacobi_form_refuses_entries_that_could_overflow():
-    big = np.zeros((DIM, DIM, DIM), dtype=np.int64)
-    big[0, 1, 3], big[1, 0, 3] = 2**30, -(2**30)
-    small = big // 2**30
-    assert not np.any(liecore._jacobi_form(big, small))
-    with pytest.raises(OverflowError):
-        liecore._jacobi_form(big, big)
+    total = {pair: _sparse_sum(a.get(pair, {}), b.get(pair, {})) for pair in a.keys() | b.keys()}
+    cross = [liecore._jacobiator(a, b), liecore._jacobiator(b, a)]
+    assert cross == [_reference_jacobiator(a, b), _reference_jacobiator(b, a)]
+    assert all(cross)
+    assert liecore._jacobiator(total, total) == _sparse_sum(
+        liecore._jacobiator(a, a), *cross, liecore._jacobiator(b, b)
+    )
 
 
 #: Leading shapes and vector scales on which the contractions must equal

@@ -114,6 +114,22 @@ def test_leaf_map_registry():
     assert (h10.source, h10.target, h10.manifold) == ("G13", "G15", topology.Manifold.V3)
 
 
+def test_every_leaf_map_acts_on_its_source_and_targets_manifold():
+    """Each map carries one foliated manifold onto itself: its source and
+    target family share the manifold the map checks points against."""
+    manifolds = {}
+    for name in topology.LEAF_MAP_NAMES:
+        leaf = topology.leaf_map(name)
+        assert leaf.manifold == topology.manifold_of(leaf.source), name
+        assert leaf.manifold == topology.manifold_of(leaf.target), name
+        manifolds[name] = leaf.manifold.value
+    assert manifolds == {
+        **{f"h{k}": "V1" for k in range(1, 7)},
+        "h7": "V2",
+        **{f"h{k}": "V3" for k in range(8, 12)},
+    }
+
+
 def test_leaf_map_parameter_validation():
     """Maps validate their target family's parameter constraints."""
     with pytest.raises(Exception):
