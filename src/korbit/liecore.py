@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Real
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -101,6 +101,22 @@ class LieAlgebra7:
         if any(self.tensor[i, j].any() for i, j in nilradical if (i, j) not in _PAIRING_ENTRIES):
             return None
         return _frozen(self.kirillov_operand[:, [DIM * i + j for i, j in _PAIRING_ENTRIES]].T)
+
+    @cached_property
+    def block_triangular(self) -> bool:
+        """Whether every exp(ad u) has det(E) = det(E[0:3, 0:3]) det(E[3:5, 3:5]).
+
+        True when the structure tensor has exact zeros at [g, g] in the e6
+        and e7 coordinates ([g, g] lies in span(e1..e5)) and at
+        [g, span(e4, e5)] in the e1..e3 coordinates (span(e4, e5) is an
+        ideal).  Then ad u, and every product of such matrices, is zero in
+        rows 6-7 and at rows 1-3 x columns 4-5, so exp(ad u) is block
+        triangular with the identity on the (e6, e7) block; the products
+        in exp_matrix keep those zeros exact, as sums of products with a
+        zero factor.  All sixteen catalog families have this structure.
+        """
+        t = self.tensor
+        return not t[:, :, 5:].any() and not t[:, 3:5, 0:3].any()
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Bracket of two coordinate vectors, [u, v].
@@ -208,8 +224,12 @@ _EXP_STEPS = np.array(
 #: at 256, 12.0-12.4 ms at 512, 13.1-13.5 ms at 1024 and 14.5 ms at 2048.
 _EXP_CHUNK = 512
 
+#: A consumer of exponentials: fold(lo, hi, exps) receives the exponentials
+#: of rows lo..hi of the flattened stack.
+Fold = Callable[[int, int, np.ndarray], None]
 
-def exp_matrix(m: np.ndarray) -> np.ndarray:
+
+def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     """Matrix exponential by scaling and squaring of a truncated series.
 
     The argument is halved s times until its infinity norm is at most 1/2,
@@ -224,7 +244,8 @@ def exp_matrix(m: np.ndarray) -> np.ndarray:
     (Moler & Van Loan 2003).  That is 3 + 4 matrix products before the
     squarings, where term-by-term summation takes 18.  A stack is worked
     through in chunks of _EXP_CHUNK matrices, so that the powers stay in
-    cache; the squaring count is still one for the whole stack.
+    cache; the squaring count is still one for the whole stack, and the
+    norm it comes from is taken chunk by chunk too.
 
     The chunks are split into contiguous spans, one per core the process
     may run on and at most one per two chunks.  The calling thread works
@@ -237,22 +258,26 @@ def exp_matrix(m: np.ndarray) -> np.ndarray:
     under the caller's numpy error state, and an exception raised in one is
     raised here once all have finished.
 
+    Without ``fold``, returns the stack of exponentials, in the shape of
+    ``m``.  With ``fold``, returns None and builds no such stack: each
+    chunk's exponentials, once checked finite, are handed to
+    fold(lo, hi, exps) straight from the span's work rows, as a
+    (hi - lo, n, n) view valid only during the call, where lo..hi are the
+    chunk's rows in the stack flattened to (-1, n, n).  Each row reaches
+    fold exactly once, in the thread of its span, so folds run side by
+    side on disjoint row ranges, and the exponentials are the same floats
+    as without fold.
+
     Supports stacks of matrices on leading axes; an empty stack gives an
-    empty stack of the same shape.  Raises DomainError for non-finite
-    input and when the result overflows.
+    empty stack of the same shape, and no fold call.  Raises DomainError
+    for non-finite input and when the result overflows; with fold, no
+    chunk holding an overflowed exponential reaches fold.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
-        return np.empty(m.shape)
-    # Row sums of |m| (einsum is faster than .sum on 7-wide rows); a
-    # non-finite entry makes the norm NaN or infinite.
-    top = float(np.einsum("...ij->...i", np.abs(m)).max())
-    if not math.isfinite(top):
-        raise DomainError("matrix exponential requires finite entries")
-    squarings = max(0, int(np.ceil(np.log2(top / 0.5)))) if top > 0.5 else 0
+        return None if fold is not None else np.empty(m.shape)
     n = m.shape[-1]
     mats = m.reshape(-1, n, n)
-    result = np.empty(mats.shape)
     size = min(_EXP_CHUNK, len(mats))
     chunks = -(-len(mats) // size)
     try:
@@ -269,10 +294,12 @@ def exp_matrix(m: np.ndarray) -> np.ndarray:
     # Row bounds of each span, on chunk boundaries.
     bounds = [min(len(mats), size * (chunks * i // spans)) for i in range(spans + 1)]
     # Per span, the work rows: the stack (H, X^3, X^2, X, I) that the steps
-    # weigh, X^4, and a squaring buffer.  Only the identity row keeps its
-    # contents.
+    # weigh, X^4, which the squarings reuse, and the row in which a fold's
+    # exponentials are formed.  Only the identity row keeps its contents.
     work = np.zeros((spans, 7, size * n * n))
     work[:, 4].reshape(spans, size, n * n)[:, :, :: n + 1] = 1.0
+    squarings = _squarings(mats, work[0, 0])
+    result = fold if fold is not None else np.empty(mats.shape)
     errors: list[BaseException] = []
 
     def span(context: contextvars.Context, i: int) -> None:
@@ -295,35 +322,71 @@ def exp_matrix(m: np.ndarray) -> np.ndarray:
                 thread.join()
     if errors:
         raise errors[0]
+    if fold is not None:
+        return None
     if not np.all(np.isfinite(result)):
         raise DomainError("matrix exponential overflowed")
     return result.reshape(m.shape)
 
 
+def _squarings(mats: np.ndarray, row: np.ndarray) -> int:
+    """exp_matrix's squaring count for the stack mats, from its largest
+    infinity norm, taken chunk by chunk in the work row ``row``.  Raises
+    DomainError on a non-finite entry, which makes a chunk's norm NaN or
+    infinite."""
+    n = mats.shape[-1]
+    size = row.size // (n * n)
+    top = 0.0
+    for start in range(0, len(mats), size):
+        chunk = mats[start : start + size]
+        magnitudes = row[: chunk.size].reshape(chunk.shape)
+        np.abs(chunk, out=magnitudes)
+        # Row sums (einsum is faster than .sum on 7-wide rows).
+        norm = float(np.einsum("...ij->...i", magnitudes).max())
+        if not math.isfinite(norm):
+            raise DomainError("matrix exponential requires finite entries")
+        top = max(top, norm)
+    return max(0, int(np.ceil(np.log2(top / 0.5)))) if top > 0.5 else 0
+
+
 def _exp_chunks(
-    mats: np.ndarray, result: np.ndarray, squarings: int, lo: int, hi: int, work: np.ndarray
+    mats: np.ndarray,
+    result: np.ndarray | Fold,
+    squarings: int,
+    lo: int,
+    hi: int,
+    work: np.ndarray,
 ) -> None:
-    """exp_matrix's chunk loop: writes the exponentials of mats[lo:hi] to
-    result[lo:hi], chunk by chunk in the work rows of one span."""
+    """exp_matrix's chunk loop over mats[lo:hi], chunk by chunk in the work
+    rows of one span.  ``result`` is either the stack whose rows lo..hi
+    receive the exponentials, or a fold, handed each chunk's exponentials
+    from the work rows once they are checked finite."""
     n = mats.shape[-1]
     size = work.shape[-1] // (n * n)
+    folding = callable(result)
     for start in range(lo, hi, size):
         k = min(size, hi - start)
         rows = work[:, : k * n * n]
-        horner, x3, x2, x1, _, x4, buf = rows.reshape(7, k, n, n)
+        horner, x3, x2, x1, _, x4, exps = rows.reshape(7, k, n, n)
         np.multiply(mats[start : start + k], 2.0**-squarings, out=x1)
         np.matmul(x1, x1, out=x2)
         np.matmul(x2, x1, out=x3)
         np.matmul(x2, x2, out=x4)
-        target = out = result[start : start + k]
+        target = out = exps if folding else result[start : start + k]
         np.matmul(_EXP_STEPS[4], rows[:5], out=out.reshape(-1))
         for weights in _EXP_STEPS[3::-1]:
             np.matmul(out, x4, out=horner)
             np.matmul(weights, rows[:5], out=out.reshape(-1))
+        # X^4 is spent: its row is the squarings' second buffer.
+        buf = x4
         for _ in range(squarings):
             np.matmul(out, out, out=buf)
             out, buf = buf, out
-        if out is not target:
+        if folding:
+            if not np.isfinite(out).all():
+                raise DomainError("matrix exponential overflowed")
+            result(start, start + k, out)
+        elif out is not target:
             target[...] = out
 
 

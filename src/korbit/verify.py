@@ -869,13 +869,19 @@ def measure_invariance_result(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> CheckResult:
-    """Determinant of the orbit map equals exp of the adjoint trace."""
+    """Determinant of the orbit map equals exp of the adjoint trace.  The
+    details name how coadjoint.jacobian_check took the determinant."""
     algebra = catalog.build(family, params)
     u = rng.sample_coordinates(seed, samples, "measure", family, *params)
     det, exp_trace = coadjoint.jacobian_check(algebra, u)
     tally = _Tally()
     tally.fold(np.abs(det - exp_trace) / np.abs(exp_trace), u)
-    return tally.result("measure_invariance", tol)
+    path = "of the (e1, e2, e3) and (e4, e5) blocks" if algebra.block_triangular else "by LU"
+    return tally.result(
+        "measure_invariance",
+        tol,
+        details=f"det of exp(ad u) {path}, against exp(tr ad u)",
+    )
 
 
 def flow_result(

@@ -4,13 +4,20 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from korbit import catalog, coadjoint, liecore, rng, verify
-from korbit.liecore import PAIRING_TOL_FLOOR, DomainError, UnsupportedFamilyError, numeric_rank
+from korbit.liecore import (
+    PAIRING_TOL_FLOOR,
+    DomainError,
+    LieAlgebra7,
+    UnsupportedFamilyError,
+    numeric_rank,
+)
 
 HALF = Fraction(1, 2)
 REL = 1e-12
@@ -55,6 +62,88 @@ def test_action_matrix_determinant_equals_trace_exponential():
     det, exp_trace = coadjoint.jacobian_check(algebra, u)
     assert math.isclose(float(det), math.exp(5.0), rel_tol=REL)
     assert math.isclose(float(exp_trace), math.exp(5.0), rel_tol=REL)
+
+
+#: jacobian_check's determinant against np.linalg.det of the same
+#: exponentials, relative: the block cofactors and LU round differently.
+DET_REL = 1e-13
+
+#: An algebra without the block structure: [e6, e7] = e6 leaves [g, g]
+#: outside span(e1..e5).
+UNSTRUCTURED = LieAlgebra7("T", (), {(5, 6): {5: 1}})
+
+
+def _on_cores(monkeypatch, cores):
+    """Make exp_matrix see `cores` cores, whatever the machine has."""
+    monkeypatch.setattr(liecore.os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called off its path")
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_jacobian_check_block_determinant_matches_lu_on_every_family(family, monkeypatch):
+    """On every catalog algebra exp(ad u) is block triangular, and
+    jacobian_check's det, from the (e1, e2, e3) and (e4, e5) blocks without
+    LU, matches np.linalg.det of the exponentials on 10k elements."""
+    algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+    assert algebra.block_triangular
+    u = rng.sample_coordinates(0, 10_000, "block-det", family)
+    exps = liecore.exp_matrix(algebra.ad(u))
+    assert not exps[:, 0:3, 3:5].any() and not exps[:, 5:, 0:5].any()
+    assert np.array_equal(exps[:, 5:, 5:], np.broadcast_to(np.eye(2), (10_000, 2, 2)))
+    lu = np.linalg.det(exps)
+    monkeypatch.setattr(np.linalg, "det", _refuse)
+    det, exp_trace = coadjoint.jacobian_check(algebra, u)
+    assert np.abs(det / lu - 1.0).max() <= DET_REL
+    assert np.array_equal(exp_trace, np.exp(np.trace(algebra.ad(u), axis1=-2, axis2=-1)))
+
+
+def test_jacobian_check_by_lu_without_the_block_structure(monkeypatch):
+    """An algebra whose [g, g] leaves span(e1..e5) takes the LU path, and
+    its det is np.linalg.det of the exponentials, to the bit."""
+    assert not UNSTRUCTURED.block_triangular
+    u = rng.sample_coordinates(0, 2_000, "lu-det", "T")
+    expected = np.linalg.det(liecore.exp_matrix(UNSTRUCTURED.ad(u)))
+    monkeypatch.setattr(coadjoint, "_block_det", _refuse)
+    det, exp_trace = coadjoint.jacobian_check(UNSTRUCTURED, u)
+    assert np.array_equal(det, expected)
+    assert np.abs(det / exp_trace - 1.0).max() <= DET_REL
+
+
+@pytest.mark.parametrize("algebra", [catalog.build("G4", (0, 2)), UNSTRUCTURED], ids=["G4", "T"])
+@pytest.mark.parametrize("shape", [(7,), (5, 7), (2, 3, 7), (0, 7)])
+def test_jacobian_check_shapes_and_types(algebra, shape):
+    """One element gives numpy scalars, a batch arrays of its leading
+    shape, on both determinant paths."""
+    u = rng.sample_coordinates(0, math.prod(shape[:-1]), "shapes").reshape(shape)
+    det, exp_trace = coadjoint.jacobian_check(algebra, u)
+    for value in (det, exp_trace):
+        if len(shape) == 1:
+            assert type(value) is np.float64
+        else:
+            assert type(value) is np.ndarray and value.dtype == float
+            assert value.shape == shape[:-1]
+
+
+@pytest.mark.parametrize("call", ["coadjoint_act", "jacobian_check"])
+def test_coadjoint_act_and_jacobian_check_keep_no_stack_of_exponentials(call, monkeypatch):
+    """On one core, acting by 10k elements, or taking their determinants,
+    peaks below two (10k, 7, 7) float stacks: the ad stack, the work rows
+    and the outputs, but no stack of exponentials and no copy of |ad|."""
+    algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+    u = rng.sample_coordinates(0, 10_000, "allocation", "G13")
+    f = rng.sample_functionals(0, 1, "allocation", "G13")[0]
+    _on_cores(monkeypatch, 1)
+    args = (algebra, u, f) if call == "coadjoint_act" else (algebra, u)
+    tracemalloc.start()
+    try:
+        getattr(coadjoint, call)(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u.shape[0] * 7 * 7 * 8, peak / (u.shape[0] * 7 * 7 * 8)
 
 
 def test_adjoint_trace_of_rotation_family():
@@ -311,6 +400,7 @@ GRID_SHAPES = {
     "batch-by-one": ((6, 7), (7,), (6, 7)),
     "batch-by-batch": ((6, 7), (5, 7), (6, 5, 7)),
     "stack-by-batch": ((2, 3, 7), (4, 7), (2, 3, 4, 7)),
+    "batch-by-wide-batch": ((6, 7), (9, 7), (6, 9, 7)),
     "empty-u": ((0, 7), (5, 7), (0, 5, 7)),
     "empty-f": ((6, 7), (0, 7), (6, 0, 7)),
 }
@@ -324,16 +414,16 @@ def test_coadjoint_act_images_every_functional_under_every_element(
     family, u_shape, f_shape, image_shape
 ):
     """coadjoint_act returns the (group element x functional) grid of
-    images, equal to an einsum over the action matrices to rounding."""
+    images, bit for bit the matrix products of the functionals with the
+    stack of action matrices."""
     algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
     u = rng.sample_coordinates(0, math.prod(u_shape[:-1]), "grid-u", family).reshape(u_shape)
     f = rng.sample_functionals(0, math.prod(f_shape[:-1]), "grid-f", family).reshape(f_shape)
     images = coadjoint.coadjoint_act(algebra, u, f)
     assert images.shape == image_shape
-    actions = liecore.exp_matrix(algebra.ad(u)).reshape(-1, 7, 7)
-    expected = np.einsum("gij,fi->gfj", actions, f.reshape(-1, 7)).reshape(image_shape)
-    if expected.size:
-        assert np.abs(images - expected).max() <= 1e-14 * np.abs(expected).max()
+    actions = liecore.exp_matrix(algebra.ad(u.reshape(-1, 7)))
+    expected = np.matmul(f.reshape(-1, 7), actions).reshape(image_shape)
+    assert np.array_equal(images, expected)
 
 
 def test_sample_orbit_names_the_first_element_whose_exponential_overflows():

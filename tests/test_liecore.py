@@ -198,19 +198,37 @@ def _on_cores(monkeypatch, cores):
     monkeypatch.setattr(liecore.os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
+def _folded(stack):
+    """The exponentials of a stack as exp_matrix's fold collects them, and
+    how often each row reached the fold."""
+    flat = np.full((len(stack), DIM, DIM), np.nan)
+    arrivals = np.zeros(len(stack), dtype=int)
+
+    def fold(lo, hi, exps):
+        flat[lo:hi] = exps
+        arrivals[lo:hi] += 1
+
+    assert exp_matrix(stack, fold=fold) is None
+    return flat, arrivals
+
+
 @pytest.mark.parametrize("n", EXP_STACK_SIZES)
 def test_exp_matrix_is_the_same_on_one_two_and_three_spans(n, monkeypatch):
     """Splitting the chunks over 2 or 3 spans changes no bit of the
-    exponentials, on every family's ad stack and on Gaussian stacks."""
+    exponentials, on every family's ad stack and on Gaussian stacks, and
+    a fold collects those same exponentials, each row exactly once."""
     gen = np.random.default_rng(n)
     stacks = [_ad_stack(family, n, seed=n) for family in catalog.FAMILIES]
     stacks += [gen.normal(0.0, scale, (n, DIM, DIM)) for scale in (0.1, 1.0, 3.0)]
     _on_cores(monkeypatch, 1)
     reference = [exp_matrix(stack) for stack in stacks]
-    for cores in (2, 3):
+    for cores in (1, 2, 3):
         _on_cores(monkeypatch, cores)
         for stack, expected in zip(stacks, reference):
             assert np.array_equal(exp_matrix(stack), expected), (cores, n)
+            folded, arrivals = _folded(stack)
+            assert np.array_equal(folded, expected), (cores, n)
+            assert np.all(arrivals == 1), (cores, n)
 
 
 @pytest.mark.parametrize(
@@ -251,15 +269,28 @@ def test_exp_matrix_splits_whole_chunks_into_one_span_per_core(n, cores, spans, 
 
 def test_exp_matrix_overflow_on_several_spans_keeps_the_callers_error_state(monkeypatch):
     """Under the caller's errstate(over="ignore"), an overflow in any span
-    warns nowhere and ends in DomainError, as on one span."""
-    stack = np.broadcast_to(800 * np.eye(DIM), (2000, DIM, DIM))
+    warns nowhere and ends in DomainError, as on one span, with or without
+    a fold; a fold is handed only finite chunks."""
+    overflowing = np.broadcast_to(800 * np.eye(DIM), (2000, DIM, DIM))
+    # Rows 0..1499 exponentiate to the identity and the rest overflow, so
+    # the first two chunks are finite and the last two are not.
+    partly = np.zeros((2000, DIM, DIM))
+    partly[1500:] = 800 * np.eye(DIM)
+    handed = []
+
+    def fold(lo, hi, exps):
+        handed.append((lo, hi, bool(np.isfinite(exps).all())))
+
     for cores in (1, 2, 3):
         _on_cores(monkeypatch, cores)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with np.errstate(over="ignore"), pytest.raises(DomainError):
-                exp_matrix(stack)
-        assert not caught, (cores, [str(w.message) for w in caught])
+        for stack in (overflowing, partly):
+            for kwargs in ({}, {"fold": fold}):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with np.errstate(over="ignore"), pytest.raises(DomainError):
+                        exp_matrix(stack, **kwargs)
+                assert not caught, (cores, [str(w.message) for w in caught])
+    assert handed and all(finite and hi <= 1024 for _, hi, finite in handed), handed
 
 
 class _Planted(Exception):
