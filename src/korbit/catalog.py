@@ -18,6 +18,7 @@ from numbers import Real
 from typing import Callable
 
 from .liecore import LieAlgebra7, ParameterError, UnsupportedFamilyError
+from .poly import Poly
 
 
 class ClosedForm(enum.Enum):
@@ -171,10 +172,17 @@ def families_with(form: ClosedForm) -> frozenset[str]:
 
 
 def validate_params(family: str, params: tuple[Real, ...]) -> None:
-    """Raise ParameterError naming the violated catalog condition."""
+    """Raise ParameterError naming the violated catalog condition.
+
+    The arity is always checked.  The constraint clauses are skipped when a
+    parameter is a Poly: a symbol stands for every admissible value, and a
+    clause such as λ ≥ 0 cannot be decided on it.
+    """
     fam = record(family)
     if len(params) != fam.arity:
         raise ParameterError(f"{family} takes {fam.arity} parameter(s), got {len(params)}")
+    if any(isinstance(p, Poly) for p in params):
+        return
     for text, holds in fam.clauses:
         if not holds(*params):
             raise ParameterError(f"{family} requires {text}")
@@ -280,7 +288,8 @@ def build(family: str, params: tuple[Real, ...] = ()) -> LieAlgebra7:
     """Assemble the Lie algebra of a catalog family.
 
     Pass fractions as parameters to keep the structure constants exact;
-    floats are carried through unchanged.
+    floats are carried through unchanged.  With a Poly per parameter the
+    structure constants are exact polynomials in the parameters.
     """
     params = tuple(params)
     a, b, central = derivation_pair(family, params)

@@ -222,7 +222,7 @@ def orbit_points(algebra: LieAlgebra7, f: np.ndarray, u: np.ndarray) -> np.ndarr
         points = coadjoint_act(algebra, u, f)
     bad = ~np.all(np.isfinite(points), axis=-1)
     if np.any(bad):
-        culprit = u[np.argmax(bad)]
+        culprit = np.asarray(u)[np.unravel_index(np.argmax(bad), bad.shape)]
         raise DomainError(f"orbit point overflowed for algebra element {culprit.tolist()}")
     return points
 

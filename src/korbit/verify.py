@@ -37,6 +37,7 @@ from .liecore import (
     phi1,
     verify_jacobi,
 )
+from .poly import Poly
 
 #: Deciding quantities must clear this distance from their zero locus for a
 #: randomly sampled point to enter a strict-comparison campaign.
@@ -190,107 +191,22 @@ def _random_rational_params(family: str, gen: np.random.Generator) -> tuple[Frac
             return draw
 
 
-#: Candidate steps from the base point along one parameter, for its
-#: direction tensor, and candidate shifts of every parameter at once, for
-#: the held-out point; the first candidate that the family's constraints
-#: admit is taken.  No shift equals a step, so the held-out point is
-#: neither the base point nor a step point.
-_JACOBI_STEPS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2))
-_JACOBI_SHIFTS = (Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-2, 3))
+def _jacobi_polynomials(family: str) -> list[Poly]:
+    """The nonzero entries of the family's Jacobiator as exact polynomials
+    in its parameters: liecore._jacobiator on the bracket table built with
+    one Poly variable per parameter.  The list is empty exactly when the
+    Jacobi identity holds for every parameter value.  A table with no
+    parameters, or a term that involves none, gives a plain number, which
+    Poly() + x lifts to a constant."""
+    variables = tuple(Poly.variable(i) for i in range(catalog.PARAM_ARITY[family]))
+    table = catalog.build(family, variables).brackets
+    return [Poly() + x for x in _jacobiator(table, table).values()]
 
 
-def _entries(family: str, params: tuple[Fraction, ...]) -> dict[tuple[int, int, int], Fraction]:
-    """Nonzero exact structure constants of a family member, keyed (i, j, k)
-    with i < j for the e_k coefficient of [e_i, e_j]."""
-    return {
-        (i, j, k): Fraction(v)
-        for (i, j), coeffs in catalog.build(family, params).brackets.items()
-        for k, v in coeffs.items()
-        if v != 0
-    }
-
-
-@dataclass(frozen=True)
-class _JacobiCertificate:
-    """The Jacobiator of a family as an exact polynomial in its parameters.
-
-    The structure constants are taken to be affine, C(p) = C0 + sum of
-    t_i D_i with t = p - base: C0 is built at ``base`` and D_i from one
-    step along parameter i.  ``holdout`` is a further point, not used to
-    build the model, and ``deviation`` the largest entry of build(holdout)
-    minus the model there; the model is sound only when it is zero.  With
-    T = (C0, D_1, ..., D_n) and m = (1, t_1, ..., t_n) the Jacobiator is
-    J(p) = B(C(p), C(p)) = sum over a <= b of m_a m_b Q_ab, where
-    Q_aa = B(T_a, T_a) and Q_ab = B(T_a, T_b) + B(T_b, T_a) for the form B
-    of liecore._jacobiator.  ``terms`` holds the nonzero Q_ab, keyed
-    (a, b), as exact entries (i, j, k, l) with i < j < k.
-    """
-
-    base: tuple[Fraction, ...]
-    holdout: tuple[Fraction, ...]
-    deviation: Fraction
-    terms: dict[tuple[int, int], dict[tuple[int, int, int, int], Fraction]]
-
-    def residual(self, params: tuple[Fraction, ...]) -> Fraction:
-        """Largest absolute entry of J(params), as verify_jacobi reports it."""
-        if not self.terms:
-            return Fraction(0)
-        m = (1,) + tuple(p - b for p, b in zip(params, self.base))
-        acc: dict[tuple[int, int, int, int], Fraction] = {}
-        for (a, b), entries in self.terms.items():
-            for index, value in entries.items():
-                acc[index] = acc.get(index, 0) + m[a] * m[b] * value
-        return max((abs(x) for x in acc.values()), default=Fraction(0))
-
-
-def _jacobi_certificate(family: str) -> _JacobiCertificate:
-    """Build the family's Jacobi certificate at REPRESENTATIVE_PARAMS."""
-    base = REPRESENTATIVE_PARAMS[family]
-    n = len(base)
-    c0 = _entries(family, base)
-    directions = []
-    for i in range(n):
-        point = next(
-            p
-            for h in _JACOBI_STEPS
-            if _valid(family, p := base[:i] + (base[i] + h,) + base[i + 1:])
-        )
-        step = _entries(family, point)
-        h = point[i] - base[i]
-        direction = {key: (step.get(key, 0) - c0.get(key, 0)) / h for key in c0.keys() | step}
-        directions.append({key: v for key, v in direction.items() if v})
-    holdout = next(
-        p for s in _JACOBI_SHIFTS if _valid(family, p := tuple(b + s for b in base))
-    )
-    actual = _entries(family, holdout)
-    keys = actual.keys() | c0.keys() | {key for d in directions for key in d}
-    deviation = max(
-        (
-            abs(
-                actual.get(key, 0)
-                - c0.get(key, 0)
-                - sum((p - b) * d.get(key, 0) for p, b, d in zip(holdout, base, directions))
-            )
-            for key in keys
-        ),
-        default=Fraction(0),
-    )
-    terms: dict[tuple[int, int], dict[tuple[int, int, int, int], Fraction]] = {}
-    if deviation == 0:
-        tables: list[dict[tuple[int, int], dict[int, Fraction]]] = []
-        for entries in (c0, *directions):
-            tables.append({})
-            for (i, j, k), v in entries.items():
-                tables[-1].setdefault((i, j), {})[k] = v
-        for a in range(n + 1):
-            for b in range(a, n + 1):
-                q: dict[tuple[int, int, int, int], Fraction] = {}
-                for x, y in {(a, b), (b, a)}:
-                    for index, v in _jacobiator(tables[x], tables[y]).items():
-                        q[index] = q.get(index, 0) + v
-                if q := {index: v for index, v in q.items() if v}:
-                    terms[a, b] = q
-    return _JacobiCertificate(base, holdout, deviation, terms)
+def _jacobi_residual(polynomials: list[Poly], params: tuple[Fraction, ...]) -> Fraction:
+    """Largest absolute entry of the Jacobiator at params, as verify_jacobi
+    reports it."""
+    return max((abs(p(params)) for p in polynomials), default=Fraction(0))
 
 
 def _point(params: tuple[Fraction, ...]) -> str:
@@ -305,46 +221,29 @@ def jacobi_result(
 ) -> CheckResult:
     """Exact Jacobi residual over random rational parameters of the family.
 
-    The residuals come from the family's Jacobi certificate, the
-    Jacobiator as an exact polynomial in the parameters, evaluated at the
-    configured parameters, when given (converted to exact rationals, which
-    is lossless for floats), and at every draw.  The certificate is sound
-    only where the structure constants are affine in the parameters, which
-    is checked at its held-out point; otherwise the check fails as "not
-    affine".  verify_jacobi, the same exact form on the built algebra
-    itself, runs once, at the configured parameters or else at the
-    held-out point, and must give the polynomial's value there, which
-    checks the affine model and its expansion.  Only nonzero residuals are
+    The residuals come from the family's Jacobiator as exact polynomials
+    in the parameters (_jacobi_polynomials), evaluated at the configured
+    parameters, when given (converted to exact rationals, which is
+    lossless for floats), and at every draw.  verify_jacobi, the same
+    exact form on the built algebra itself, runs once, at the configured
+    parameters, else at the first draw, else at REPRESENTATIVE_PARAMS, and
+    must give the polynomials' value there.  Only nonzero residuals are
     folded into the tally, so the worst sample is the worst draw on a
-    failure and None on a pass.
+    failure and None on a pass; with nothing evaluated the check fails.
     """
     gen = rng.generator(seed, "jacobi", family)
     trials: list[tuple[Fraction, ...]] = []
     if params is not None:
         trials.append(exact_params(tuple(params)))
     trials.extend(_random_rational_params(family, gen) for _ in range(draws))
-    certificate = _jacobi_certificate(family)
+    polynomials = _jacobi_polynomials(family)
     names = catalog.record(family).param_names
     arity = len(names)
     tally = _Tally()
-    if certificate.deviation:
-        tally.fold(
-            np.array([float(certificate.deviation)]),
-            np.array([[float(x) for x in certificate.holdout]]).reshape(1, arity),
-        )
-        return tally.result(
-            "jacobi",
-            passed=False,
-            details=(
-                f"structure constants of {family} not affine in ({', '.join(names)}): "
-                f"off the model built at {_point(certificate.base)} by "
-                f"{certificate.deviation} at {_point(certificate.holdout)}"
-            ),
-        )
-    residuals = [certificate.residual(trial) for trial in trials]
-    checked = trials[0] if params is not None else certificate.holdout
+    residuals = [_jacobi_residual(polynomials, trial) for trial in trials]
+    checked = trials[0] if trials else REPRESENTATIVE_PARAMS[family]
     loop, _ = verify_jacobi(catalog.build(family, checked))
-    polynomial = certificate.residual(checked)
+    polynomial = _jacobi_residual(polynomials, checked)
     agrees = loop == polynomial
     bad = [n for n, r in enumerate(residuals) if r]
     tally.fold(
@@ -354,13 +253,14 @@ def jacobi_result(
     )
     degree = f"degree 2 in ({', '.join(names)})" if names else "degree 0 (no parameters)"
     size = (arity + 1) * (arity + 2) // 2
+    monomials = {m for p in polynomials for m in p.terms}
     verdict = "agrees" if agrees else f"disagrees: loop {loop}, polynomial {polynomial}"
     return tally.result(
         "jacobi",
         passed=agrees and tally.count > 0 and tally.worst <= 0.0,
         details=(
             f"Jacobiator of {family} as an exact polynomial of {degree}: "
-            f"{len(certificate.terms)} of {size} coefficient tensors nonzero; "
+            f"{len(monomials)} of {size} coefficient tensors nonzero; "
             f"{tally.count} exact evaluations; verify_jacobi loop cross-check at "
             f"{_point(checked)} {verdict}"
         ),

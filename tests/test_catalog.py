@@ -9,6 +9,7 @@ import pytest
 from korbit import catalog, coadjoint, foliation, topology, verify
 from korbit.catalog import ClosedForm
 from korbit.liecore import ParameterError, UnsupportedFamilyError
+from korbit.poly import Poly
 
 HALF = Fraction(1, 2)
 
@@ -62,6 +63,23 @@ def test_validate_params_checks_arity():
         catalog.validate_params("G2", (1,))
     with pytest.raises(ParameterError):
         catalog.validate_params("G4", (1,))
+
+
+def test_validate_params_skips_the_clauses_only_for_polys():
+    """A Poly parameter stands for every admissible value, so the clauses
+    are skipped for it, but the arity is still checked; numbers and other
+    types meet the clauses as before."""
+    x, y = Poly.variable(0), Poly.variable(1)
+    catalog.validate_params("G13", (x,))
+    catalog.validate_params("G4", (x, x + 1))
+    catalog.validate_params("G14", (HALF, y))
+    for family, params in (("G13", (x, y)), ("G2", (x,)), ("G4", (x,))):
+        with pytest.raises(ParameterError, match="parameter"):
+            catalog.validate_params(family, params)
+    with pytest.raises(ParameterError, match="λ ≥ 0"):
+        catalog.validate_params("G13", (-HALF,))
+    with pytest.raises(TypeError):
+        catalog.validate_params("G13", ("x",))
 
 
 def test_unknown_family_raises():

@@ -446,3 +446,15 @@ def test_sample_orbit_names_the_first_element_whose_exponential_overflows():
     elements = coadjoint.orbit_elements(algebra, 50, seed=9)
     first = next(k for k, element in enumerate(elements) if overflows(element))
     assert named == elements[first].tolist()
+
+
+def test_orbit_points_name_the_overflowing_element_over_several_leading_axes():
+    """Elements with two leading axes: the error names the one element whose
+    image overflows, as it does for the same elements flattened."""
+    algebra = catalog.build("G13", (HALF,))
+    u = np.zeros((2, 3, 7))
+    u[1, 2, 5] = 1.0
+    f = np.full(7, 1e308)
+    for elements in (u, u.reshape(6, 7)):
+        with pytest.raises(DomainError, match=re.escape(str(u[1, 2].tolist()))):
+            coadjoint.orbit_points(algebra, f, elements)

@@ -283,8 +283,9 @@ def _draws(family, draws, seed):
 
 
 def test_certificate_values_equal_the_loop_at_a_planted_fault(monkeypatch):
-    """A bracket affine in lambda gives nonzero coefficient tensors; each
-    draw's residual is verify_jacobi's, and the worst draw is reported."""
+    """A bracket affine in lambda gives nonzero Jacobiator polynomials; each
+    draw's residual is verify_jacobi's, the worst draw is reported, and
+    the loop cross-check runs at the first draw."""
     monkeypatch.setattr(catalog, "derivation_pair", _planting(lambda p: p[0]))
     result = verify.jacobi_result("G8", draws=40, seed=3)
     draws = _draws("G8", 40, 3)
@@ -293,19 +294,35 @@ def test_certificate_values_equal_the_loop_at_a_planted_fault(monkeypatch):
     assert result.n_evaluated == 40
     assert result.max_residual == float(max(loops)) > 0
     assert result.worst_sample == tuple(map(float, draws[loops.index(max(loops))]))
-    assert "verify_jacobi loop cross-check at (5/6) agrees" in result.details
-    certificate = verify._jacobi_certificate("G8")
-    assert certificate.terms
+    assert f"verify_jacobi loop cross-check at ({draws[0][0]}) agrees" in result.details
+    polynomials = verify._jacobi_polynomials("G8")
+    assert polynomials
     for lam in (Fraction(0), Fraction(1, 2), Fraction(3)):
-        assert certificate.residual((lam,)) == verify_jacobi(catalog.build("G8", (lam,)))[0]
+        value = verify._jacobi_residual(polynomials, (lam,))
+        assert value == verify_jacobi(catalog.build("G8", (lam,)))[0]
 
 
-def test_a_non_affine_bracket_fails_the_certificate(monkeypatch):
+def test_a_quadratic_bracket_fails_at_the_loop_residuals(monkeypatch):
+    """A bracket quadratic in lambda needs no affine model: every draw's
+    residual is verify_jacobi's, and only the monomial lambda squared of
+    the Jacobiator carries a coefficient."""
     monkeypatch.setattr(catalog, "derivation_pair", _planting(lambda p: p[0] * p[0]))
-    result = verify.jacobi_result("G8", (Fraction(1, 2),), draws=10)
+    result = verify.jacobi_result("G8", draws=10, seed=0)
+    draws = _draws("G8", 10, 0)
+    loops = [verify_jacobi(catalog.build("G8", d))[0] for d in draws]
     assert not result.passed
-    assert "not affine" in result.details
-    assert result.max_residual > 0
+    assert result.n_evaluated == 10
+    assert result.max_residual == float(max(loops)) > 0
+    assert result.worst_sample == tuple(map(float, draws[loops.index(max(loops))]))
+    assert ": 1 of 3 coefficient tensors nonzero;" in result.details
+
+
+def test_zero_evaluations_fail_with_the_cross_check_at_the_representative():
+    result = verify.jacobi_result("G8", draws=0)
+    assert not result.passed
+    assert result.n_evaluated == 0
+    (lam,) = verify.REPRESENTATIVE_PARAMS["G8"]
+    assert f"cross-check at ({lam}) agrees" in result.details
 
 
 def test_a_loop_disagreeing_with_the_polynomial_fails(monkeypatch):
@@ -330,11 +347,11 @@ def test_passing_certificate_reports_its_shape():
     raw=st.tuples(*[st.fractions(-4, 4, max_denominator=7)] * 2),
 )
 def test_certificate_equals_the_loop_at_random_rationals(family, planted, raw):
-    """Where the family's constraints admit the point, the polynomial's value
-    is verify_jacobi's residual, with and without a planted affine fault.
-    The fault makes every coefficient tensor nonzero: the derivations
-    gain e2 -> s e1 and e1 -> s e2 and [e6, e7] gains (1 + s) e2, where s
-    is the sum of the parameters."""
+    """Where the family's constraints admit the point, the polynomials' value
+    is verify_jacobi's residual, with and without a planted affine fault:
+    the derivations gain e2 -> s e1 and e1 -> s e2 and [e6, e7] gains
+    (1 + s) e2, where s is the sum of the parameters.  Without parameters
+    (G2, for one) the planted entries are plain numbers."""
     params = raw[: catalog.PARAM_ARITY[family]]
     if not verify._valid(family, params):
         return
@@ -351,6 +368,6 @@ def test_certificate_equals_the_loop_at_random_rationals(family, planted, raw):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(catalog, "derivation_pair", derivation_pair)
-        value = verify._jacobi_certificate(family).residual(params)
+        value = verify._jacobi_residual(verify._jacobi_polynomials(family), params)
         assert value == verify_jacobi(catalog.build(family, params))[0]
     assert (value != 0) <= planted
