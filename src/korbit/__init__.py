@@ -13,7 +13,6 @@ from __future__ import annotations
 from .catalog import (
     FAMILIES,
     PARAM_ARITY,
-    PARAM_NAMES,
     build,
     default_parameter_grid,
     derivation_pair,
@@ -30,8 +29,6 @@ from .coadjoint import (
     sample_orbit,
 )
 from .foliation import (
-    FLOW_FAMILIES,
-    INVARIANT_FAMILIES,
     SYSTEM_FAMILIES,
     LinearVectorField,
     distribution_equiv,
@@ -75,11 +72,8 @@ __all__ = [
     "DIM",
     "FAMILIES",
     "PARAM_ARITY",
-    "PARAM_NAMES",
     "CSTAR_DESCRIPTORS",
     "LEAF_MAP_NAMES",
-    "FLOW_FAMILIES",
-    "INVARIANT_FAMILIES",
     "SYSTEM_FAMILIES",
     "CheckResult",
     "DomainError",

@@ -141,10 +141,6 @@ FAMILIES: tuple[str, ...] = tuple(_RECORDS)
 
 PARAM_ARITY: dict[str, int] = {name: r.arity for name, r in _RECORDS.items()}
 
-PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    name: r.param_names for name, r in _RECORDS.items() if r.param_names
-}
-
 
 def record(family: str) -> FamilyRecord:
     """The catalog record of a family."""

@@ -195,17 +195,11 @@ def orbit_type(
     return OrbitType.MAXIMAL_NONGENERIC
 
 
-def sample_orbit(
-    algebra: LieAlgebra7,
-    f: np.ndarray,
-    n: int,
-    seed: int,
-    radius: float = rng.COORDINATE_RADIUS,
-) -> np.ndarray:
-    """Draw n points of the orbit through f from exponentials of uniform
-    algebra elements with coordinates in [-radius, radius]: orbit_points
-    at orbit_elements(algebra, n, seed, radius)."""
-    return orbit_points(algebra, f, orbit_elements(algebra, n, seed, radius))
+def sample_orbit(algebra: LieAlgebra7, f: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Draw n points of the orbit through f from exponentials of algebra
+    elements with coordinates uniform in [-r, r], r = rng.COORDINATE_RADIUS:
+    orbit_points at orbit_elements(algebra, n, seed)."""
+    return orbit_points(algebra, f, orbit_elements(algebra, n, seed))
 
 
 def orbit_points(algebra: LieAlgebra7, f: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -227,13 +221,9 @@ def orbit_points(algebra: LieAlgebra7, f: np.ndarray, u: np.ndarray) -> np.ndarr
     return points
 
 
-def orbit_elements(
-    algebra: LieAlgebra7,
-    n: int,
-    seed: int,
-    radius: float = rng.COORDINATE_RADIUS,
-) -> np.ndarray:
+def orbit_elements(algebra: LieAlgebra7, n: int, seed: int) -> np.ndarray:
     """The n algebra elements whose exponentials sample_orbit applies, in
     the order of its points."""
     gen = rng.generator(seed, "orbit", algebra.family, *algebra.params)
+    radius = rng.COORDINATE_RADIUS
     return gen.uniform(-radius, radius, size=(n, 7))

@@ -45,12 +45,6 @@ from .liecore import (
 #: Families with a cataloged generating system of vector fields.
 SYSTEM_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.FIELDS)
 
-#: Families with a cataloged closed-form orbit invariant.
-INVARIANT_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.INVARIANT)
-
-#: Families whose closed-form flows are cataloged for every field.
-FLOW_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.FLOWS)
-
 
 @dataclass(frozen=True, eq=False)
 class LinearVectorField:

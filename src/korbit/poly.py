@@ -26,6 +26,11 @@ class Poly:
         """The polynomial x_i."""
         return cls({(i,): 1})
 
+    @property
+    def degree(self) -> int:
+        """Total degree; 0 for a constant, the zero polynomial included."""
+        return max(map(len, self.terms), default=0)
+
     @staticmethod
     def _lift(x) -> Poly | None:
         if isinstance(x, Poly):

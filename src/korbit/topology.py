@@ -150,9 +150,10 @@ def fibration_value(t: FoliationType, v: np.ndarray) -> np.ndarray:
     return (x2 * x5 - x3 * x4) / (x4 * x4 + x5 * x5)
 
 
-def fibration_gradient(t: FoliationType, v: np.ndarray, step: float = 1e-6) -> np.ndarray:
+def fibration_gradient(t: FoliationType, v: np.ndarray) -> np.ndarray:
     """Central-difference gradient of the representative fibration."""
     v = np.asarray(v, dtype=float)
+    step = 1e-6
     grads = []
     for i in range(7):
         offset = np.zeros(7)
@@ -163,9 +164,11 @@ def fibration_gradient(t: FoliationType, v: np.ndarray, step: float = 1e-6) -> n
     return np.stack(grads, axis=-1)
 
 
-# Leaf-preserving maps.  Every map fixes all coordinates except the second
-# and third (and the fourth, for h1), so inverses are closed forms.  Each
-# map's facts live in its LeafMap record in _LEAF_MAPS.
+# Leaf-preserving maps.  Every map but the h1 shear sends the second and
+# third coordinates to s * ((x2, x3) + o), with the scale s and the offset
+# o = (o2, o3) functions of the fourth and fifth (_action), and fixes the
+# rest; the shear rewrites the fourth.  Each map's facts live in its
+# LeafMap record in _LEAF_MAPS.
 
 
 def _with_columns(v: np.ndarray, **cols: np.ndarray) -> np.ndarray:
@@ -185,47 +188,41 @@ def _v3_branches(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x4 == 0) & (x5 != 0), (x4 != 0) & (x5 == 0)
 
 
-def _scale_factor(name: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarray:
-    """Multiplier applied to the second and third coordinates, where the
-    map acts by a common factor."""
+def _action(
+    name: str, params: tuple[Real, ...], v: np.ndarray
+) -> tuple[np.ndarray | float, ...]:
+    """(s, o2, o3) of the named map at the points v."""
     x4, x5 = v[..., 3], v[..., 4]
     if name == "h2":
         l1, l2 = (float(p) for p in params)
         denom = l2 - l1 - 1.0
-        return np.abs(x5) ** (1.0 / denom) / np.abs(x4) ** ((1.0 + l1) / denom)
+        return np.abs(x5) ** (1.0 / denom) / np.abs(x4) ** ((1.0 + l1) / denom), 0.0, 0.0
     if name == "h5":
-        return x5 * np.exp(-x4 / x5)
+        return x5 * np.exp(-x4 / x5), 0.0, 0.0
     if name == "h6":
-        return 1.0 / np.sqrt(np.abs(x4))
+        return 1.0 / np.sqrt(np.abs(x4)), 0.0, 0.0
     if name == "h7":
         (lam,) = (float(p) for p in params)
         ratio = lam / (1.0 + lam)
-        return np.abs(x5) ** ratio * np.exp(-ratio * x4 / x5)
+        return np.abs(x5) ** ratio * np.exp(-ratio * x4 / x5), 0.0, 0.0
     if name == "h8":
         (lam,) = (float(p) for p in params)
         main = (x4 != 0) & (x5 != 0)
         angle = np.arctan(np.where(main, x4, 0.0) / np.where(main, x5, 1.0))
-        return np.where(main, np.exp(-lam * angle), 1.0)
+        return np.where(main, np.exp(-lam * angle), 1.0), 0.0, 0.0
     if name == "h9":
         l1, l2 = (float(p) for p in params)
         dd = x4 * x4 + x5 * x5
         angle = ratio_angle(x4, x5)
-        return dd ** (-0.5 / (1.0 + l1)) * np.exp(l2 * angle / (1.0 + l1))
-    raise ValueError(f"{name} is not a scaling map")
-
-
-def _offsets(name: str, params: tuple[Real, ...], v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Additive offsets to the second and third coordinates, where the map
-    acts by translation."""
-    x4, x5 = v[..., 3], v[..., 4]
+        return dd ** (-0.5 / (1.0 + l1)) * np.exp(l2 * angle / (1.0 + l1)), 0.0, 0.0
     log4, log5 = _safe_log_abs(x4), _safe_log_abs(x5)
     safe4 = np.where(x4 != 0, x4, 1.0)
     safe5 = np.where(x5 != 0, x5, 1.0)
     if name == "h3":
-        return log4, x5 * log5 / safe4
+        return x5, log4, x5 * log5 / safe4
     if name == "h4":
         (lam,) = (float(p) for p in params)
-        return -(1.0 + lam) * log4, -(2.0 + lam) * x5 * log5 / safe4
+        return x5, -(1.0 + lam) * log4, -(2.0 + lam) * x5 * log5 / safe4
     zero4, zero5 = _v3_branches(v)
     main = ~zero4 & ~zero5
     dd = x4 * x4 + x5 * x5
@@ -233,7 +230,7 @@ def _offsets(name: str, params: tuple[Real, ...], v: np.ndarray) -> tuple[np.nda
     if name == "h10":
         off2 = np.where(main, dlogd / (2.0 * safe5), np.where(zero4, x5 * log5, 0.0))
         off3 = np.where(zero5, -x4 * log4, 0.0)
-        return off2, off3
+        return 1.0, off2, off3
     if name == "h11":
         (lam,) = (float(p) for p in params)
         angle = ratio_angle(x5, x4)
@@ -243,8 +240,8 @@ def _offsets(name: str, params: tuple[Real, ...], v: np.ndarray) -> tuple[np.nda
             np.where(zero4, lam * x5 * log5, 0.0),
         )
         off3 = np.where(zero5, -lam * x4 * log4, 0.0)
-        return off2, off3
-    raise ValueError(f"{name} is not a translation map")
+        return 1.0, off2, off3
+    raise ValueError(f"{name} is not an affine leaf map")
 
 
 @dataclass(frozen=True)
@@ -256,26 +253,25 @@ class LeafMap:
     own family; h6 carries the same source foliation onto two families at
     once and is recorded against the first of them.
 
-    ``kind`` says how the second and third coordinates move: "shear" (h1
-    rewrites the fourth coordinate instead), "scale" (a common factor),
-    "offset" (a translation) or "scaled_offset" (a translation followed by
-    multiplication with the fifth coordinate).  ``check`` names the
-    campaign that tests leaf preservation: "residual" where the target
-    invariant is cataloged, "constancy" where it is pulled back from the
-    source, None where neither applies.  ``locus`` is the branch locus of
-    the pulled-back invariant in the form of ``catalog.FamilyRecord.locus``,
-    and ``graded`` marks a map whose constancy failure is reported as a
-    finding about the catalog rather than breaking the run.
+    ``shear`` marks h1, which rewrites the fourth coordinate; every other
+    map scales and offsets the second and third (_action).  ``check``
+    names the campaign that tests leaf preservation: "residual" where the
+    target invariant is cataloged, "constancy" where it is pulled back
+    from the source, None where neither applies.  ``locus`` is the branch
+    locus of the pulled-back invariant in the form of
+    ``catalog.FamilyRecord.locus``, and ``graded`` marks a map whose
+    constancy failure is reported as a finding about the catalog rather
+    than breaking the run.
     """
 
     name: str
     source: str
     target: str
     params: tuple[Real, ...]
-    kind: str
     check: str | None = None
     locus: tuple[str, int] | None = None
     graded: bool = False
+    shear: bool = False
 
     @property
     def manifold(self) -> Manifold:
@@ -299,46 +295,30 @@ class LeafMap:
             margin = np.minimum(np.abs(v[..., 3]), np.abs(v[..., 4]))
         else:
             margin = boundary_margin(self.manifold, v)
-        if self.kind == "shear":
+        if self.shear:
             margin = np.minimum(margin, np.abs(v[..., 2]))
         return margin
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Forward map, batched over leading axes."""
         v = self._check(v)
-        if self.kind == "shear":
-            return _with_columns(v, c3=v[..., 1] - v[..., 2] * v[..., 3] / v[..., 4])
-        if self.kind == "scale":
-            m = _scale_factor(self.name, self.params, v)
-            return _with_columns(v, c1=v[..., 1] * m, c2=v[..., 2] * m)
-        off2, off3 = _offsets(self.name, self.params, v)
-        if self.kind == "scaled_offset":
-            return _with_columns(
-                v,
-                c1=(v[..., 1] + off2) * v[..., 4],
-                c2=(v[..., 2] + off3) * v[..., 4],
-            )
-        return _with_columns(v, c1=v[..., 1] + off2, c2=v[..., 2] + off3)
+        x2, x3 = v[..., 1], v[..., 2]
+        if self.shear:
+            return _with_columns(v, c3=x2 - x3 * v[..., 3] / v[..., 4])
+        s, o2, o3 = _action(self.name, self.params, v)
+        return _with_columns(v, c1=(x2 + o2) * s, c2=(x3 + o3) * s)
 
     def invert(self, v: np.ndarray) -> np.ndarray:
         """Closed-form inverse, batched over leading axes."""
         v = np.asarray(v, dtype=float)
-        if self.kind == "shear":
-            if np.any(v[..., 2] == 0) or np.any(v[..., 4] == 0):
+        x2, x3 = v[..., 1], v[..., 2]
+        if self.shear:
+            if np.any(x3 == 0) or np.any(v[..., 4] == 0):
                 raise DomainError(f"{self.name} inverse needs nonzero third and fifth coordinates")
-            return _with_columns(v, c3=(v[..., 1] - v[..., 3]) * v[..., 4] / v[..., 2])
+            return _with_columns(v, c3=(x2 - v[..., 3]) * v[..., 4] / x3)
         v = self._check(v)
-        if self.kind == "scale":
-            m = _scale_factor(self.name, self.params, v)
-            return _with_columns(v, c1=v[..., 1] / m, c2=v[..., 2] / m)
-        off2, off3 = _offsets(self.name, self.params, v)
-        if self.kind == "scaled_offset":
-            return _with_columns(
-                v,
-                c1=v[..., 1] / v[..., 4] - off2,
-                c2=v[..., 2] / v[..., 4] - off3,
-            )
-        return _with_columns(v, c1=v[..., 1] - off2, c2=v[..., 2] - off3)
+        s, o2, o3 = _action(self.name, self.params, v)
+        return _with_columns(v, c1=x2 / s - o2, c2=x3 / s - o3)
 
 
 _HALF = Fraction(1, 2)
@@ -348,17 +328,17 @@ _HALF = Fraction(1, 2)
 _LEAF_MAPS: dict[str, LeafMap] = {
     m.name: m
     for m in (
-        LeafMap("h1", "G2", "G1", (), "shear", "constancy"),
-        LeafMap("h2", "G2", "G4", (Fraction(0), Fraction(2)), "scale", "residual"),
-        LeafMap("h3", "G2", "G7", (), "scaled_offset", "constancy"),
-        LeafMap("h4", "G2", "G8", (_HALF,), "scaled_offset", "constancy"),
-        LeafMap("h5", "G2", "G11", (), "scale", "constancy"),
-        LeafMap("h6", "G3", "G5", (), "scale"),
-        LeafMap("h7", "G12", "G12", (_HALF,), "scale", "residual"),
-        LeafMap("h8", "G13", "G13", (_HALF,), "scale", "residual"),
-        LeafMap("h9", "G13", "G14", (_HALF, Fraction(1)), "scale", "constancy", ("a", 6)),
-        LeafMap("h10", "G13", "G15", (), "offset", "constancy"),
-        LeafMap("h11", "G13", "G16", (_HALF,), "offset", "constancy", ("b", 5), True),
+        LeafMap("h1", "G2", "G1", (), "constancy", shear=True),
+        LeafMap("h2", "G2", "G4", (Fraction(0), Fraction(2)), "residual"),
+        LeafMap("h3", "G2", "G7", (), "constancy"),
+        LeafMap("h4", "G2", "G8", (_HALF,), "constancy"),
+        LeafMap("h5", "G2", "G11", (), "constancy"),
+        LeafMap("h6", "G3", "G5", ()),
+        LeafMap("h7", "G12", "G12", (_HALF,), "residual"),
+        LeafMap("h8", "G13", "G13", (_HALF,), "residual"),
+        LeafMap("h9", "G13", "G14", (_HALF, Fraction(1)), "constancy", ("a", 6)),
+        LeafMap("h10", "G13", "G15", (), "constancy"),
+        LeafMap("h11", "G13", "G16", (_HALF,), "constancy", ("b", 5), True),
     )
 }
 

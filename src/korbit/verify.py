@@ -191,16 +191,24 @@ def _random_rational_params(family: str, gen: np.random.Generator) -> tuple[Frac
             return draw
 
 
-def _jacobi_polynomials(family: str) -> list[Poly]:
+def _jacobi_polynomials(family: str) -> tuple[list[Poly], int]:
     """The nonzero entries of the family's Jacobiator as exact polynomials
-    in its parameters: liecore._jacobiator on the bracket table built with
-    one Poly variable per parameter.  The list is empty exactly when the
-    Jacobi identity holds for every parameter value.  A table with no
-    parameters, or a term that involves none, gives a plain number, which
-    Poly() + x lifts to a constant."""
+    in its parameters, and the bound 2d on their degree.
+
+    liecore._jacobiator runs on the bracket table built with one Poly
+    variable per parameter; each of its terms is a product of two table
+    entries, so 2d bounds the degree, d the largest parameter degree of an
+    entry.  The list is empty exactly when the Jacobi identity holds for
+    every parameter value.  A table with no parameters, or a term that
+    involves none, gives a plain number, which Poly() + x lifts to a
+    constant."""
     variables = tuple(Poly.variable(i) for i in range(catalog.PARAM_ARITY[family]))
     table = catalog.build(family, variables).brackets
-    return [Poly() + x for x in _jacobiator(table, table).values()]
+    d = max(
+        (c.degree for image in table.values() for c in image.values() if isinstance(c, Poly)),
+        default=0,
+    )
+    return [Poly() + x for x in _jacobiator(table, table).values()], 2 * d
 
 
 def _jacobi_residual(polynomials: list[Poly], params: tuple[Fraction, ...]) -> Fraction:
@@ -236,7 +244,7 @@ def jacobi_result(
     if params is not None:
         trials.append(exact_params(tuple(params)))
     trials.extend(_random_rational_params(family, gen) for _ in range(draws))
-    polynomials = _jacobi_polynomials(family)
+    polynomials, bound = _jacobi_polynomials(family)
     names = catalog.record(family).param_names
     arity = len(names)
     tally = _Tally()
@@ -251,8 +259,8 @@ def jacobi_result(
         np.array([[float(x) for x in trials[n]] for n in bad]).reshape(len(bad), arity),
         evaluated=len(trials),
     )
-    degree = f"degree 2 in ({', '.join(names)})" if names else "degree 0 (no parameters)"
-    size = (arity + 1) * (arity + 2) // 2
+    degree = f"degree {bound} in ({', '.join(names)})" if names else "degree 0 (no parameters)"
+    size = math.comb(arity + bound, arity)
     monomials = {m for p in polynomials for m in p.terms}
     verdict = "agrees" if agrees else f"disagrees: loop {loop}, polynomial {polynomial}"
     return tally.result(

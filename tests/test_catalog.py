@@ -173,10 +173,10 @@ def test_derived_views_of_the_records():
     assert coadjoint.RANK_CONDITION_FAMILIES == system
     assert foliation.SYSTEM_FAMILIES == system
     assert catalog.families_with(ClosedForm.PAIRING) == system
-    assert foliation.INVARIANT_FAMILIES == {
+    assert catalog.families_with(ClosedForm.INVARIANT) == {
         "G1", "G2", "G4", "G7", "G8", "G11", "G12", "G13", "G14", "G15", "G16",
     }
-    assert foliation.FLOW_FAMILIES == {"G4", "G12", "G13"}
+    assert catalog.families_with(ClosedForm.FLOWS) == {"G4", "G12", "G13"}
     assert catalog.families_with(ClosedForm.EXPONENTIAL) == {"G4", "G12", "G13"}
     loci = {f: catalog.record(f).locus for f in catalog.FAMILIES if catalog.record(f).locus}
     assert loci == {"G13": ("a", 6), "G14": ("a", 6), "G16": ("a", 5)}

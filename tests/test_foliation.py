@@ -80,7 +80,7 @@ def test_closed_flow_known_values():
 
 def test_closed_flows_match_numeric_integration():
     """Closed-form flows track Runge-Kutta integration of the fields."""
-    for family in sorted(foliation.FLOW_FAMILIES):
+    for family in sorted(catalog.families_with(catalog.ClosedForm.FLOWS)):
         params = verify.REPRESENTATIVE_PARAMS[family]
         fields = foliation.system_fields(family, params)
         t = rng.generator(4, "t", family).uniform(-1, 1, 20)

@@ -62,3 +62,19 @@ def test_poly_is_unhashable():
 def test_floats_do_not_mix():
     with pytest.raises(TypeError):
         Poly.variable(0) + 0.5
+
+
+def test_degree_is_the_longest_monomial():
+    x, y = Poly.variable(0), Poly.variable(1)
+    assert Poly().degree == 0
+    assert (Poly() + 3).degree == 0
+    assert (2 + x).degree == 1
+    assert (x * x * y - y + 1).degree == 3
+    assert (x * y - y * x).degree == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=POLYS, b=POLYS)
+def test_degree_of_a_product_adds(a, b):
+    if a and b:
+        assert (a * b).degree == a.degree + b.degree

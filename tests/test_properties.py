@@ -21,7 +21,7 @@ rationals = st.fractions(
 
 
 def _valid_params(family: str, raw: tuple[Fraction, ...]) -> tuple[Fraction, ...] | None:
-    arity = len(catalog.PARAM_NAMES.get(family, ()))
+    arity = len(catalog.record(family).param_names)
     params = raw[:arity]
     try:
         catalog.validate_params(family, params)

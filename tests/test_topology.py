@@ -205,6 +205,58 @@ def test_roundtrip_on_planted_degenerate_branches():
             np.testing.assert_allclose(back, branch, rtol=1e-12, atol=1e-12)
 
 
+def _affine_batches(map_obj, seed, n=200):
+    """Margin-cleared points and, on the third manifold, points with an
+    exactly planted zero in either deciding coordinate."""
+    pts = rng.sample_coordinates(seed, n, "affine", map_obj.name)
+    batches = [pts[map_obj.margin(pts) > 0.05]]
+    if map_obj.manifold is topology.Manifold.V3:
+        for zeroed, other in ((3, 4), (4, 3)):
+            branch = np.array(pts, copy=True)
+            branch[:, zeroed] = 0.0
+            batches.append(branch[np.abs(branch[:, other]) > 0.05])
+    return batches
+
+
+def _affine_maps():
+    maps = [topology.leaf_map(name) for name in topology.LEAF_MAP_NAMES]
+    assert [m.name for m in maps if m.shear] == ["h1"]
+    return [m for m in maps if not m.shear]
+
+
+FIXED = [0, 3, 4, 5, 6]
+
+
+def test_every_affine_map_fixes_all_but_the_second_and_third_coordinates():
+    """Every map but the h1 shear, forward and inverse, leaves the first
+    and the fourth to seventh coordinates exactly as they were."""
+    for map_obj in _affine_maps():
+        for batch in _affine_batches(map_obj, 16):
+            assert len(batch), map_obj.name
+            for image in (map_obj.apply(batch), map_obj.invert(batch)):
+                np.testing.assert_array_equal(image[:, FIXED], batch[:, FIXED], map_obj.name)
+
+
+def test_every_affine_map_is_affine_in_the_second_and_third_coordinates():
+    """For points p and q that differ only in the second and third
+    coordinates, the image of a p + (1 - a) q is a image(p) + (1 - a)
+    image(q), forward and inverse, on generic points and on the planted
+    branches of the third manifold."""
+    for map_obj in _affine_maps():
+        for k, p in enumerate(_affine_batches(map_obj, 17)):
+            q = np.array(p, copy=True)
+            q[:, 1:3] = rng.sample_coordinates(18, len(p), "affine-q", map_obj.name, k)[:, 1:3]
+            a = rng.generator(19, "affine-a", map_obj.name, k).uniform(-2.0, 3.0, (len(p), 1))
+            mix = np.array(p, copy=True)
+            mix[:, 1:3] = a * p[:, 1:3] + (1.0 - a) * q[:, 1:3]
+            for f in (map_obj.apply, map_obj.invert):
+                fp, fq = f(p), f(q)
+                expected = a * fp + (1.0 - a) * fq
+                scale = 1.0 + np.abs(a * fp).max(axis=-1) + np.abs((1.0 - a) * fq).max(axis=-1)
+                residual = np.abs(f(mix) - expected).max(axis=-1) / scale
+                assert residual.max() <= 1e-12, (map_obj.name, f.__name__, k)
+
+
 def test_first_map_inverse_needs_nonzero_coordinates():
     """h1's inverse refuses points with a vanishing third coordinate."""
     h1 = topology.leaf_map("h1", ())

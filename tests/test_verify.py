@@ -295,8 +295,8 @@ def test_certificate_values_equal_the_loop_at_a_planted_fault(monkeypatch):
     assert result.max_residual == float(max(loops)) > 0
     assert result.worst_sample == tuple(map(float, draws[loops.index(max(loops))]))
     assert f"verify_jacobi loop cross-check at ({draws[0][0]}) agrees" in result.details
-    polynomials = verify._jacobi_polynomials("G8")
-    assert polynomials
+    polynomials, bound = verify._jacobi_polynomials("G8")
+    assert polynomials and bound == 2
     for lam in (Fraction(0), Fraction(1, 2), Fraction(3)):
         value = verify._jacobi_residual(polynomials, (lam,))
         assert value == verify_jacobi(catalog.build("G8", (lam,)))[0]
@@ -305,7 +305,8 @@ def test_certificate_values_equal_the_loop_at_a_planted_fault(monkeypatch):
 def test_a_quadratic_bracket_fails_at_the_loop_residuals(monkeypatch):
     """A bracket quadratic in lambda needs no affine model: every draw's
     residual is verify_jacobi's, and only the monomial lambda squared of
-    the Jacobiator carries a coefficient."""
+    the Jacobiator carries a coefficient, counted against the monomials of
+    degree <= 4 that a quadratic table admits."""
     monkeypatch.setattr(catalog, "derivation_pair", _planting(lambda p: p[0] * p[0]))
     result = verify.jacobi_result("G8", draws=10, seed=0)
     draws = _draws("G8", 10, 0)
@@ -314,7 +315,17 @@ def test_a_quadratic_bracket_fails_at_the_loop_residuals(monkeypatch):
     assert result.n_evaluated == 10
     assert result.max_residual == float(max(loops)) > 0
     assert result.worst_sample == tuple(map(float, draws[loops.index(max(loops))]))
-    assert ": 1 of 3 coefficient tensors nonzero;" in result.details
+    assert "degree 4 in (λ): 1 of 5 coefficient tensors nonzero;" in result.details
+
+
+def test_a_cubic_bracket_sets_the_degree_bound(monkeypatch):
+    """The degree bound is twice the largest parameter degree of the bracket
+    table: lambda cubed in [e6, e7] gives degree 6 and C(1 + 6, 1) = 7
+    monomials, one of which carries a coefficient."""
+    monkeypatch.setattr(catalog, "derivation_pair", _planting(lambda p: p[0] * p[0] * p[0]))
+    result = verify.jacobi_result("G8", draws=10, seed=0)
+    assert not result.passed
+    assert "degree 6 in (λ): 1 of 7 coefficient tensors nonzero;" in result.details
 
 
 def test_zero_evaluations_fail_with_the_cross_check_at_the_representative():
@@ -368,6 +379,6 @@ def test_certificate_equals_the_loop_at_random_rationals(family, planted, raw):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(catalog, "derivation_pair", derivation_pair)
-        value = verify._jacobi_residual(verify._jacobi_polynomials(family), params)
+        value = verify._jacobi_residual(verify._jacobi_polynomials(family)[0], params)
         assert value == verify_jacobi(catalog.build(family, params))[0]
     assert (value != 0) <= planted
