@@ -32,7 +32,6 @@ from .foliation import (
     SYSTEM_FAMILIES,
     LinearVectorField,
     distribution_equiv,
-    field_values,
     flow_closed,
     flow_numeric,
     invariant,
@@ -97,7 +96,6 @@ __all__ = [
     "exp_matrix",
     "fibration_gradient",
     "fibration_value",
-    "field_values",
     "flow_closed",
     "flow_numeric",
     "invariant",

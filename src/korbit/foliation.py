@@ -10,37 +10,26 @@ fifth coordinates, in the order the catalog record gives.  The module also
 evaluates the closed-form flows printed for three representative families
 and the scalar invariant that labels the leaves of each foliation.
 
-The two foliation checks decide most points without an SVD.  The Pfaffian
-vector p of the pairing matrix K (ker K = span p, in the closed form that
-the g5,2 nilradical gives it in liecore._certify, the certificate of
-liecore.kirillov_rank) and the normal n of the six field values, the 4-D
-cross product of the three non-translation fields on coordinates 2..5,
-bound the singular-value ratios that numeric ranks compare with their
-tolerance, by Weyl's bound and interlacing (Golub & Van Loan, *Matrix
-Computations*, section 8.6): distribution_decision certifies the three
-ranks from them, and involutivity_decision measures each bracket along n.
-Only the points the bounds cannot decide reach the SVD, so the verdicts
-equal the SVD verdicts point by point.
+Span and involutivity are exact polynomial identities in the functional
+and the parameters (span_certificate, bracket_certificate), decided for
+every point and parameter value at once.  The fields and the Kirillov
+form both come from catalog.derivation_pair, so they certify the
+derivation rule, not its transcription from the source, which verify's
+golden tables check.  distribution_equiv and involutivity_residual are
+their float references at given points.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from numbers import Real
-from typing import Sequence
 
 import numpy as np
 
-from . import catalog, topology
+from . import catalog, liecore, topology
 from .catalog import ClosedForm
-from .liecore import (
-    DIM,
-    PAIRING_TOL_FLOOR,
-    DomainError,
-    LieAlgebra7,
-    _certify,
-    kirillov_rank,
-    numeric_rank,
-)
+from .liecore import DIM, DomainError, LieAlgebra7, numeric_rank
+from .poly import Poly
 
 #: Families with a cataloged generating system of vector fields.
 SYSTEM_FAMILIES: frozenset[str] = catalog.families_with(ClosedForm.FIELDS)
@@ -66,60 +55,46 @@ class LinearVectorField:
         return np.einsum("ij,...j->...i", self.linear, v) + self.const
 
     def bracket(self, other: LinearVectorField) -> LinearVectorField:
-        """Lie bracket of two affine fields, again an affine field."""
-        a, b = self.linear, self.const
-        c, d = other.linear, other.const
-        return LinearVectorField(c @ a - a @ c, c @ b - a @ d)
+        """Lie bracket of two affine fields, again an affine field: _bracket
+        on the augmented matrices [L | c], the fields' values at (x, 1)."""
+        a = np.column_stack([self.linear, self.const])
+        c = np.column_stack([other.linear, other.const])
+        out = _bracket(self.linear, a, other.linear, c)
+        return LinearVectorField(out[:, :DIM], out[:, DIM])
 
 
-def _constant_field(index: int) -> LinearVectorField:
-    const = np.zeros(DIM)
-    const[index] = 1.0
-    return LinearVectorField(np.zeros((DIM, DIM)), const)
+def _bracket(li, fi, lj, fj, apply=np.matmul):
+    """[F_i, F_j] = L_j F_i - L_i F_j, the Lie bracket of the affine fields
+    F_i and F_j with linear parts L_i and L_j, given by their values F_i
+    and F_j.  ``apply`` is the matrix-vector product: np.matmul on floats,
+    _apply on exact entries."""
+    return apply(lj, fi) - apply(li, fj)
 
 
-def _derivation_field(derivation: list[list[Real]]) -> LinearVectorField:
-    linear = np.zeros((DIM, DIM))
-    linear[1:5, 1:5] = np.asarray(derivation, dtype=float)[1:5, 1:5]
-    return LinearVectorField(linear, np.zeros(DIM))
-
-
-def system_fields(family: str, params: tuple[Real, ...] = ()) -> tuple[LinearVectorField, ...]:
-    """The six generating fields of the family's orbit foliation.
-
-    Fields one, five, and six translate the first, sixth, and seventh
-    coordinates; field four shears the second and third by the fourth and
-    fifth; fields two and three are the family's two derivations from
-    catalog.derivation_pair, restricted to coordinates two through five,
-    in the order of the catalog record.
+def system_matrices(family: str, params: tuple[Real, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The linear parts, shape (6, 7, 7), and constants, shape (6, 7), of
+    the family's six generating fields as exact object arrays (Polys for
+    Poly parameters).  Fields one, five, and six translate the first,
+    sixth, and seventh coordinates; field four shears the second and third
+    by the fourth and fifth; fields two and three are the family's
+    derivations, on coordinates two through five, in record order.
     """
     a, b, _ = catalog.derivation_pair(family, tuple(params))
     catalog.require(family, ClosedForm.FIELDS)
     m2, m3 = (b, a) if catalog.record(family).swapped else (a, b)
-    shear = np.zeros((DIM, DIM))
-    shear[1, 3] = 1.0
-    shear[2, 4] = 1.0
-    return (
-        _constant_field(0),
-        _derivation_field(m2),
-        _derivation_field(m3),
-        LinearVectorField(shear, np.zeros(DIM)),
-        _constant_field(5),
-        _constant_field(6),
-    )
+    linear = np.zeros((6, DIM, DIM), dtype=object)
+    const = np.zeros((6, DIM), dtype=object)
+    const[0, 0] = const[4, 5] = const[5, 6] = 1
+    linear[1, 1:5, 1:5] = np.array(m2, dtype=object)[1:5, 1:5]
+    linear[2, 1:5, 1:5] = np.array(m3, dtype=object)[1:5, 1:5]
+    linear[3, 1, 3] = linear[3, 2, 4] = 1
+    return linear, const
 
 
-def field_values(fields: Sequence[LinearVectorField], v: np.ndarray) -> np.ndarray:
-    """Values of the fields at points v, stacked on axis -2.
-
-    The fields' linear parts are stacked into one (m*7, 7) matrix, so a
-    batch of points takes one matrix product.
-    """
-    v = np.asarray(v, dtype=float)
-    linear = np.concatenate([f.linear for f in fields])
-    const = np.stack([f.const for f in fields])
-    flat = v.reshape(-1, DIM) @ linear.T
-    return flat.reshape(v.shape[:-1] + const.shape) + const
+def system_fields(family: str, params: tuple[Real, ...] = ()) -> tuple[LinearVectorField, ...]:
+    """The six generating fields of the family's orbit foliation, the
+    matrices of system_matrices in floats."""
+    return tuple(LinearVectorField(*field) for field in zip(*system_matrices(family, params)))
 
 
 def flow_closed(
@@ -288,128 +263,73 @@ def _foliated(family: str, v: np.ndarray) -> np.ndarray:
     return v
 
 
-#: Index pairs (i, j), i < j, of the fifteen field brackets.
-_PAIRS = tuple((i, j) for i in range(DIM - 1) for j in range(i + 1, DIM - 1))
-
-#: Values of fields one, five and six (rows 0, 4 and 5) of every system.
-_TRANSLATIONS = np.eye(DIM)[[0, 5, 6]]
+def _dot(u, v) -> Poly:
+    """The exact dot product of u and v, skipping zero factors."""
+    return sum((a * b for a, b in zip(u, v) if a and b), Poly())
 
 
-def _normal(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal vector of six field values, with |S|_F^6.
+def _apply(matrix: np.ndarray, v) -> np.ndarray:
+    """matrix @ v on exact entries, as an object array.  numpy's object
+    matmul forms every product, zeros included, which took twice as long
+    over the twelve systems' certificates (2-core x86-64)."""
+    return np.array([_dot(row, v) for row in matrix], dtype=object)
 
-    For a stack of 6x7 matrices S, each divided by its largest entry s so
-    that nothing overflows, n_j = (-1)^j det(S without column j), columns
-    counted from 0, the expansion of det [S; x] = n . x along its last row.
-    n is normal to the rows of S and |n| = s1 s2 ... s6 (Cauchy-Binet), so
-    for every unit x
 
-        s6 / s1 >= |n . x| / s1^6 >= |n . x| / |S|_F^6,
-
-    which is scale-free.  Rows one, five and six of S are the translations
-    e1, e6 and e7, here 1/s times unit rows; row operations with them clear
-    columns 0, 5 and 6 from the other rows, so det [S; x] = s^-3 det [T; x']
-    for the values T of fields two to four on coordinates 2..5 (columns 1
-    to 4) and x' = x[1:5].  n is therefore s^-3 times the 4-D cross product
-    of T's rows a, b, c, four 3x3 determinants, in columns 1 to 4.  Each is
-    a sum of 6 products of size at most |a||b||c|, and by AM-GM over the
-    six squared row norms of S, three of them 1/s^2,
-    s^-3 |a||b||c| <= (|S|_F^2 / 6)^3 = |S|_F^6 / 216, so n is computed to
-    a few eps |S|_F^6.  Where the three rows are not exactly e1, e6, e7
-    (no catalog system), n is set to 0, which no bound certifies.
+def _exact_system(family: str):
+    """The linear parts (a Poly per parameter), the values F_i(x) at the
+    symbolic functional x, p, the normal n of the values, and how n
+    relates to p.  When fields one, five and six are the unit rows e1, e6,
+    e7, det [F_1(x); ...; F_6(x); y] = ±n . y for the 4-D cross product n
+    of fields two to four on coordinates 2..5; otherwise n is left zero.
     """
-    flat = span.reshape(-1, DIM - 1, DIM)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inverse = 1.0 / np.abs(flat).max(axis=(-2, -1))
-        t = flat * inverse[:, None, None]
-        normal = np.zeros((len(flat), DIM))
-        rows = t[:, 1:4, 1:5]
-        for j in range(1, 5):
-            minor = np.delete(rows, j - 1, axis=-1)
-            triple = np.einsum("ni,ni->n", minor[:, 0], np.cross(minor[:, 1], minor[:, 2]))
-            normal[:, j] = (-1) ** j * triple
-        normal *= (inverse**3)[:, None]
-        frob6 = np.einsum("nij,nij->n", t, t) ** 3
-    normal[~np.all(flat[:, [0, 4, 5]] == _TRANSLATIONS, axis=(-2, -1))] = 0.0
-    return normal, frob6
+    x, params = liecore.geometry_variables(catalog.PARAM_ARITY[family])
+    linear, const = system_matrices(family, params)
+    values = np.stack([_apply(m, x) + c for m, c in zip(linear, const)])
+    p = np.array(liecore.pfaffian_polynomials(family), dtype=object)
+    n = np.array([Poly()] * DIM, dtype=object)
+    units = np.eye(DIM, dtype=int)[[0, 5, 6]]
+    if any(linear[[0, 4, 5]].flat) or not (const[[0, 4, 5]] == units).all():
+        return linear, values, p, n, "fields 1, 5, 6 are not e1, e6, e7, so n is no normal"
+    rows = values[1:4, 1:5]
+    for j in range(1, 5):
+        a, b, c = np.delete(rows, j - 1, axis=1)
+        n[j] = (-1) ** j * _dot(a, np.cross(b, c))
+    if not any(n):
+        relation = "n ≡ 0"
+    elif (n == p).all():
+        relation = "n = +p ≢ 0"
+    elif (n == -p).all():
+        relation = "n = −p ≢ 0"
+    else:
+        relation = "n ≠ ±p"
+    return linear, values, p, n, relation
 
 
-def _span_certificate(
-    algebra: LieAlgebra7, points: np.ndarray, span: np.ndarray, pairing: np.ndarray, tol: float
-) -> np.ndarray:
-    """Points where closed-form bounds prove all three ranks of
-    distribution_decision to be six at tol; see its docstring."""
-    if not tol >= PAIRING_TOL_FLOOR or algebra.pairing_operand is None:
-        return np.zeros(len(points), dtype=bool)
-    certified, p = _certify(algebra.pairing_operand @ points.T, tol)
-    normal, span_frob6 = _normal(span)
-    # Uncertified forms and zero rows give NaN, which fails every comparison.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unit = (p / np.linalg.norm(p, axis=0)).T
-        stacked = np.concatenate([span, pairing], axis=-2)
-        stacked /= np.abs(stacked.reshape(-1, (2 * DIM - 1) * DIM)).max(axis=-1)[:, None, None]
-        frob = np.sqrt(np.einsum("nij,nij->n", stacked, stacked))
-        image = np.linalg.norm(stacked @ unit[..., None], axis=(-2, -1))
-    certified &= np.sqrt(DIM) * image <= 0.5 * tol * frob
-    certified &= np.abs(np.einsum("nj,nj->n", normal, unit)) > 2.0 * tol * span_frob6
-    return certified
-
-
-def distribution_decision(
-    algebra: LieAlgebra7,
-    v: np.ndarray,
-    tol: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray]:
-    """distribution_equiv's verdict at each point of v, and whether a
-    closed-form certificate decided it without an SVD.
-
-    The verdict is True when the stacked field values S (6x7), the pairing
-    matrix K of v (7x7), and their concatenation [S; K] all have numeric
-    rank six.  Where tol >= liecore.PAIRING_TOL_FLOOR, three bounds decide
-    a point without an SVD, each with a factor-2 margin against tol.  They
-    use the Pfaffian vector p of K, with unit vector p^ (ker K = span p),
-    and the normal n of S from _normal, det [S; x] = n . x:
-
-    - rank K = 6, certified as liecore.kirillov_rank certifies it, from
-      the closed form of p on the g5,2 pattern of the pairing entries of
-      v, by 2^(3/2) |p| / |K|_F^3 > 2 tol;
-    - rank S = 6: s6(S) / s1(S) >= |det [S; p^]| / |S|_F^6 = |n . p^| /
-      |S|_F^6 > 2 tol;
-    - rank [S; K] <= 6: s7 <= |[S; K] p^| and s1 >= |[S; K]|_F / sqrt(7),
-      so s7 / s1 <= sqrt(7) |[S; K] p^| / |[S; K]|_F <= tol / 2.
-
-    rank [S; K] >= 6 then needs no bound of its own.  Rows added to a
-    matrix do not lower its singular values (interlacing), so
-    s6([S; K]) >= max(s6(S), s6(K)) > 2 tol max(s1(S), s1(K)), which is at
-    least sqrt(2) tol s1([S; K]) since s1([S; K])^2 <= s1(S)^2 + s1(K)^2.
-    By Weyl's bound on perturbed singular values (Golub & Van Loan,
-    *Matrix Computations*, section 8.6, for it and for interlacing), the
-    SVD ranks of a certified point are then six, as in kirillov_rank.
-    Every other point, every point below the floor, and every point of an
-    algebra without the g5,2 pattern (pairing_operand is None), is ranked
-    by the SVDs of liecore.numeric_rank and by kirillov_rank, so the
-    verdict equals those three ranks point by point.
-
-    Raises DomainError unless every point is finite and on the family's
-    foliated manifold.  Batched over leading axes.
+def span_certificate(family: str) -> tuple[dict[str, bool], str]:
+    """The seven span identities, each mapped to whether it holds, and how
+    the fields' normal n relates to the Pfaffian vector p (ker K = span p
+    where K has rank six).  F_i . p ≡ 0 makes each field tangent; n = ±p ≢ 0
+    makes the six values independent exactly where K has rank six, and
+    there they span the orbit's tangent space, p's orthogonal complement.
     """
-    fields = system_fields(algebra.family, algebra.params)
-    v = _foliated(algebra.family, v)
-    points = v.reshape(-1, DIM)
-    span = field_values(fields, points)
-    pairing = algebra.kirillov(points)
-    certified = _span_certificate(algebra, points, span, pairing, tol)
-    spans = certified.copy()
-    rest = ~certified
-    if rest.any():
-        span, pairing = span[rest], pairing[rest]
-        stacked = np.concatenate([span, pairing], axis=-2)
-        spans[rest] = (
-            (numeric_rank(span, tol) == 6)
-            & (kirillov_rank(algebra, points[rest], tol) == 6)
-            & (numeric_rank(stacked, tol) == 6)
-        )
-    return spans.reshape(v.shape[:-1]), certified.reshape(v.shape[:-1])
+    _, values, p, _, relation = _exact_system(family)
+    identities = {f"F{i + 1}·p ≡ 0": not _dot(value, p) for i, value in enumerate(values)}
+    identities["n = ±p ≢ 0"] = relation in ("n = +p ≢ 0", "n = −p ≢ 0")
+    return identities, relation
+
+
+def bracket_certificate(family: str) -> tuple[dict[str, bool], str]:
+    """The fifteen involutivity identities [F_i, F_j] . n ≡ 0, each mapped
+    to whether it holds, and how n relates to p.  They keep every bracket
+    in the fields' span; with n ≡ 0, or no normal, every one fails rather
+    than hold vacuously.
+    """
+    linear, values, _, n, relation = _exact_system(family)
+    identities = {}
+    for i, j in itertools.combinations(range(len(values)), 2):
+        w = _bracket(linear[i], values[i], linear[j], values[j], _apply)
+        identities[f"[F{i + 1}, F{j + 1}]·n ≡ 0"] = any(n) and not _dot(w, n)
+    return identities, relation
 
 
 def distribution_equiv(
@@ -417,79 +337,43 @@ def distribution_equiv(
     v: np.ndarray,
     tol: float = 1e-9,
 ) -> np.ndarray | bool:
-    """Whether the generating fields span the orbit tangent space at v.
-
-    True when the stacked field values, the pairing matrix of v, and their
-    concatenation all have numeric rank six; distribution_decision gives
-    the bounds that decide most points without an SVD.  Raises DomainError
-    unless every point is finite and on the family's foliated manifold.
-    Batched over leading axes; a single point gives a bool.
+    """Whether the generating fields span the orbit tangent space at v: the
+    field values S, the pairing matrix K of v, and [S; K] all have SVD
+    rank six at tol.  Raises DomainError unless every point is finite and
+    on the family's foliated manifold.  Batched over leading axes; a
+    single point gives a bool.
     """
-    spans = distribution_decision(algebra, v, tol)[0]
+    fields = system_fields(algebra.family, algebra.params)
+    v = _foliated(algebra.family, v)
+    points = v.reshape(-1, DIM)
+    span = np.stack([field(points) for field in fields], axis=-2)
+    pairing = algebra.kirillov(points)
+    spans = (
+        (numeric_rank(span, tol) == 6)
+        & (numeric_rank(pairing, tol) == 6)
+        & (numeric_rank(np.concatenate([span, pairing], axis=-2), tol) == 6)
+    ).reshape(v.shape[:-1])
     if spans.ndim == 0:
         return bool(spans)
     return spans
 
 
-def involutivity_decision(
-    family: str,
-    params: tuple[Real, ...],
-    v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """involutivity_residual at each point of v, and whether the normal
-    vector, rather than an SVD, gave it.
-
-    The fifteen pairwise brackets of the affine fields are computed exactly
-    and stacked into one (15, 7, 7) / (15, 7) affine stack.  Where the six
-    field values S have rank six, the component of a bracket value w
-    orthogonal to their span is (n^ . w) n^, for the unit vector n^ along
-    the normal n of S, the 4-D cross product of fields two to four on
-    coordinates 2..5 (see _normal), so the residual is the largest
-    |n^ . w|; the stack gives all fifteen n . w in one matrix product.
-    That holds at every point whose n certifies s6(S) / s1(S) >
-    2 liecore.PAIRING_TOL_FLOOR by the bound |n| / |S|_F^6 (see
-    distribution_decision).  Every other point keeps the projection onto
-    the six right singular vectors of S.
-
-    Raises DomainError unless every point is finite and on the family's
-    foliated manifold.  Batched over leading axes.
+def involutivity_residual(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarray:
+    """Largest out-of-span component of any pairwise field bracket at v:
+    the norm of its component off the six right singular vectors of the
+    field values, maximized over all fifteen pairs.  Raises DomainError
+    unless every point is finite and on the family's foliated manifold.
+    Batched over leading axes.
     """
     fields = system_fields(family, tuple(params))
     v = _foliated(family, v)
     points = v.reshape(-1, DIM)
-    brackets = [fields[i].bracket(fields[j]) for i, j in _PAIRS]
-    span = field_values(fields, points)
-    normal, frob6 = _normal(span)
-    size = np.linalg.norm(normal, axis=-1)
-    certified = size > 2.0 * PAIRING_TOL_FLOOR * frob6
-    # n . (A v + b) for all fifteen brackets at once, as n (x) v against
-    # the stacked linear parts A plus n against the constants b.
-    linear = np.stack([b.linear for b in brackets]).reshape(len(_PAIRS), DIM * DIM)
-    const = np.stack([b.const for b in brackets])
-    outer = (normal[:, :, None] * points[:, None, :]).reshape(-1, DIM * DIM)
-    # Uncertified points get NaN or inf here, and the SVD value below.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        residual = np.abs(outer @ linear.T + normal @ const.T).max(axis=-1) / size
-    rest = ~certified
-    if rest.any():
-        _, _, vh = np.linalg.svd(span[rest], full_matrices=False)
-        w = field_values(brackets, points[rest])
-        tangent = (w @ vh.transpose(0, 2, 1)) @ vh
-        residual[rest] = np.linalg.norm(w - tangent, axis=-1).max(axis=-1)
-    return residual.reshape(v.shape[:-1]), certified.reshape(v.shape[:-1])
-
-
-def involutivity_residual(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarray:
-    """Largest out-of-span component of any pairwise field bracket at v.
-
-    The bracket of two affine fields is computed exactly; the residual is
-    the norm of its component orthogonal to the span of the six field
-    values, maximized over all fifteen pairs; involutivity_decision gives
-    the closed form that replaces the SVD projection at most points.
-    Raises DomainError unless every point is finite and on the family's
-    foliated manifold.  Batched over leading axes.
-    """
-    return involutivity_decision(family, params, v)[0]
+    span = np.stack([field(points) for field in fields], axis=-2)
+    _, _, vh = np.linalg.svd(span, full_matrices=False)
+    w = np.stack([f.bracket(g)(points) for f, g in itertools.combinations(fields, 2)], axis=-2)
+    tangent = (w @ vh.transpose(0, 2, 1)) @ vh
+    residual = np.linalg.norm(w - tangent, axis=-1).max(axis=-1, initial=0.0)
+    return residual.reshape(v.shape[:-1])
 
 
 def annihilation_residual(

@@ -18,6 +18,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .poly import Poly
+
 DIM = 7
 
 
@@ -497,13 +499,13 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     return rank.reshape(f.shape[:-1])
 
 
-def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-six certificate of antisymmetric 7x7 forms K on the g5,2
-    pattern, given by their entries at _PAIRING_ENTRIES, one form per
-    column of ``u``, which is scaled in place.
+def _pfaffian(k12, k13, a, b) -> tuple:
+    """p2..p5 of the Pfaffian vector p of an antisymmetric 7x7 form K on the
+    g5,2 pattern, with adj K = p p^T, in any ring: float arrays in _certify,
+    Polys in pfaffian_polynomials.
 
-    In 1-based indices, with a_j = K_j6, b_j = K_j7 and the 2x2 minors
-    m_jk = a_j b_k - a_k b_j, the vector p with adj K = p p^T is
+    In 1-based indices, with a_j = K_j6 and b_j = K_j7 given for j = 2..5
+    as a[0..3] and b[0..3], and the 2x2 minors m_jk = a_j b_k - a_k b_j,
 
         p1 = p6 = p7 = 0,  p2 = K13 m45,  p3 = -K12 m45,
         p4 = K12 m35 - K13 m25,  p5 = K13 m24 - K12 m34:
@@ -511,7 +513,54 @@ def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     the principal Pfaffian that omits index i, signed (-1)^(i+1), is a sum
     over the perfect matchings of the other six indices, and on this
     pattern the only matchings left pair 1 with 2 or 3 and two of 2..5
-    with 6 and 7.  K16, K17 and K67 enter only |K|_F.
+    with 6 and 7.
+    """
+
+    def minor(j: int, k: int):
+        return a[j] * b[k] - a[k] * b[j]
+
+    m45 = minor(2, 3)
+    return (
+        k13 * m45,
+        -k12 * m45,
+        k12 * minor(1, 3) - k13 * minor(0, 3),
+        k13 * minor(0, 2) - k12 * minor(1, 2),
+    )
+
+
+def geometry_variables(arity: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+    """The Poly variables of the exact orbit geometry: the coordinates
+    x1..x7 of a functional as Poly.variable(0..6), then ``arity`` family
+    parameters from Poly.variable(7) on."""
+    variables = tuple(Poly.variable(i) for i in range(DIM + arity))
+    return variables[:DIM], variables[DIM:]
+
+
+def pfaffian_polynomials(family: str) -> tuple[Poly, ...]:
+    """The Pfaffian vector p of the family's Kirillov form as seven exact
+    polynomials in geometry_variables, one p for every parameter value:
+    _pfaffian on the entries K_ij = sum over c of C_ij^c x_c, from the
+    bracket table built with a Poly per parameter.  Every catalog family
+    has the g5,2 pattern that _pfaffian needs."""
+    from . import catalog  # catalog builds its algebras from this module
+
+    x, params = geometry_variables(catalog.PARAM_ARITY[family])
+    brackets = catalog.build(family, params).brackets
+
+    def entry(i: int, j: int) -> Poly:
+        return sum((c * x[k] for k, c in bracket_coefficients(brackets, i, j).items()), Poly())
+
+    a, b = ([entry(j, k) for j in range(1, 5)] for k in (5, 6))
+    return (Poly(), *_pfaffian(entry(0, 1), entry(0, 2), a, b), Poly(), Poly())
+
+
+def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-six certificate of antisymmetric 7x7 forms K on the g5,2
+    pattern, given by their entries at _PAIRING_ENTRIES, one form per
+    column of ``u``, which is scaled in place.
+
+    The Pfaffian vector p with adj K = p p^T comes from _pfaffian; K16,
+    K17 and K67 enter only |K|_F.
 
     Returns whether 2^(3/2) |p| / |K|_F^3 exceeds 2 tol for each form,
     which certifies rank six for tol at or above PAIRING_TOL_FLOOR, and
@@ -523,19 +572,9 @@ def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         u *= 1.0 / np.abs(u).max(axis=0, initial=0.0)
         half_square_norm = np.einsum("ij,ij->j", u, u)
-        k12, k13 = u[0], u[1]
-        # a and b of indices 2..5, as rows 0..3.
-        a, b = u[4:12:2], u[5:12:2]
-
-        def minor(j: int, k: int) -> np.ndarray:
-            return a[j] * b[k] - a[k] * b[j]
-
-        m45 = minor(2, 3)
         p = np.zeros((DIM, u.shape[1]))
-        p[1] = k13 * m45
-        p[2] = -k12 * m45
-        p[3] = k12 * minor(1, 3) - k13 * minor(0, 3)
-        p[4] = k13 * minor(0, 2) - k12 * minor(1, 2)
+        # a and b of indices 2..5 are rows 4, 6, 8, 10 and 5, 7, 9, 11.
+        p[1:5] = _pfaffian(u[0], u[1], u[4:12:2], u[5:12:2])
         # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
         bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
     return bound, p

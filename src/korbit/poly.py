@@ -1,9 +1,11 @@
 """Exact polynomials with rational coefficients in numbered variables.
 
-A Poly maps each monomial to its nonzero Fraction coefficient; a monomial
-is the sorted tuple of its variables' indices, one index per power, so
-x0²·x1 is (0, 0, 1) and the constant term is ().  Arithmetic mixes Polys with
-ints and Fractions on either side, which lets exact code built for numbers
+A Poly maps each monomial to its nonzero coefficient, an int or a
+Fraction (integers stay ints, whose arithmetic is several times faster
+than Fraction's); a monomial is the sorted tuple of its variables'
+indices, one index per power, so x0²·x1 is (0, 0, 1) and the constant
+term is ().  Arithmetic mixes Polys with ints and Fractions on either
+side, which lets exact code built for numbers
 (catalog.build, liecore._jacobiator) run on symbolic parameters.
 """
 from __future__ import annotations
@@ -18,8 +20,10 @@ class Poly:
     __slots__ = ("terms",)
     __hash__ = None
 
-    def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[tuple[int, ...], int | Fraction] | None = None):
+        self.terms = {
+            m: c if type(c) is int else Fraction(c) for m, c in (terms or {}).items() if c
+        }
 
     @classmethod
     def variable(cls, i: int) -> Poly:

@@ -1,8 +1,8 @@
 """Verification campaigns over the catalog of coadjoint-orbit claims.
 
 Every closed-form statement shipped by the other modules is re-checked
-here against an independent computation: an exact Jacobi certificate,
-frozen coefficient tables for the pairing forms and matrix exponentials,
+here against an independent computation: exact Jacobi, span and
+involutivity certificates, frozen coefficient tables for the pairing forms and matrix exponentials,
 SVD ranks against the closed-form predicates, numerically integrated
 flows against the printed ones, and Monte Carlo constancy of the orbit
 invariants under the coadjoint action.  Campaign functions return
@@ -702,23 +702,34 @@ def orbit_constancy_result(
 
 # --- Foliation generation -------------------------------------------------
 
-def _foliation_points(
-    family: str,
-    params: tuple[Real, ...],
-    samples: int,
-    seed: int,
-    key: str,
-) -> np.ndarray:
-    points = rng.sample_coordinates(seed, 2 * samples, key, family, *params)
-    keep = topology.boundary_margin(topology.manifold_of(family), points) > MARGIN
-    keep &= coadjoint.condition_margin(family, points) > MARGIN
-    return points[keep][:samples]
-
-
-def _decided(certified: np.ndarray, by_svd: str) -> str:
-    """How many points a closed-form certificate decided, and how many the SVD did."""
-    count = int(np.count_nonzero(certified))
-    return f"{count} certified without SVD, {certified.size - count} {by_svd} by SVD"
+def _certificate_result(
+    name: str, family: str, params: tuple[Real, ...], certificate: Callable
+) -> CheckResult:
+    """An exact certificate of the family's generating system as a check:
+    one evaluation per identity, the failing ones counted against
+    tolerance 0 and named in the details after every identity and how the
+    fields' normal n relates to p."""
+    if not catalog.has(family, ClosedForm.FIELDS):
+        return _unsupported(name, ClosedForm.FIELDS.value)
+    catalog.validate_params(family, tuple(params))
+    identities, relation = certificate(family)
+    failing = [identity for identity, holds in identities.items() if not holds]
+    names = catalog.record(family).param_names
+    variables = f"x1..x7 and ({', '.join(names)})" if names else "x1..x7"
+    details = (
+        f"exact identities in {variables}, where {relation}: {', '.join(identities)}; "
+        f"{len(failing)} of {len(identities)} fail"
+    )
+    if failing:
+        details += ": " + ", ".join(failing)
+    return CheckResult(
+        name=name,
+        passed=not failing,
+        max_residual=float(len(failing)),
+        tolerance=0.0,
+        n_evaluated=len(identities),
+        details=details,
+    )
 
 
 def distribution_result(
@@ -728,22 +739,11 @@ def distribution_result(
     seed: int = 0,
     rank_tol: float = 1e-9,
 ) -> CheckResult:
-    """Generating fields span exactly the orbit tangent space."""
-    if not catalog.has(family, ClosedForm.FIELDS):
-        return _unsupported("distribution_span", ClosedForm.FIELDS.value)
-    algebra = catalog.build(family, params)
-    points = _foliation_points(family, params, samples, seed, "distribution")
-    spans, certified = foliation.distribution_decision(algebra, points, rank_tol)
-    bad = ~spans
-    failures = int(np.count_nonzero(bad))
-    tally = _Tally()
-    tally.fold(np.ones(failures), points[bad], evaluated=points.shape[0])
-    return tally.result(
-        "distribution_span",
-        max_residual=float(failures),
-        details=f"{failures} span failure(s) on {points.shape[0]} generic points, "
-        + _decided(certified, "ranked"),
-    )
+    """Generating fields span exactly the orbit tangent space, by the seven
+    identities of foliation.span_certificate, which hold for every
+    parameter value.  An exact certificate draws no sample: ``samples``,
+    ``seed`` and ``rank_tol`` go unused, and ``params`` is only validated."""
+    return _certificate_result("distribution_span", family, params, foliation.span_certificate)
 
 
 def involutivity_result(
@@ -753,19 +753,12 @@ def involutivity_result(
     seed: int = 0,
     tol: float = 1e-9,
 ) -> CheckResult:
-    """Pairwise field brackets stay inside the pointwise span."""
-    if not catalog.has(family, ClosedForm.FIELDS):
-        return _unsupported("involutivity", ClosedForm.FIELDS.value)
-    points = _foliation_points(family, params, samples, seed, "distribution")
-    residual, certified = foliation.involutivity_decision(family, params, points)
-    tally = _Tally()
-    tally.fold(residual, points)
-    return tally.result(
-        "involutivity",
-        tol,
-        details=f"15 field brackets on {points.shape[0]} generic points, "
-        + _decided(certified, "projected"),
-    )
+    """Pairwise field brackets stay inside the pointwise span, by the
+    fifteen identities of foliation.bracket_certificate, which hold for
+    every parameter value.  An exact certificate draws no sample:
+    ``samples``, ``seed`` and ``tol`` go unused, and ``params`` is only
+    validated."""
+    return _certificate_result("involutivity", family, params, foliation.bracket_certificate)
 
 
 # --- Measure invariance and flows ------------------------------------------
@@ -1047,8 +1040,8 @@ def run_family_suite(
         golden_exponential_result(family, grid, min(samples, 200), seed),
         orbit_constancy_result(family, params, min(samples, 500), seed, inv_tol),
         invariant_constancy_result(family, params, 50, min(samples, 500), seed, inv_tol),
-        distribution_result(family, params, samples, seed, rank_tol),
-        involutivity_result(family, params, samples, seed),
+        distribution_result(family, params),
+        involutivity_result(family, params),
         measure_invariance_result(family, params, samples, seed),
         flow_result(family, params, min(samples, 200), seed, flow_tol),
     ]

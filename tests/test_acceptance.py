@@ -141,7 +141,8 @@ def test_criterion_orbit_invariant_constancy():
 
 def test_criterion_foliation_generation():
     """The cataloged vector fields span the orbit tangent distribution
-    and close under brackets at one thousand generic points."""
+    and close under brackets, as exact identities for every point and
+    parameter value."""
     worst_span = 0.0
     worst_bracket = 0.0
     for family in sorted(verify.foliation.SYSTEM_FAMILIES, key=catalog.FAMILIES.index):
@@ -151,12 +152,13 @@ def test_criterion_foliation_generation():
         worst_span = max(worst_span, span.max_residual)
         worst_bracket = max(worst_bracket, brackets.max_residual)
         assert span.passed and brackets.passed, family
-    passed = worst_span == 0.0 and worst_bracket <= SPAN_TOL
+        assert (span.n_evaluated, brackets.n_evaluated) == (7, 15), family
+    passed = worst_span == 0.0 and worst_bracket == 0.0
     _report(
         "foliation-generation",
         passed,
-        f"12 families x 1000 points, span mismatches {int(worst_span)}, "
-        f"worst involutivity residual {worst_bracket:.3e}",
+        f"12 families x (7 span + 15 bracket) exact identities, "
+        f"most failing {int(worst_span)} span and {int(worst_bracket)} bracket",
     )
     assert passed
 

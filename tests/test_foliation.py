@@ -10,14 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korbit import catalog, coadjoint, foliation, rng, topology, verify
-from korbit.liecore import (
-    PAIRING_TOL_FLOOR,
-    DomainError,
-    LieAlgebra7,
-    UnsupportedFamilyError,
-    numeric_rank,
-)
+from korbit import catalog, coadjoint, foliation, liecore, rng, topology, verify
+from korbit.liecore import DomainError, UnsupportedFamilyError, numeric_rank
 
 HALF = Fraction(1, 2)
 FLOW_TOL = 1e-9
@@ -51,7 +45,7 @@ def test_translation_fields_are_constant():
     """The first, fifth, and sixth fields translate fixed coordinates."""
     fields = foliation.system_fields("G7", ())
     v = rng.sample_coordinates(2, 4, "translation")
-    values = foliation.field_values(fields, v)
+    values = np.stack([field(v) for field in fields], axis=-2)
     for slot, coord in ((0, 0), (4, 5), (5, 6)):
         expected = np.zeros(7)
         expected[coord] = 1.0
@@ -258,27 +252,9 @@ def test_involutivity_residual_small_on_generic_points():
         assert float(residual.max()) <= INVOLUTIVITY_TOL
 
 
-def _span_points(family: str, count: int = 120) -> np.ndarray:
-    """Points on the family's manifold of every kind the span certificate
-    must decide as the SVD does: generic points, each coordinate stratum
-    (a subset of x2..x5 set to zero), the G1 quadric x2 = x3 x4 / x5 (where
-    G1's pairing matrix has rank 4), and generic points scaled by 1e-6."""
-    base = rng.sample_coordinates(11, count, "span-certificate", family)
-    quadric = base.copy()
-    quadric[:, 1] = base[:, 2] * base[:, 3] / base[:, 4]
-    sets = [base, quadric, base * 1e-6]
-    for size in range(1, 5):
-        for zeros in itertools.combinations(range(1, 5), size):
-            planted = base.copy()
-            planted[:, list(zeros)] = 0.0
-            sets.append(planted)
-    v = np.concatenate(sets)
-    return v[topology.contains(topology.manifold_of(family), v)]
-
-
 def _three_ranks(algebra, v: np.ndarray, tol: float) -> np.ndarray:
     """Reference: the field values, the pairing matrix and their stack each
-    have SVD rank six, field by field and without any certificate."""
+    have SVD rank six, field by field."""
     fields = foliation.system_fields(algebra.family, algebra.params)
     span = np.stack([field(v) for field in fields], axis=-2)
     pairing = algebra.kirillov(v)
@@ -290,174 +266,171 @@ def _three_ranks(algebra, v: np.ndarray, tol: float) -> np.ndarray:
     )
 
 
-def _svd_projection(family: str, params, v: np.ndarray) -> np.ndarray:
-    """Reference: the largest norm of a bracket's component off the span of
-    the six right singular vectors of the field values, pair by pair."""
+def _pair_projections(family: str, params, v: np.ndarray) -> list[np.ndarray]:
+    """Reference: for each of the fifteen brackets, in certificate order,
+    the norm of its component off the span of the six right singular
+    vectors of the field values at each point."""
     fields = foliation.system_fields(family, tuple(params))
-    v = np.asarray(v, dtype=float)
     span = np.stack([field(v) for field in fields], axis=-2)
     _, _, vh = np.linalg.svd(span, full_matrices=False)
-    worst = np.zeros(v.shape[:-1])
-    for i in range(6):
-        for j in range(i + 1, 6):
-            w = fields[i].bracket(fields[j])(v)
-            coords = np.einsum("...kj,...j->...k", vh, w)
-            tangent = np.einsum("...kj,...k->...j", vh, coords)
-            worst = np.maximum(worst, np.linalg.norm(w - tangent, axis=-1))
-    return worst
+    out = []
+    for f, g in itertools.combinations(fields, 2):
+        w = f.bracket(g)(v)
+        tangent = np.einsum("...kj,...k->...j", vh, np.einsum("...kj,...j->...k", vh, w))
+        out.append(np.linalg.norm(w - tangent, axis=-1))
+    return out
 
 
-def _planted(monkeypatch, slot: int, field) -> None:
-    """Replace field ``slot`` of every generating system with ``field``."""
-    original = foliation.system_fields
-
-    def planted(family, params=()):
-        fields = list(original(family, params))
-        fields[slot] = field(fields)
-        return tuple(fields)
-
-    monkeypatch.setattr(foliation, "system_fields", planted)
+def _generic_points(family: str, count: int = 60) -> np.ndarray:
+    v = rng.sample_coordinates(8, count, "certificate", family)
+    return v[topology.boundary_margin(topology.manifold_of(family), v) > 0.05]
 
 
-def _non_involutive(fields):
-    """A field whose brackets leave the span and whose values leave the
-    orbit tangent space: a fixed random linear field in place of the shear."""
-    linear = np.random.default_rng(5).standard_normal((7, 7))
-    return foliation.LinearVectorField(linear, np.zeros(7))
-
-
-def _repeated_translation(fields):
-    """The sixth coordinate's translation again in place of the seventh's,
-    so the six values span five dimensions, all of them tangent, and every
-    bracket stays inside those five."""
-    return fields[4]
-
-
-def _tilted_translation(fields):
-    """A translation along e6 + e2/2 in place of the sixth coordinate's.
-    Wherever e2 is tangent the six values span the same distribution as
-    before, but the row is not the unit row e6 that the closed-form normal
-    relies on."""
-    const = np.zeros(7)
-    const[[1, 5]] = 0.5, 1.0
-    return foliation.LinearVectorField(np.zeros((7, 7)), const)
-
-
-def _determinant_normal(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reference: n_j = (-1)^j det(S without column j), columns counted
-    from 0, by LU determinants of S scaled by its largest entry, and the
-    scaled S's |S|_F^6."""
-    scaled = span / np.abs(span).max(axis=(-2, -1), keepdims=True)
-    normal = np.stack(
-        [(-1) ** j * np.linalg.det(np.delete(scaled, j, axis=-1)) for j in range(7)], axis=-1
-    )
-    return normal, np.sum(scaled * scaled, axis=(-2, -1)) ** 3
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
-@pytest.mark.parametrize(
-    ("slot", "plant"),
-    [(None, None), (3, _non_involutive), (5, _repeated_translation)],
-    ids=["catalog", "non-tangent", "five-dimensional"],
-)
-def test_normal_equals_the_determinant_expansion(slot, plant, scale):
-    """On generic, stratum, quadric and scaled points of all twelve
-    systems, and of two planted ones, the closed-form normal is the signed
-    6x6 determinant expansion to 1e-14 |S|_F^6, point by point."""
+def test_every_cataloged_system_holds_every_identity():
+    """All seven span identities and all fifteen bracket identities hold
+    on the twelve systems, for every parameter value; n = +p on the two
+    records that list the second derivation first, n = -p elsewhere."""
     for family in sorted(foliation.SYSTEM_FAMILIES):
-        fields = list(foliation.system_fields(family, verify.REPRESENTATIVE_PARAMS[family]))
-        if plant is not None:
-            fields[slot] = plant(fields)
-        span = foliation.field_values(fields, _span_points(family) * scale)
-        normal, frob6 = foliation._normal(span)
-        reference, reference_frob6 = _determinant_normal(span)
-        assert np.all(np.isfinite(normal)) and np.all(np.isfinite(frob6)), family
-        np.testing.assert_allclose(frob6, reference_frob6, rtol=1e-14, atol=0, err_msg=family)
-        error = np.abs(normal - reference).max(axis=-1)
-        assert np.all(error <= 1e-14 * reference_frob6), family
+        span, relation = foliation.span_certificate(family)
+        brackets, bracket_relation = foliation.bracket_certificate(family)
+        assert len(span) == 7 and all(span.values()), (family, span)
+        assert len(brackets) == 15 and all(brackets.values()), (family, brackets)
+        sign = "+" if catalog.record(family).swapped else "−"
+        assert relation == bracket_relation == f"n = {sign}p ≢ 0", family
+    assert {f for f in foliation.SYSTEM_FAMILIES if catalog.record(f).swapped} == {"G1", "G6"}
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-12, 1e-13])
-def test_distribution_decision_equals_three_svd_ranks(tol):
-    """On generic, stratum, quadric and scaled points of all twelve
-    families the verdict is the three-SVD verdict, point by point; below
-    the floor no point is certified."""
-    decided = 0
-    for family in sorted(foliation.SYSTEM_FAMILIES):
-        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
-        v = _span_points(family)
-        spans, certified = foliation.distribution_decision(algebra, v, tol)
-        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, tol), err_msg=family)
-        assert np.all(spans[certified]), family
-        decided += int(np.count_nonzero(certified))
-    if tol < PAIRING_TOL_FLOOR:
-        assert decided == 0
-    else:
-        assert decided > 0
-
-
-@pytest.mark.parametrize("scale", [1e-100, 1e100])
-def test_distribution_decision_equals_three_svd_ranks_on_scaled_points(scale):
-    """The points of test_distribution_decision_equals_three_svd_ranks
-    scaled by 1e+-100, at tol 1e-9, 1e-12 (the floor) and 1e-13: the
-    verdict is the three-SVD verdict, point by point, and only points with
-    rank six are certified, none below the floor."""
-    for family in sorted(foliation.SYSTEM_FAMILIES):
-        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
-        v = _span_points(family) * scale
-        for tol in (1e-9, 1e-12, 1e-13):
-            message = f"{family} {scale} {tol}"
-            spans, certified = foliation.distribution_decision(algebra, v, tol)
-            np.testing.assert_array_equal(spans, _three_ranks(algebra, v, tol), err_msg=message)
-            assert np.all(spans[certified]), message
-            assert tol >= PAIRING_TOL_FLOOR or not certified.any(), message
-
-
-def test_distribution_decision_without_the_g52_pattern_uses_the_svd():
-    """An algebra whose nilradical generators pair off the g5,2 pattern
-    (here G13 with [e2, e3] = e6 added, not a Lie algebra) has no pairing
-    operand, so no point is certified and the SVDs give the verdict."""
-    g13 = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
-    brackets = {**g13.brackets, (1, 2): {5: 1}}
-    algebra = LieAlgebra7(g13.family, g13.params, brackets)
-    assert g13.pairing_operand is not None and algebra.pairing_operand is None
-    v = _span_points("G13")
-    spans, certified = foliation.distribution_decision(algebra, v)
-    assert not certified.any()
-    np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9))
-
-
-def test_distribution_certifies_every_campaign_point():
-    """Every point distribution_result draws is decided without SVD at
-    its default tolerance, and G1's quadric points, whose pairing matrix
-    has rank 4, fail."""
-    for family in sorted(foliation.SYSTEM_FAMILIES):
+def test_pfaffian_polynomials_equal_the_float_certificate():
+    """p from pfaffian_polynomials at random rational functionals, divided
+    by the cube of the largest pairing entry as _certify scales it, is
+    _certify's float p to rounding, on all sixteen families."""
+    gen = np.random.default_rng(3)
+    for family in catalog.FAMILIES:
         params = verify.REPRESENTATIVE_PARAMS[family]
         algebra = catalog.build(family, params)
-        points = verify._foliation_points(family, params, 500, 0, "distribution")
-        spans, certified = foliation.distribution_decision(algebra, points)
-        assert spans.all() and certified.all(), family
+        polynomials = liecore.pfaffian_polynomials(family)
+        for _ in range(5):
+            f = tuple(Fraction(int(k), 7) for k in gen.integers(-20, 21, 7))
+            entries = algebra.pairing_operand @ np.array(f, dtype=float)[:, None]
+            scale = np.abs(entries).max()
+            _, p = liecore._certify(entries, 1e-9)
+            exact = np.array([float(q(f + params)) for q in polynomials]) / scale**3
+            np.testing.assert_allclose(p[:, 0], exact, rtol=0, atol=1e-14, err_msg=family)
+
+
+def test_exact_matrices_are_the_float_fields():
+    """system_fields is system_matrices in floats, field by field, at the
+    representative parameters and every default grid entry."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        grid = (verify.REPRESENTATIVE_PARAMS[family],) + catalog.default_parameter_grid(family)
+        for params in grid:
+            linear, const = foliation.system_matrices(family, params)
+            fields = foliation.system_fields(family, params)
+            for field, l, c in zip(fields, linear, const, strict=True):
+                np.testing.assert_array_equal(field.linear, l.astype(float))
+                np.testing.assert_array_equal(field.const, c.astype(float))
+
+
+def _planted(monkeypatch, slot: int, plant) -> None:
+    """Replace field ``slot`` of every generating system, exact and float,
+    by plant(linear, const), which returns its linear part and constant."""
+    original = foliation.system_matrices
+
+    def planted(family, params=()):
+        linear, const = original(family, params)
+        linear[slot], const[slot] = plant(linear, const)
+        return linear, const
+
+    monkeypatch.setattr(foliation, "system_matrices", planted)
+
+
+def _random_rational_field(linear, const):
+    """A fixed random rational linear field, whose values leave the orbit
+    tangent space and whose brackets leave the span."""
+    entries = np.random.default_rng(5).integers(-9, 10, (7, 7))
+    return np.vectorize(lambda k: Fraction(int(k), 3), otypes=[object])(entries), np.zeros(7, int)
+
+
+def _repeated_translation(linear, const):
+    """The sixth coordinate's translation again, so the six values span
+    five dimensions, all of them tangent, and n ≡ 0."""
+    return linear[4], const[4]
+
+
+def _tilted_translation(linear, const):
+    """A translation along e6 + e2/2, which is not the unit row e6 that the
+    normal's formula relies on."""
+    tilted = np.zeros(7, dtype=object)
+    tilted[[1, 5]] = Fraction(1, 2), 1
+    return np.zeros((7, 7), dtype=int), tilted
+
+
+def test_a_random_field_in_place_of_the_shear_fails_both_certificates(monkeypatch):
+    """The planted field is not tangent and n is no longer ±p, and the
+    failing bracket identities are the five pairs with field four, exactly
+    those whose float SVD projection leaves the span; the campaigns name
+    each failing identity."""
+    _planted(monkeypatch, 3, _random_rational_field)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        span, relation = foliation.span_certificate(family)
+        assert relation == "n ≠ ±p", family
+        failing = [name for name, holds in span.items() if not holds]
+        assert failing == ["F4·p ≡ 0", "n = ±p ≢ 0"], family
+        brackets, _ = foliation.bracket_certificate(family)
+        failing = [name for name, holds in brackets.items() if not holds]
+        assert failing == [name for name in brackets if "F4" in name], (family, failing)
+        v = _generic_points(family)
+        for (name, holds), residual in zip(brackets.items(), _pair_projections(family, params, v)):
+            assert (residual.max() < 1e-9) == holds, (family, name, residual.max())
+        result = verify.involutivity_result(family, params)
+        assert not result.passed and result.max_residual == len(failing)
+        assert result.details.endswith(f"{len(failing)} of 15 fail: " + ", ".join(failing))
+        result = verify.distribution_result(family, params)
+        assert not result.passed and result.max_residual == 2
+        assert result.details.endswith("2 of 7 fail: F4·p ≡ 0, n = ±p ≢ 0")
+
+
+def test_a_repeated_translation_fails_both_certificates(monkeypatch):
+    """With n ≡ 0 the span identity fails, and so does every bracket
+    identity rather than hold vacuously; every field is still tangent, and
+    the float ranks agree that the six values never span."""
+    _planted(monkeypatch, 3, _repeated_translation)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        span, relation = foliation.span_certificate(family)
+        assert relation == "n ≡ 0", family
+        assert [name for name, holds in span.items() if not holds] == ["n = ±p ≢ 0"]
+        brackets, _ = foliation.bracket_certificate(family)
+        assert not any(brackets.values()), family
+        assert verify.distribution_result(family, params).max_residual == 1
+        assert verify.involutivity_result(family, params).max_residual == 15
+        algebra = catalog.build(family, params)
+        assert not foliation.distribution_equiv(algebra, _generic_points(family)).any(), family
+
+
+def test_a_tilted_translation_fails_the_unit_row_identity(monkeypatch):
+    """Without the unit rows e1, e6, e7 the cross product is no normal: the
+    span identity fails and every bracket identity with it."""
+    _planted(monkeypatch, 4, _tilted_translation)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        span, relation = foliation.span_certificate(family)
+        assert relation == "fields 1, 5, 6 are not e1, e6, e7, so n is no normal", family
+        assert not span["n = ±p ≢ 0"], family
+        brackets, _ = foliation.bracket_certificate(family)
+        assert not any(brackets.values()), family
+
+
+def test_distribution_matches_three_svd_ranks_on_the_g1_quadric():
+    """Where G1's pairing matrix has rank 4, on the quadric
+    x2 = x3 x4 / x5, the float reference finds no span, as n = p = 0
+    there says."""
     algebra = catalog.build("G1", verify.REPRESENTATIVE_PARAMS["G1"])
     v = rng.sample_coordinates(12, 200, "quadric")
     v[:, 1] = v[:, 2] * v[:, 3] / v[:, 4]
-    assert not np.any(foliation.distribution_equiv(algebra, v))
-
-
-@pytest.mark.parametrize(
-    ("slot", "plant"),
-    [(3, _non_involutive), (5, _repeated_translation)],
-    ids=["non-tangent", "five-dimensional"],
-)
-def test_distribution_decision_equals_three_svd_ranks_on_planted_systems(slot, plant, monkeypatch):
-    """A system whose values leave the tangent space, and one whose values
-    span only five dimensions, fail where the SVD says they fail."""
-    _planted(monkeypatch, slot, plant)
-    for family in sorted(foliation.SYSTEM_FAMILIES):
-        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
-        v = _span_points(family, count=40)
-        spans = foliation.distribution_equiv(algebra, v)
-        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9), err_msg=family)
-        assert not spans.all(), family
+    spans = foliation.distribution_equiv(algebra, v)
+    assert not spans.any()
+    np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9))
 
 
 def test_distribution_equiv_shapes():
@@ -496,65 +469,6 @@ def test_distribution_equiv_matches_three_svd_ranks_property(family, coords, zer
             foliation.distribution_equiv(algebra, v, tol)
         return
     assert foliation.distribution_equiv(algebra, v, tol) == bool(_three_ranks(algebra, v, tol))
-
-
-def test_involutivity_matches_the_svd_projection():
-    """On generic, stratum, quadric and scaled points of all twelve
-    families the residual is the SVD projection's to 1e-13."""
-    for family in sorted(foliation.SYSTEM_FAMILIES):
-        params = verify.REPRESENTATIVE_PARAMS[family]
-        v = _span_points(family)
-        residual, certified = foliation.involutivity_decision(family, params, v)
-        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
-        assert certified.any(), family
-
-
-def test_planted_non_involutive_system_fails_with_the_svd_residual(monkeypatch):
-    """Brackets that leave the span give the SVD projection's residual to
-    1e-12 relative, and the involutivity check fails."""
-    _planted(monkeypatch, 3, _non_involutive)
-    params = verify.REPRESENTATIVE_PARAMS["G13"]
-    v = rng.sample_coordinates(14, 300, "planted-brackets", "G13")
-    residual, certified = foliation.involutivity_decision("G13", params, v)
-    assert certified.all()
-    reference = _svd_projection("G13", params, v)
-    np.testing.assert_allclose(residual, reference, rtol=1e-12, atol=0)
-    assert reference.min() > 1e-3
-    result = verify.involutivity_result("G13", params, samples=200)
-    assert not result.passed and result.max_residual > 1e-3
-
-
-def test_rank_deficient_system_keeps_the_svd_projection(monkeypatch):
-    """Where the six values span five dimensions the minors vector is zero,
-    so every point goes to the SVD, whose residual stays at rounding level
-    since the brackets stay in those five dimensions."""
-    _planted(monkeypatch, 5, _repeated_translation)
-    for family in sorted(foliation.SYSTEM_FAMILIES):
-        params = verify.REPRESENTATIVE_PARAMS[family]
-        v = _span_points(family, count=40)
-        residual, certified = foliation.involutivity_decision(family, params, v)
-        assert not certified.any(), family
-        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
-
-
-def test_tilted_translation_goes_to_the_svd(monkeypatch):
-    """A translation that is not a unit row gives no closed-form normal, so
-    neither check certifies a point: the span verdicts are the three-SVD
-    verdicts, some of them true, and the residuals the SVD projection's."""
-    _planted(monkeypatch, 4, _tilted_translation)
-    spanned = 0
-    for family in sorted(foliation.SYSTEM_FAMILIES):
-        params = verify.REPRESENTATIVE_PARAMS[family]
-        algebra = catalog.build(family, params)
-        v = _span_points(family, count=40)
-        spans, certified = foliation.distribution_decision(algebra, v)
-        assert not certified.any(), family
-        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9), err_msg=family)
-        spanned += int(np.count_nonzero(spans))
-        residual, certified = foliation.involutivity_decision(family, params, v)
-        assert not certified.any(), family
-        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
-    assert spanned > 0
 
 
 @pytest.mark.parametrize(

@@ -94,23 +94,23 @@ def test_a_check_that_evaluates_nothing_fails():
 
 
 #: Checks of the seed-0 suite at the representative parameters that record
-#: no worst sample: the Jacobi sums (exact, no points), the unsupported
-#: checks, and the failure-count checks when nothing fails.  Every other
-#: check records one, including G1's constancy checks and G15's and G16's
-#: involutivity, whose residuals are zero.
+#: no worst sample: the exact certificates (the Jacobi sums, span and
+#: involutivity, which draw no point), the unsupported checks, and the
+#: failure-count checks when nothing fails.  Every other check records one,
+#: including G1's constancy checks, whose residuals are zero.
 NULL_SAMPLE_CHECKS = {
     "G1": {
         "jacobi", "golden_pairing", "rank_agreement", "golden_exponential",
-        "distribution_span", "flow_equivalence",
+        "distribution_span", "involutivity", "flow_equivalence",
     },
-    "G4": {"jacobi", "golden_pairing", "rank_agreement", "distribution_span"},
+    "G4": {"jacobi", "golden_pairing", "rank_agreement", "distribution_span", "involutivity"},
     "G15": {
         "jacobi", "golden_pairing", "rank_agreement", "golden_exponential",
-        "distribution_span", "flow_equivalence",
+        "distribution_span", "involutivity", "flow_equivalence",
     },
     "G16": {
         "jacobi", "golden_pairing", "rank_agreement", "golden_exponential",
-        "distribution_span", "flow_equivalence",
+        "distribution_span", "involutivity", "flow_equivalence",
     },
 }
 
@@ -121,23 +121,30 @@ def test_suite_checks_without_a_worst_sample(family):
     assert {r.name for r in results if r.worst_sample is None} == NULL_SAMPLE_CHECKS[family]
 
 
-def test_foliation_checks_state_how_each_point_was_decided():
-    """The span and involutivity details count the points certified without
-    SVD and the points the SVD decided."""
+def test_foliation_checks_report_their_exact_identities():
+    """The span and involutivity checks evaluate one identity each, seven
+    and fifteen, name every one and the sign of n, and count failures
+    against tolerance zero; the sample volume does not enter."""
     params = verify.REPRESENTATIVE_PARAMS["G13"]
     span = verify.distribution_result("G13", params, samples=200)
     brackets = verify.involutivity_result("G13", params, samples=200)
     assert span.details == (
-        "0 span failure(s) on 200 generic points, 200 certified without SVD, 0 ranked by SVD"
+        "exact identities in x1..x7 and (λ), where n = −p ≢ 0: F1·p ≡ 0, F2·p ≡ 0, "
+        "F3·p ≡ 0, F4·p ≡ 0, F5·p ≡ 0, F6·p ≡ 0, n = ±p ≢ 0; 0 of 7 fail"
     )
+    pairs = ", ".join(f"[F{i}, F{j}]·n ≡ 0" for i in range(1, 7) for j in range(i + 1, 7))
     assert brackets.details == (
-        "15 field brackets on 200 generic points, 200 certified without SVD, 0 projected by SVD"
+        f"exact identities in x1..x7 and (λ), where n = −p ≢ 0: {pairs}; 0 of 15 fail"
     )
-    assert span.n_evaluated == brackets.n_evaluated == 200
-    below_floor = verify.distribution_result("G13", params, samples=200, rank_tol=1e-13)
-    assert below_floor.passed and below_floor.details.endswith(
-        "0 certified without SVD, 200 ranked by SVD"
-    )
+    assert (span.n_evaluated, brackets.n_evaluated) == (7, 15)
+    for result in (span, brackets):
+        assert result.passed and result.max_residual == result.tolerance == 0.0
+        assert result.worst_sample is None
+    assert verify.distribution_result("G13", params, samples=5, rank_tol=1e-13) == span
+    g1 = verify.distribution_result("G1", verify.REPRESENTATIVE_PARAMS["G1"])
+    assert g1.details.startswith("exact identities in x1..x7 and (λ), where n = +p ≢ 0: ")
+    g5 = verify.involutivity_result("G5", ())
+    assert g5.details.startswith("exact identities in x1..x7, where n = −p ≢ 0: [F1, F2]")
 
 
 def test_leaf_map_views_keep_their_order():
