@@ -286,6 +286,46 @@ def _generic_points(family: str, count: int = 60) -> np.ndarray:
     return v[topology.boundary_margin(topology.manifold_of(family), v) > 0.05]
 
 
+def _span_points(family: str, count: int = 120) -> np.ndarray:
+    """Points on the family's manifold of every kind a float reference
+    must get right: generic points, each coordinate stratum (a subset of
+    x2..x5 set to zero), the G1 quadric x2 = x3 x4 / x5 (where G1's
+    pairing matrix has rank 4), and generic points scaled by 1e-6."""
+    base = rng.sample_coordinates(11, count, "span-certificate", family)
+    quadric = base.copy()
+    quadric[:, 1] = base[:, 2] * base[:, 3] / base[:, 4]
+    sets = [base, quadric, base * 1e-6]
+    for size in range(1, 5):
+        for zeros in itertools.combinations(range(1, 5), size):
+            planted = base.copy()
+            planted[:, list(zeros)] = 0.0
+            sets.append(planted)
+    v = np.concatenate(sets)
+    return v[topology.contains(topology.manifold_of(family), v)]
+
+
+def _svd_projection(family: str, params, v: np.ndarray) -> np.ndarray:
+    """Reference: the largest of the fifteen _pair_projections."""
+    return np.max(_pair_projections(family, params, v), axis=0)
+
+
+def _rational_points(family: str, count: int = 12) -> list[tuple[Fraction, ...]]:
+    """Rational points on the family's manifold: generic ones with
+    coordinates in quarters, each coordinate stratum of them (a subset of
+    x2..x5 set to zero), and their G1 quadric x2 = x3 x4 / x5."""
+    gen = np.random.default_rng(17)
+    points = []
+    for _ in range(count):
+        base = [Fraction(int(k), 4) for k in gen.integers(-16, 17, 7)]
+        if base[4]:
+            points.append((base[0], base[2] * base[3] / base[4], *base[2:]))
+        for size in range(5):
+            for zeros in itertools.combinations(range(1, 5), size):
+                points.append(tuple(0 if i in zeros else x for i, x in enumerate(base)))
+    keep = topology.contains(topology.manifold_of(family), np.array(points, dtype=float))
+    return [point for point, kept in zip(points, keep) if kept]
+
+
 def test_every_cataloged_system_holds_every_identity():
     """All seven span identities and all fifteen bracket identities hold
     on the twelve systems, for every parameter value; n = +p on the two
@@ -329,6 +369,27 @@ def test_exact_matrices_are_the_float_fields():
             for field, l, c in zip(fields, linear, const, strict=True):
                 np.testing.assert_array_equal(field.linear, l.astype(float))
                 np.testing.assert_array_equal(field.const, c.astype(float))
+
+
+@pytest.mark.parametrize("family", sorted(foliation.SYSTEM_FAMILIES))
+def test_p_decides_the_float_span_at_rational_points(family):
+    """n = ±p says the six fields span exactly where p ≠ 0, that is where
+    the pairing matrix has rank six.  At rational points on the manifold,
+    generic, on every stratum of x2..x5 and on G1's quadric, the float
+    ranks of distribution_equiv agree with p's exact value, point by
+    point.  p vanishes on G1's manifold exactly on the quadric
+    x2 x5 = x3 x4, some strata included, and nowhere on the others'."""
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    points = _rational_points(family)
+    polynomials = liecore.pfaffian_polynomials(family)
+    exact = np.array([any(q(point + params) for q in polynomials) for point in points])
+    spans = foliation.distribution_equiv(
+        catalog.build(family, params), np.array(points, dtype=float)
+    )
+    np.testing.assert_array_equal(spans, exact)
+    assert any(0 in point[1:5] for point in points)
+    off_quadric = [x2 * x5 != x3 * x4 for _, x2, x3, x4, x5, _, _ in points]
+    np.testing.assert_array_equal(exact, off_quadric if family == "G1" else True)
 
 
 def _planted(monkeypatch, slot: int, plant) -> None:
@@ -419,6 +480,93 @@ def test_a_tilted_translation_fails_the_unit_row_identity(monkeypatch):
         assert not span["n = ±p ≢ 0"], family
         brackets, _ = foliation.bracket_certificate(family)
         assert not any(brackets.values()), family
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [None, _random_rational_field, _repeated_translation],
+    ids=["catalog", "non-tangent", "five-dimensional"],
+)
+def test_exact_normal_equals_the_determinant_expansion(plant, monkeypatch):
+    """With the unit rows e1, e6, e7 in place, the certificate's n is the
+    cofactor vector of the six field values: at generic, stratum, quadric
+    and scaled points of all twelve systems, and of two planted ones with
+    another field in place of the shear, det [F_1(v); ...; F_6(v); e_j] is
+    s n_j(v) for one sign s per system, to 1e-12 |S|_F^6."""
+    if plant is not None:
+        _planted(monkeypatch, 3, plant)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        n = foliation._exact_system(family)[3]
+        v = _span_points(family, count=20)
+        span = np.stack([field(v) for field in foliation.system_fields(family, params)], axis=-2)
+        cofactors = np.stack(
+            [
+                np.linalg.det(np.concatenate([span, np.broadcast_to(unit, (len(v), 1, 7))], axis=-2))
+                for unit in np.eye(7)[:, None, :]
+            ],
+            axis=-1,
+        )
+        normal = np.array([[float(q(tuple(point) + params)) for q in n] for point in v])
+        sign = 1.0 if np.sum(cofactors * normal) >= 0 else -1.0
+        bound = 1e-12 * np.sum(span * span, axis=(-2, -1)) ** 3
+        assert np.all(np.abs(cofactors - sign * normal).max(axis=-1) <= bound), family
+        assert np.any(normal) == (plant is not _repeated_translation), family
+
+
+def test_involutivity_matches_the_svd_projection():
+    """On generic, stratum, quadric and scaled points of all twelve
+    families the residual is the SVD projection's to 1e-13."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        v = _span_points(family)
+        residual = foliation.involutivity_residual(family, params, v)
+        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
+
+
+def test_planted_non_involutive_system_fails_with_the_svd_residual(monkeypatch):
+    """Brackets that leave the span give the SVD projection's residual to
+    1e-12 relative, and the involutivity check fails."""
+    _planted(monkeypatch, 3, _random_rational_field)
+    params = verify.REPRESENTATIVE_PARAMS["G13"]
+    v = rng.sample_coordinates(14, 300, "planted-brackets", "G13")
+    v = v[topology.contains(topology.manifold_of("G13"), v)]
+    residual = foliation.involutivity_residual("G13", params, v)
+    reference = _svd_projection("G13", params, v)
+    np.testing.assert_allclose(residual, reference, rtol=1e-12, atol=0)
+    assert reference.min() > 1e-3
+    result = verify.involutivity_result("G13", params)
+    assert not result.passed and result.max_residual > 0
+
+
+def test_rank_deficient_system_keeps_the_svd_projection(monkeypatch):
+    """Where the six values span five dimensions the residual is still the
+    SVD projection's, at rounding level, since the brackets stay in those
+    five dimensions."""
+    _planted(monkeypatch, 5, _repeated_translation)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        params = verify.REPRESENTATIVE_PARAMS[family]
+        v = _span_points(family, count=40)
+        residual = foliation.involutivity_residual(family, params, v)
+        np.testing.assert_allclose(residual, _svd_projection(family, params, v), rtol=0, atol=1e-13)
+        assert residual.max() <= INVOLUTIVITY_TOL, family
+
+
+@pytest.mark.parametrize(
+    ("slot", "plant"),
+    [(3, _random_rational_field), (5, _repeated_translation)],
+    ids=["non-tangent", "five-dimensional"],
+)
+def test_distribution_decision_equals_three_svd_ranks_on_planted_systems(slot, plant, monkeypatch):
+    """A system whose values leave the tangent space, and one whose values
+    span only five dimensions, fail where the SVD says they fail."""
+    _planted(monkeypatch, slot, plant)
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        v = _span_points(family, count=40)
+        spans = foliation.distribution_equiv(algebra, v)
+        np.testing.assert_array_equal(spans, _three_ranks(algebra, v, 1e-9), err_msg=family)
+        assert not spans.all(), family
 
 
 def test_distribution_matches_three_svd_ranks_on_the_g1_quadric():
