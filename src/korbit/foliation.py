@@ -12,14 +12,16 @@ and the scalar invariant that labels the leaves of each foliation.
 
 Span and involutivity are exact polynomial identities in the functional
 and the parameters (span_certificate, bracket_certificate), decided for
-every point and parameter value at once.  The fields and the Kirillov
-form both come from catalog.derivation_pair, so they certify the
-derivation rule, not its transcription from the source, which verify's
-golden tables check.  distribution_equiv and involutivity_residual are
-their float references at given points.
+every point and parameter value at once, so each family's identities
+are decided once per process and every caller gets fresh dicts.  The
+fields and the Kirillov form both come from catalog.derivation_pair, so
+they certify the derivation rule, not its transcription from the source,
+which verify's golden tables check.  distribution_equiv and
+involutivity_residual are their float references at given points.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from numbers import Real
@@ -305,31 +307,48 @@ def _exact_system(family: str):
     return linear, values, p, n, relation
 
 
+#: (identity, holds) pairs, in the order the certificates list them.
+_Identities = tuple[tuple[str, bool], ...]
+
+
+@functools.cache
+def _certificates(family: str) -> tuple[_Identities, _Identities, str]:
+    """The span and bracket identities of span_certificate and
+    bracket_certificate as (identity, holds) pairs, and how n relates to
+    p, all decided from one _exact_system.  Cached per family: the pairs
+    and the string are immutable, so no caller can change another's
+    answer, and a family without a system raises on every call."""
+    linear, values, p, n, relation = _exact_system(family)
+    span = [(f"F{i + 1}·p ≡ 0", not _dot(value, p)) for i, value in enumerate(values)]
+    span.append(("n = ±p ≢ 0", relation in ("n = +p ≢ 0", "n = −p ≢ 0")))
+    brackets = []
+    for i, j in itertools.combinations(range(len(values)), 2):
+        w = _bracket(linear[i], values[i], linear[j], values[j], _apply)
+        brackets.append((f"[F{i + 1}, F{j + 1}]·n ≡ 0", any(n) and not _dot(w, n)))
+    return tuple(span), tuple(brackets), relation
+
+
 def span_certificate(family: str) -> tuple[dict[str, bool], str]:
     """The seven span identities, each mapped to whether it holds, and how
     the fields' normal n relates to the Pfaffian vector p (ker K = span p
     where K has rank six).  F_i . p ≡ 0 makes each field tangent; n = ±p ≢ 0
     makes the six values independent exactly where K has rank six, and
     there they span the orbit's tangent space, p's orthogonal complement.
+    Decided once per family per process; each call returns a fresh dict.
     """
-    _, values, p, _, relation = _exact_system(family)
-    identities = {f"F{i + 1}·p ≡ 0": not _dot(value, p) for i, value in enumerate(values)}
-    identities["n = ±p ≢ 0"] = relation in ("n = +p ≢ 0", "n = −p ≢ 0")
-    return identities, relation
+    span, _, relation = _certificates(family)
+    return dict(span), relation
 
 
 def bracket_certificate(family: str) -> tuple[dict[str, bool], str]:
     """The fifteen involutivity identities [F_i, F_j] . n ≡ 0, each mapped
     to whether it holds, and how n relates to p.  They keep every bracket
     in the fields' span; with n ≡ 0, or no normal, every one fails rather
-    than hold vacuously.
+    than hold vacuously.  Decided once per family per process; each call
+    returns a fresh dict.
     """
-    linear, values, _, n, relation = _exact_system(family)
-    identities = {}
-    for i, j in itertools.combinations(range(len(values)), 2):
-        w = _bracket(linear[i], values[i], linear[j], values[j], _apply)
-        identities[f"[F{i + 1}, F{j + 1}]·n ≡ 0"] = any(n) and not _dot(w, n)
-    return identities, relation
+    _, brackets, relation = _certificates(family)
+    return dict(brackets), relation
 
 
 def distribution_equiv(

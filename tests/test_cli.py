@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from korbit import cli, coadjoint
+from korbit import cli, coadjoint, foliation
 
 VERIFY_FAST = ["--samples", "60", "--seed", "0"]
 
@@ -355,3 +355,26 @@ def test_verify_all_report_statuses(capsys):
         (c["status"] == "skip") == c["details"].startswith("unsupported") for c in checks
     )
     assert [c["name"] for c in checks if c["status"] == "finding"] == ["leaf_constancy_h11"]
+
+
+def test_verify_builds_each_exact_system_once_per_process(tmp_path, monkeypatch):
+    """The certificates decide each family's identities once per process:
+    two verify-all runs build the twelve exact systems once each, and
+    G14's sixteen grid entries share one build."""
+    builds = []
+    inner = foliation._exact_system
+
+    def counting(family):
+        builds.append(family)
+        return inner(family)
+
+    monkeypatch.setattr(foliation, "_exact_system", counting)
+    foliation._certificates.cache_clear()
+    for k in range(2):
+        argv = ["verify", "--family", "all", "--seed", "0", "--out", str(tmp_path / f"{k}.json")]
+        assert cli.main(argv) == 0
+    assert sorted(builds) == sorted(foliation.SYSTEM_FAMILIES)
+    foliation._certificates.cache_clear()
+    builds.clear()
+    assert cli.main(["verify", "--family", "G14", "--out", str(tmp_path / "G14.json")]) == 0
+    assert builds == ["G14"]

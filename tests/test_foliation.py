@@ -1,6 +1,7 @@
 """Generating vector fields, flows, and orbit invariants."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -326,10 +327,7 @@ def _rational_points(family: str, count: int = 12) -> list[tuple[Fraction, ...]]
     return [point for point, kept in zip(points, keep) if kept]
 
 
-def test_every_cataloged_system_holds_every_identity():
-    """All seven span identities and all fifteen bracket identities hold
-    on the twelve systems, for every parameter value; n = +p on the two
-    records that list the second derivation first, n = -p elsewhere."""
+def _assert_catalog_certificates_hold() -> None:
     for family in sorted(foliation.SYSTEM_FAMILIES):
         span, relation = foliation.span_certificate(family)
         brackets, bracket_relation = foliation.bracket_certificate(family)
@@ -337,6 +335,13 @@ def test_every_cataloged_system_holds_every_identity():
         assert len(brackets) == 15 and all(brackets.values()), (family, brackets)
         sign = "+" if catalog.record(family).swapped else "−"
         assert relation == bracket_relation == f"n = {sign}p ≢ 0", family
+
+
+def test_every_cataloged_system_holds_every_identity():
+    """All seven span identities and all fifteen bracket identities hold
+    on the twelve systems, for every parameter value; n = +p on the two
+    records that list the second derivation first, n = -p elsewhere."""
+    _assert_catalog_certificates_hold()
     assert {f for f in foliation.SYSTEM_FAMILIES if catalog.record(f).swapped} == {"G1", "G6"}
 
 
@@ -394,7 +399,10 @@ def test_p_decides_the_float_span_at_rational_points(family):
 
 def _planted(monkeypatch, slot: int, plant) -> None:
     """Replace field ``slot`` of every generating system, exact and float,
-    by plant(linear, const), which returns its linear part and constant."""
+    by plant(linear, const), which returns its linear part and constant.
+    The certificates get a fresh cache, so no answer decided before the
+    plant masks it, and the monkeypatch's undo restores the real cache,
+    which never saw the plant."""
     original = foliation.system_matrices
 
     def planted(family, params=()):
@@ -403,6 +411,9 @@ def _planted(monkeypatch, slot: int, plant) -> None:
         return linear, const
 
     monkeypatch.setattr(foliation, "system_matrices", planted)
+    monkeypatch.setattr(
+        foliation, "_certificates", functools.cache(foliation._certificates.__wrapped__)
+    )
 
 
 def _random_rational_field(linear, const):
@@ -450,6 +461,56 @@ def test_a_random_field_in_place_of_the_shear_fails_both_certificates(monkeypatc
         result = verify.distribution_result(family, params)
         assert not result.passed and result.max_residual == 2
         assert result.details.endswith("2 of 7 fail: F4·p ≡ 0, n = ±p ≢ 0")
+
+
+def test_a_plant_is_never_masked_by_the_cache():
+    """Certificates decided before a plant do not hide it: with both
+    certificates of all twelve systems already decided, the random field
+    in place of the shear still fails F4·p ≡ 0, n = ±p ≢ 0 and the five
+    pairs with F4, and once the plant is undone every catalog identity
+    holds again."""
+    _assert_catalog_certificates_hold()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _planted(monkeypatch, 3, _random_rational_field)
+        for family in sorted(foliation.SYSTEM_FAMILIES):
+            span, relation = foliation.span_certificate(family)
+            brackets, _ = foliation.bracket_certificate(family)
+            assert relation == "n ≠ ±p", family
+            assert [name for name, holds in span.items() if not holds] == [
+                "F4·p ≡ 0",
+                "n = ±p ≢ 0",
+            ], family
+            failing = [name for name, holds in brackets.items() if not holds]
+            assert failing == [f"[F{i}, F4]·n ≡ 0" for i in (1, 2, 3)] + [
+                f"[F4, F{j}]·n ≡ 0" for j in (5, 6)
+            ], family
+    _assert_catalog_certificates_hold()
+
+
+def test_cached_certificates_equal_the_uncached_ones_and_are_not_shared():
+    """On all twelve systems the cached identities and relation are those
+    of the uncached computation; a caller that mutates its dict changes
+    no later answer; and a family without a system raises on every call,
+    with nothing cached for it."""
+    for family in sorted(foliation.SYSTEM_FAMILIES):
+        uncached = foliation._certificates.__wrapped__(family)
+        assert foliation._certificates(family) == uncached, family
+        span, brackets, relation = uncached
+        for certificate, pairs in (
+            (foliation.span_certificate, span),
+            (foliation.bracket_certificate, brackets),
+        ):
+            identities, got = certificate(family)
+            assert identities == dict(pairs) and got == relation, family
+            identities.clear()
+            identities["planted"] = False
+            assert certificate(family) == (dict(pairs), relation), family
+    size = foliation._certificates.cache_info().currsize
+    for _ in range(3):
+        for certificate in (foliation.span_certificate, foliation.bracket_certificate):
+            with pytest.raises(UnsupportedFamilyError):
+                certificate("G2")
+    assert foliation._certificates.cache_info().currsize == size
 
 
 def test_a_repeated_translation_fails_both_certificates(monkeypatch):
