@@ -208,22 +208,21 @@ def verify_jacobi(algebra: LieAlgebra7) -> tuple[Real, list[tuple[int, int, int,
     return max(residuals.values(), default=0), violations
 
 
-#: Weights of the Paterson-Stockmeyer steps behind exp_matrix, applied to
-#: the stack (H, X^3, X^2, X, I).  Step j < 4 weighs H, the previous step
-#: times X^4, by 1 and X^i by 1/(4j+i)!; the last row starts the recurrence
-#: with the degree 16..18 terms.
-_EXP_STEPS = np.array(
-    [[1.0] + [1.0 / math.factorial(k) for k in range(4 * j + 3, 4 * j - 1, -1)] for j in range(4)]
-    + [[0.0, 0.0] + [1.0 / math.factorial(k) for k in (18, 17, 16)]]
+#: Weights of the Paterson-Stockmeyer blocks behind exp_matrix, applied to
+#: the work rows (X^3, X^2, X, I).  Row j < 4 makes the block
+#: B_j = sum over i < 4 of X^i / (4j+i)!, and row 4 the block B_4 of the
+#: degree 16..18 terms, with which Horner's rule in X^4 starts.
+_EXP_BLOCKS = np.array(
+    [[1.0 / math.factorial(4 * j + i) for i in (3, 2, 1, 0)] for j in range(4)]
+    + [[0.0] + [1.0 / math.factorial(k) for k in (18, 17, 16)]]
 )
 
 
-#: Matrices per chunk in exp_matrix.  The seven work rows of a chunk of 512
-#: 7x7 matrices take 1.4 MB and stay in a 2 MB L2 cache.  On a 2-core x86-64
-#: machine a 10k stack took 11-13 ms at 256 to 1024 per chunk, 15 ms at
-#: 4096 and 16 ms unchunked, on one core.  Spread over both cores, the
-#: medians of 2 x 15 rounds over 16 families' ad stacks were 13.3-13.6 ms
-#: at 256, 12.0-12.4 ms at 512, 13.1-13.5 ms at 1024 and 14.5 ms at 2048.
+#: Matrices per chunk in exp_matrix.  The ten work rows of a chunk of 512
+#: 7x7 matrices take 2.0 MB, about a 2 MB L2 cache.  On a 2-core x86-64
+#: machine, spread over both cores, the medians of 12 rounds over 16
+#: families' 10k ad stacks were 75 ms at 256 per chunk, 68 ms at 384,
+#: 66 ms at 512, 67 ms at 768 and 94 ms at 1024.
 _EXP_CHUNK = 512
 
 #: A consumer of exponentials: fold(lo, hi, exps) receives the exponentials
@@ -234,27 +233,29 @@ Fold = Callable[[int, int, np.ndarray], None]
 def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     """Matrix exponential by scaling and squaring of a truncated series.
 
-    The argument is halved s times until its infinity norm is at most 1/2,
-    with one s for the whole stack, taken from its largest norm.  The
-    degree-18 Taylor polynomial of the scaled matrix X is evaluated by
-    Paterson-Stockmeyer (Paterson & Stockmeyer 1973; Higham, *Functions of
-    Matrices*, 2008, section 4.2): with X^2, X^3 and X^4 formed once, the
-    sum splits into blocks B_j = sum over i < 4 of X^i / (4j+i)!, which
-    Horner's rule combines in X^4.  Each Horner step adds B_j to the
-    previous step times X^4 in one vector-matrix product over the stacked
-    matrices, smallest terms first.  The result is then squared s times
-    (Moler & Van Loan 2003).  That is 3 + 4 matrix products before the
-    squarings, where term-by-term summation takes 18.  A stack is worked
-    through in chunks of _EXP_CHUNK matrices, so that the powers stay in
-    cache; the squaring count is still one for the whole stack, and the
-    norm it comes from is taken chunk by chunk too.
+    A stack is worked through in chunks of _EXP_CHUNK matrices, so that
+    the powers stay in cache, and each chunk scales itself: its matrices
+    are halved s times, for the least s that brings the chunk's largest
+    infinity norm to at most 1, and the degree-18 Taylor polynomial of the
+    scaled matrices X is squared s times (Moler & Van Loan 2003).  At
+    |X| <= 1 the truncated tail is at most the sum over k >= 19 of 1/k!,
+    below 8.7e-18 and so far under rounding (Higham, *Functions of
+    Matrices*, 2008, section 4.2).  The polynomial is evaluated by
+    Paterson-Stockmeyer (Paterson & Stockmeyer 1973; Higham 2008, section
+    4.2): with X^2, X^3 and X^4 formed once, one matrix product of the
+    weights _EXP_BLOCKS with the stacked (X^3, X^2, X, I) forms all the
+    blocks B_j = sum over i < 4 of X^i / (4j+i)!, which Horner's rule
+    combines in X^4, smallest terms first, each step one stacked product
+    by X^4 and one add.  That is 3 + 4 matrix products before the
+    squarings, where term-by-term summation takes 18.  The norm is taken
+    in the chunk's work rows just before scaling, so a chunk's
+    exponentials depend on its own matrices alone.
 
     The chunks are split into contiguous spans, one per core the process
     may run on and at most one per two chunks.  The calling thread works
     through the first span and one thread per further span the others,
-    each with its own work rows; numpy's matrix products release the
-    interpreter lock, so the spans run side by side.  A chunk's arithmetic
-    depends only on its matrices and the shared squaring count, and the
+    each with work rows it allocates itself; numpy's matrix products
+    release the interpreter lock, so the spans run side by side.  The
     chunks start at the same rows whatever the number of spans, so the
     result is the same to the bit on any number of cores.  The threads run
     under the caller's numpy error state, and an exception raised in one is
@@ -272,16 +273,18 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
 
     Supports stacks of matrices on leading axes; an empty stack gives an
     empty stack of the same shape, and no fold call.  Raises DomainError
-    for non-finite input and when the result overflows; with fold, no
-    chunk holding an overflowed exponential reaches fold.
+    for non-finite input and when the result overflows.  Each span checks
+    its chunks as it reaches them, so with fold, the chunks that come
+    before a non-finite or overflowing chunk in its span, and chunks of
+    other spans, may have reached fold when DomainError is raised; no chunk
+    with a non-finite entry or an overflowed exponential reaches fold.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return None if fold is not None else np.empty(m.shape)
     n = m.shape[-1]
     mats = m.reshape(-1, n, n)
-    size = min(_EXP_CHUNK, len(mats))
-    chunks = -(-len(mats) // size)
+    chunks = -(-len(mats) // _EXP_CHUNK)
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -294,19 +297,13 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     # second core saves.
     spans = max(1, min(cores, chunks // 2))
     # Row bounds of each span, on chunk boundaries.
-    bounds = [min(len(mats), size * (chunks * i // spans)) for i in range(spans + 1)]
-    # Per span, the work rows: the stack (H, X^3, X^2, X, I) that the steps
-    # weigh, X^4, which the squarings reuse, and the row in which a fold's
-    # exponentials are formed.  Only the identity row keeps its contents.
-    work = np.zeros((spans, 7, size * n * n))
-    work[:, 4].reshape(spans, size, n * n)[:, :, :: n + 1] = 1.0
-    squarings = _squarings(mats, work[0, 0])
+    bounds = [min(len(mats), _EXP_CHUNK * (chunks * i // spans)) for i in range(spans + 1)]
     result = fold if fold is not None else np.empty(mats.shape)
     errors: list[BaseException] = []
 
     def span(context: contextvars.Context, i: int) -> None:
         try:
-            context.run(_exp_chunks, mats, result, squarings, bounds[i], bounds[i + 1], work[i])
+            context.run(_exp_chunks, mats, result, bounds[i], bounds[i + 1])
         except BaseException as err:  # raised again in the calling thread
             errors.append(err)
 
@@ -317,7 +314,7 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     try:
         for thread in threads:
             thread.start()
-        _exp_chunks(mats, result, squarings, bounds[0], bounds[1], work[0])
+        _exp_chunks(mats, result, bounds[0], bounds[1])
     finally:
         for thread in threads:
             if thread.ident is not None:  # started
@@ -331,54 +328,51 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     return result.reshape(m.shape)
 
 
-def _squarings(mats: np.ndarray, row: np.ndarray) -> int:
-    """exp_matrix's squaring count for the stack mats, from its largest
-    infinity norm, taken chunk by chunk in the work row ``row``.  Raises
-    DomainError on a non-finite entry, which makes a chunk's norm NaN or
-    infinite."""
-    n = mats.shape[-1]
-    size = row.size // (n * n)
-    top = 0.0
-    for start in range(0, len(mats), size):
-        chunk = mats[start : start + size]
-        magnitudes = row[: chunk.size].reshape(chunk.shape)
-        np.abs(chunk, out=magnitudes)
-        # Row sums (einsum is faster than .sum on 7-wide rows).
-        norm = float(np.einsum("...ij->...i", magnitudes).max())
-        if not math.isfinite(norm):
-            raise DomainError("matrix exponential requires finite entries")
-        top = max(top, norm)
-    return max(0, int(np.ceil(np.log2(top / 0.5)))) if top > 0.5 else 0
+def _halvings(norm: float) -> int:
+    """How often exp_matrix halves a chunk of largest infinity norm
+    ``norm``: the least s >= 0 with norm <= 2^s, read exactly off the
+    binary exponent of norm = mantissa 2^exponent, 1/2 <= mantissa < 1."""
+    mantissa, exponent = math.frexp(norm)
+    return max(0, exponent - (mantissa == 0.5))
 
 
-def _exp_chunks(
-    mats: np.ndarray,
-    result: np.ndarray | Fold,
-    squarings: int,
-    lo: int,
-    hi: int,
-    work: np.ndarray,
-) -> None:
-    """exp_matrix's chunk loop over mats[lo:hi], chunk by chunk in the work
-    rows of one span.  ``result`` is either the stack whose rows lo..hi
-    receive the exponentials, or a fold, handed each chunk's exponentials
-    from the work rows once they are checked finite."""
+def _exp_chunks(mats: np.ndarray, result: np.ndarray | Fold, lo: int, hi: int) -> None:
+    """exp_matrix's chunk loop over mats[lo:hi], in chunks of _EXP_CHUNK
+    matrices from row lo, in work rows of its own.  ``result`` is either
+    the stack whose rows lo..hi receive the exponentials, or a fold, handed
+    each chunk's exponentials from the work rows once they are checked
+    finite."""
     n = mats.shape[-1]
-    size = work.shape[-1] // (n * n)
+    size = min(_EXP_CHUNK, hi - lo)
+    # The work rows: (X^3, X^2, X, I), which _EXP_BLOCKS weighs, X^4 and
+    # the blocks B_0..B_4.  Only the identity row keeps its contents.
+    work = np.empty((10, size * n * n))
+    work[3] = 0.0
+    work[3].reshape(size, n * n)[:, :: n + 1] = 1.0
     folding = callable(result)
     for start in range(lo, hi, size):
         k = min(size, hi - start)
         rows = work[:, : k * n * n]
-        horner, x3, x2, x1, _, x4, exps = rows.reshape(7, k, n, n)
-        np.multiply(mats[start : start + k], 2.0**-squarings, out=x1)
+        x3, x2, x1, _, x4, *blocks = rows.reshape(10, k, n, n)
+        chunk = mats[start : start + k]
+        np.abs(chunk, out=x1)
+        # Row sums (einsum is faster than .sum on 7-wide rows).
+        norm = float(np.einsum("...ij->...i", x1).max())
+        if not math.isfinite(norm):
+            raise DomainError("matrix exponential requires finite entries")
+        squarings = _halvings(norm)
+        np.multiply(chunk, 2.0**-squarings, out=x1)
         np.matmul(x1, x1, out=x2)
         np.matmul(x2, x1, out=x3)
         np.matmul(x2, x2, out=x4)
-        target = out = exps if folding else result[start : start + k]
-        np.matmul(_EXP_STEPS[4], rows[:5], out=out.reshape(-1))
-        for weights in _EXP_STEPS[3::-1]:
-            np.matmul(out, x4, out=horner)
-            np.matmul(weights, rows[:5], out=out.reshape(-1))
+        np.matmul(_EXP_BLOCKS, rows[:4], out=rows[5:])
+        # Horner's rule B_0 + X^4 (B_1 + X^4 (... + X^4 B_4)), in X^3's row,
+        # which is spent, and into the result's rows at the last step.
+        target = blocks[0] if folding else result[start : start + k]
+        out = blocks[4]
+        for j in (3, 2, 1, 0):
+            np.matmul(out, x4, out=x3)
+            out = np.add(x3, blocks[j], out=target if j == 0 else blocks[j])
         # X^4 is spent: its row is the squarings' second buffer.
         buf = x4
         for _ in range(squarings):

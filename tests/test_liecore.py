@@ -27,7 +27,8 @@ from korbit.liecore import (
 
 EXP_RTOL = 1e-12
 #: Paterson-Stockmeyer may widen the det(exp ad_u) vs exp(tr ad_u) gap of
-#: the term-by-term loop by at most this factor.
+#: the term-by-term loop, and its error against the exact reference, by at
+#: most this factor.
 DET_GAP_FACTOR = 1.5
 INVERSE_RTOL = 1e-12
 #: |p| = s1 s3 s5 holds to rounding on forms with s5 > 1e-2 s1; p is
@@ -43,19 +44,27 @@ ADJUGATE_ATOL = 1e-13
 UNSCALED_RTOL = 1e-14
 
 
-def _exp_loop(m):
-    """Reference: the term-by-term degree-18 Taylor loop with the same
-    squaring count that exp_matrix must equal."""
-    m = np.asarray(m, dtype=float)
-    top = float(np.abs(m).sum(axis=-1).max())
-    squarings = max(0, int(np.ceil(np.log2(top / 0.5)))) if top > 0.5 else 0
-    scaled = m / float(2**squarings)
+def _taylor18(m):
+    """The degree-18 Taylor polynomial of m, summed term by term."""
     eye = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
     out = eye.copy()
     term = eye
     for k in range(1, 19):
-        term = term @ scaled / k
+        term = term @ m / k
         out = out + term
+    return out
+
+
+def _exp_loop(m):
+    """Reference: the term-by-term degree-18 Taylor loop under exp_matrix's
+    earlier squaring rule, one count for the whole stack, from its largest
+    infinity norm down to 1/2.  exp_matrix now scales each chunk by its own
+    norm down to 1, so the two agree to rounding, and the exact reference
+    below holds exp_matrix to this loop's accuracy."""
+    m = np.asarray(m, dtype=float)
+    top = float(np.abs(m).sum(axis=-1).max())
+    squarings = max(0, int(np.ceil(np.log2(top / 0.5)))) if top > 0.5 else 0
+    out = _taylor18(m / float(2**squarings))
     for _ in range(squarings):
         out = out @ out
     return out
@@ -135,8 +144,9 @@ def test_exp_matrix_rejects_overflow():
 
 @pytest.mark.parametrize("n", [1, 100, 10_000])
 def test_exp_matrix_matches_term_by_term_loop_on_adjoint_stacks(n):
-    """Paterson-Stockmeyer equals the term-by-term loop on ad(u) stacks of
-    every family, one squaring count per stack as in the loop."""
+    """Paterson-Stockmeyer with per-chunk scaling agrees to rounding with
+    the term-by-term loop under the earlier rule on ad(u) stacks of every
+    family."""
     for family in catalog.FAMILIES:
         ad = _ad_stack(family, n, seed=n)
         gap = _relative_gap(exp_matrix(ad), _exp_loop(ad))
@@ -173,6 +183,167 @@ def test_exp_matrix_det_trace_gap_no_wider_than_loop():
         new = np.abs(np.linalg.det(exp_matrix(ad)) / exp_trace - 1.0).max()
         old = np.abs(np.linalg.det(_exp_loop(ad)) / exp_trace - 1.0).max()
         assert new <= DET_GAP_FACTOR * old, family
+
+
+#: Fraction bits of the exact reference exponential's fixed point.
+REFERENCE_BITS = 200
+#: The largest error against the exact reference on the catalog's ad(u)
+#: draws and on Gaussian matrices of scale up to 1; the worst seen is 3.8e-15.
+#: Gaussian matrices of scale 3 have infinity norms near 20, and their five
+#: squarings multiply the rounding to 1.1e-14 (the loop: 2.8e-14), so they
+#: are held only to the loop's accuracy.
+REFERENCE_TOL = 1e-14
+
+
+def _fixed(x):
+    """The float x in fixed point, as the int floor(x 2^REFERENCE_BITS);
+    exact wherever |x| >= 2^-147."""
+    numerator, denominator = float(x).as_integer_ratio()
+    return (numerator << REFERENCE_BITS) // denominator
+
+
+def _exp_reference(m):
+    """exp(m) of one float matrix in fixed point: a matrix of Python ints,
+    entry r standing for r / 2^REFERENCE_BITS.
+
+    A float is a dyadic rational, so m enters exactly (entries below
+    2^-147 up to 2^-200).  The matrix is halved h times, to infinity norm
+    at most 1/2, its Taylor series is summed to degree 40, whose tail is
+    below 2^-40 / 40! < 2^-198, and the sum is squared h times.  Each
+    product and quotient rounds down by less than one unit of 2^-200, and
+    the h squarings multiply what has built up by about 2^h |exp(m)|, so
+    with the h <= 7 that the tests' draws need, the reference is exact to
+    far below 1e-40 of 1 + |exp(m)|: its error does not show in a float's.
+    """
+    n = len(m)
+    one = 1 << REFERENCE_BITS
+    a = np.array([[_fixed(x) for x in row] for row in m], dtype=object)
+    norm = max(sum(abs(x) for x in row) for row in a)
+    halvings = max(0, norm.bit_length() - REFERENCE_BITS + 1)
+    x = a >> halvings
+    eye = np.array([[one if i == j else 0 for j in range(n)] for i in range(n)], dtype=object)
+    term = total = eye
+    for k in range(1, 41):
+        term = (term @ x >> REFERENCE_BITS) // k
+        total = total + term
+    for _ in range(halvings):
+        total = total @ total >> REFERENCE_BITS
+    return total
+
+
+def _reference_error(exps, m):
+    """Worst |exp - ref| / (1 + |ref|) over the stack m, with exps its
+    float exponentials, ref the exact reference and |.| the largest entry
+    of a matrix, the normwise error that rounding in scaling and squaring
+    bounds; the difference is taken exactly."""
+    worst = 0.0
+    for e, m_i in zip(exps, m):
+        ref = _exp_reference(m_i).ravel()
+        delta = max(abs(_fixed(x) - r) for x, r in zip(e.ravel(), ref))
+        worst = max(worst, delta / ((1 << REFERENCE_BITS) + max(abs(r) for r in ref)))
+    return worst
+
+
+def test_exp_matrix_is_no_less_accurate_than_the_loop_against_an_exact_reference():
+    """Against the exact reference, exp_matrix's worst error on every
+    family's ad(u) stack at REPRESENTATIVE_PARAMS and on Gaussian matrices
+    of scale 0.1, 1 and 3 is within DET_GAP_FACTOR of the term-by-term
+    loop's under the earlier squaring rule, and under REFERENCE_TOL on all
+    but the scale-3 draws."""
+    gen = np.random.default_rng(23)
+    draws = {family: _ad_stack(family, 40, seed=23) for family in catalog.FAMILIES}
+    draws.update({scale: gen.normal(0.0, scale, (40, DIM, DIM)) for scale in (0.1, 1.0, 3.0)})
+    worst = 0.0
+    for name, stack in draws.items():
+        new = _reference_error(exp_matrix(stack), stack)
+        old = _reference_error(_exp_loop(stack), stack)
+        assert new <= DET_GAP_FACTOR * old, (name, new, old)
+        if name != 3.0:
+            worst = max(worst, new)
+    assert worst <= REFERENCE_TOL, worst
+
+
+def test_exp_matrix_reference_is_exact_on_closed_forms():
+    """The reference itself: exp of a diagonal matrix and of a nilpotent
+    one, in fixed point, against math.exp and I + N."""
+    d = np.diag([0.3, -1.2, 2.0, 0.0, -0.7, 1.5, -2.5])
+    ref = _exp_reference(d)
+    for i in range(DIM):
+        assert math.isclose(ref[i, i] / (1 << REFERENCE_BITS), math.exp(d[i, i]), rel_tol=1e-15)
+    nilpotent = np.zeros((DIM, DIM))
+    nilpotent[0, 3], nilpotent[1, 4] = 3.0, -0.25
+    expected = (np.eye(DIM) + nilpotent).ravel()
+    assert [_fixed(x) for x in expected] == list(_exp_reference(nilpotent).ravel())
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_exp_matrix_scales_each_chunk_by_its_own_norm(cores, monkeypatch):
+    """On a 1,537-row stack whose chunks differ in norm, each chunk's
+    exponentials are the same bits as that chunk's exponentiated alone,
+    with and without a fold, on 1, 2 and 3 spans: a chunk's squaring count
+    comes from its own largest norm, not the stack's."""
+    bounds = [0, 512, 1024, 1536, 1537]
+    stack = np.random.default_rng(1537).normal(0.0, 1.0, (1537, DIM, DIM))
+    for lo, hi, scale in zip(bounds, bounds[1:], (0.05, 30.0, 1.0, 4.0)):
+        stack[lo:hi] *= scale
+    _on_cores(monkeypatch, cores)
+    whole = exp_matrix(stack)
+    folded, _ = _folded(stack)
+    for lo, hi in zip(bounds, bounds[1:]):
+        alone = exp_matrix(stack[lo:hi])
+        assert np.array_equal(whole[lo:hi], alone), (cores, lo)
+        assert np.array_equal(folded[lo:hi], alone), (cores, lo)
+
+
+def test_exp_matrix_halves_to_norm_at_most_one():
+    """The squaring count is the least s >= 0 with norm <= 2^s, exactly at
+    powers of two."""
+    cases = [
+        (0.0, 0), (2.0**-1074, 0), (0.5, 0), (1.0, 0), (np.nextafter(1.0, 2.0), 1),
+        (2.0, 1), (3.0, 2), (4.0, 2), (np.nextafter(4.0, 5.0), 3), (1e308, 1024),
+    ]
+    assert [liecore._halvings(norm) for norm, _ in cases] == [s for _, s in cases]
+
+
+def test_exp_matrix_does_not_square_at_norm_one(monkeypatch):
+    """Full signed permutation matrices have infinity norm 1, where the
+    degree-18 tail is below 8.7e-18: no chunk is halved, and the result is
+    the term-by-term polynomial to rounding, which leaves room to see a
+    lost Paterson-Stockmeyer block (its terms start at 1/16! > 4e-14)."""
+    counts = []
+    inner = liecore._halvings
+
+    def recording(norm):
+        counts.append(inner(norm))
+        return counts[-1]
+
+    monkeypatch.setattr(liecore, "_halvings", recording)
+    gen = np.random.default_rng(29)
+    batch = np.zeros((1200, DIM, DIM))
+    for m in batch:
+        m[np.arange(DIM), gen.permutation(DIM)] = gen.choice([-1.0, 1.0], DIM)
+    result = exp_matrix(batch)
+    assert counts == [0, 0, 0]
+    assert _relative_gap(result, _taylor18(batch)).max() <= UNSCALED_RTOL
+
+
+def test_exp_matrix_raises_on_a_nan_in_the_last_chunk(monkeypatch):
+    """A NaN in the last chunk raises DomainError with and without a fold,
+    on 1, 2 and 3 spans.  Each span checks its own chunks, so the chunks
+    before it may reach the fold first, but no non-finite chunk does."""
+    stack = np.zeros((2000, DIM, DIM))
+    stack[-1, 2, 3] = np.nan
+    handed = []
+
+    def fold(lo, hi, exps):
+        handed.append((lo, hi, bool(np.isfinite(exps).all())))
+
+    for cores in (1, 2, 3):
+        _on_cores(monkeypatch, cores)
+        for kwargs in ({}, {"fold": fold}):
+            with pytest.raises(DomainError, match="finite entries"):
+                exp_matrix(stack, **kwargs)
+    assert all(finite and hi <= 1536 for _, hi, finite in handed), handed
 
 
 @settings(max_examples=50, deadline=None)
@@ -250,9 +421,9 @@ def test_exp_matrix_splits_whole_chunks_into_one_span_per_core(n, cores, spans, 
     seen = []
     inner = liecore._exp_chunks
 
-    def recording(mats, result, squarings, lo, hi, work):
+    def recording(mats, result, lo, hi):
         seen.append((lo, hi, threading.current_thread()))
-        inner(mats, result, squarings, lo, hi, work)
+        inner(mats, result, lo, hi)
 
     monkeypatch.setattr(liecore, "_exp_chunks", recording)
     _on_cores(monkeypatch, cores)
@@ -302,10 +473,10 @@ def test_exp_matrix_raises_what_a_span_thread_raised(monkeypatch):
     thread has finished."""
     inner = liecore._exp_chunks
 
-    def planted(mats, result, squarings, lo, hi, work):
+    def planted(mats, result, lo, hi):
         if lo > 0:
             raise _Planted(f"span from row {lo}")
-        inner(mats, result, squarings, lo, hi, work)
+        inner(mats, result, lo, hi)
 
     monkeypatch.setattr(liecore, "_exp_chunks", planted)
     _on_cores(monkeypatch, 2)
