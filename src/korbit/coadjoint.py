@@ -23,10 +23,11 @@ def orbit_dimension(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> n
     """Dimension of the coadjoint orbit through f (rank of the pairing).
 
     The rank of the Kirillov form comes from liecore.kirillov_rank, which
-    certifies rank six by the form's principal Pfaffians, in closed form
-    on the pairing entries that the g5,2 nilradical leaves, and sends every
-    other functional to the SVD of numeric_rank(algebra.kirillov(f), tol),
-    with the same result row by row.  Batched over leading axes of f; one
+    certifies ranks six, four, two and zero by the form's principal
+    Pfaffians, in closed form on the pairing entries that the g5,2
+    nilradical leaves, and sends only the functionals that no certificate
+    decides to the SVD of numeric_rank(algebra.kirillov(f), tol), with the
+    same result row by row.  Batched over leading axes of f; one
     functional gives an int.  Raises DomainError naming the first
     functional with a non-finite coordinate.
     """

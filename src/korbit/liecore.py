@@ -8,7 +8,9 @@ numerical routine works on dense float arrays derived from them.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ class LieAlgebra7:
     floats as the einsum contractions they replaced, entry for entry, on
     every family and default grid entry.  ``pairing_operand`` holds the
     Kirillov form's entries that can be nonzero on the g5,2 nilradical
-    pattern, from which kirillov_rank certifies orbit dimension six.
+    pattern, from which kirillov_rank certifies orbit dimensions.
     """
 
     family: str
@@ -249,7 +251,9 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     by X^4 and one add.  That is 3 + 4 matrix products before the
     squarings, where term-by-term summation takes 18.  The norm is taken
     in the chunk's work rows just before scaling, so a chunk's
-    exponentials depend on its own matrices alone.
+    exponentials depend on its own matrices alone.  Where finite entries
+    have a row sum beyond the largest float, the norm is taken on the
+    chunk halved k times, 2^k > n, and the k halvings count toward s.
 
     The chunks are split into contiguous spans, one per core the process
     may run on and at most one per two chunks.  The calling thread works
@@ -358,9 +362,16 @@ def _exp_chunks(mats: np.ndarray, result: np.ndarray | Fold, lo: int, hi: int) -
         np.abs(chunk, out=x1)
         # Row sums (einsum is faster than .sum on 7-wide rows).
         norm = float(np.einsum("...ij->...i", x1).max())
+        squarings = 0
         if not math.isfinite(norm):
-            raise DomainError("matrix exponential requires finite entries")
-        squarings = _halvings(norm)
+            if not np.isfinite(chunk).all():
+                raise DomainError("matrix exponential requires finite entries")
+            # Finite entries whose row sum overflows: the norm of the chunk
+            # halved k times, 2^k > n, is finite, and exact up to the power.
+            squarings = n.bit_length()
+            x1 *= 2.0**-squarings
+            norm = float(np.einsum("...ij->...i", x1).max())
+        squarings += _halvings(norm)
         np.multiply(chunk, 2.0**-squarings, out=x1)
         np.matmul(x1, x1, out=x2)
         np.matmul(x2, x1, out=x3)
@@ -430,13 +441,62 @@ _PAIRING_ENTRIES = tuple(
 )
 
 
+def _quartic_pfaffian_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Rows into the entries at _PAIRING_ENTRIES, with row
+    len(_PAIRING_ENTRIES) standing for a zero entry, of the 4x4 principal
+    Pfaffians Pf(K_ijkl) = K_ij K_kl - K_ik K_jl + K_il K_jk that the g5,2
+    pattern does not make identically zero: left[n, t] and right[n, t] are
+    the factors of term t of the n-th of them, a term with a factor off the
+    pattern being zero times zero.  Twenty of the thirty-five index sets
+    i < j < k < l keep a term."""
+    row = {entry: n for n, entry in enumerate(_PAIRING_ENTRIES)}
+    zero = (len(_PAIRING_ENTRIES),) * 2
+    table = []
+    for i, j, k, l in itertools.combinations(range(DIM), 4):
+        terms = [
+            (row[x], row[y]) if x in row and y in row else zero
+            for x, y in (((i, j), (k, l)), ((i, k), (j, l)), ((i, l), (j, k)))
+        ]
+        if any(term != zero for term in terms):
+            table.append(terms)
+    left, right = np.array(table).transpose(2, 0, 1)
+    return left, right
+
+
+#: The factors of the terms of the twenty 4x4 Pfaffians behind S2.
+_QUARTIC_LEFT, _QUARTIC_RIGHT = _quartic_pfaffian_rows()
+
+#: Rounding allowances, in units of the largest entry, of the bounds that
+#: divide by S2 (see PAIRING_TOL_FLOOR): _P_ROUNDING |P| for |p|, and
+#: _QUARTIC_ALLOWANCE for sqrt(S2).
+_P_ROUNDING = 2.01 * np.finfo(float).eps
+_QUARTIC_ALLOWANCE = 18 * np.finfo(float).eps
+
 #: Smallest rank tolerance at which kirillov_rank certifies.  In units of
 #: the largest entry, each entry of p is at most two products of an entry
 #: and a 2x2 minor, computed to 8 eps, so |p| is computed to 16 eps
-#: (4e-15), and LAPACK's singular values are those of a matrix within a
-#: small multiple of eps |K| of K.  At tol >= 1e-12 a certified form
-#: therefore has s5 >= 1.99 tol s1, and its computed s5 and s6 stay above
-#: tol s1 while s7 stays below.  A fixed constant, not a setting.
+#: (4e-15).  More finely, each entry of p is a sum of at most four products
+#: of three entries, so it rounds by at most gamma_4 < 2.01 eps times the
+#: sum of the products' magnitudes, and |p| by 2.01 eps |P|, where P holds
+#: those sums: _pfaffian with operator.add on the entries' magnitudes,
+#: zero where every product has a zero factor.  Each 4x4 Pfaffian is three
+#: products of entries, computed to 4 eps: each product rounds by at most
+#: eps / 2, and the two sums, at most 2 and 3, by eps and 3 eps / 2.  The
+#: vector of the twenty is thus computed to sqrt(20) 4 eps < 18 eps, and
+#: sqrt(S2) within 18 eps.  The sums of squares S1, S2 and S3 carry a
+#: further relative error of about 13 eps.  LAPACK's singular values are
+#: those of a matrix within a small multiple of eps |K| of K.
+#:
+#: At tol >= 1e-12 a form certified rank six by |p| / S1^(3/2) therefore
+#: has s5 >= 1.99 tol s1.  The rank-two bound 3 sqrt(S2) / S1 on s3 / s1,
+#: with S1 >= 1 here, is computed to 54 eps (1.2e-14), so a certified form
+#: has s3 < 0.52 tol s1.  The other bounds divide by S2, which may be
+#: small, so they take |p| and sqrt(S2) at the ends of the ranges their
+#: allowances give: a form certified rank four has s5 < 0.51 tol s1 and
+#: s3 > 1.99 tol s1, and one certified rank six by S3 / (S1 S2) has
+#: s5 > 1.99 tol s1.  Either way the computed s3 ... s7 fall on the sides
+#: of tol s1 that the certified rank says.  A fixed constant, not a
+#: setting.
 PAIRING_TOL_FLOOR = 1e-12
 
 #: Forms per chunk in kirillov_rank: the entries, minors and Pfaffians of
@@ -447,7 +507,8 @@ _PAIRING_CHUNK = 2048
 
 
 def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.ndarray | int:
-    """numeric_rank(algebra.kirillov(f), tol), certifying rank six from f.
+    """numeric_rank(algebra.kirillov(f), tol), certifying ranks six, four,
+    two and zero from f.
 
     For an antisymmetric 7x7 form K the singular values pair up,
     s1 = s2 >= s3 = s4 >= s5 = s6, with s7 = 0, and the seven principal
@@ -459,19 +520,43 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     A form whose bound exceeds 2 tol gets rank six without an SVD: by
     Weyl's bound on perturbed singular values (Golub & Van Loan, *Matrix
     Computations*, section 8.6), the SVD of such a form keeps s5 and s6
-    above tol s1 and s7 below it, for tol at or above PAIRING_TOL_FLOOR.
+    above tol s1 and s7 below it, for tol from PAIRING_TOL_FLOOR up to,
+    not including, 1/2, where the margin of 2 leaves no room.
+
+    The other forms are ranked by the coefficients of the characteristic
+    polynomial x (x^2 + s1^2)(x^2 + s3^2)(x^2 + s5^2), each a sum of
+    squared principal Pfaffians:
+
+        S1 = sum over i < j of K_ij^2 = s1^2 + s3^2 + s5^2,
+        S2 = sum of the squared 4x4 principal Pfaffians
+           = s1^2 s3^2 + s1^2 s5^2 + s3^2 s5^2,
+        S3 = |p|^2 = s1^2 s3^2 s5^2.
+
+    From S1 / 3 <= s1^2 <= S1 and S2 / 3 <= s1^2 s3^2 <= S2,
+
+        (s5 / s1)^2 <= 9 S3 / (S1 S2),
+        (s3 / s1)^2 >= S2 / S1^2 - 18 S3 / (S1 S2),
+        (s3 / s1)^2 <= 9 S2 / S1^2,
+        (s5 / s1)^2 >= S3 / (S1 S2).
+
+    A form gets rank four when the first bound is below (tol / 2)^2 and
+    the second above (2 tol)^2, rank two when the third is below
+    (tol / 2)^2, rank six also when the fourth is above (2 tol)^2, and
+    rank zero when its entries are all exactly zero.  The margins of 2
+    keep the computed singular values on the sides of tol s1 that the rank
+    says (see PAIRING_TOL_FLOOR).
 
     On the nilradical g5,2 of every catalog algebra, p has the closed form
     of _certify in the Kirillov form's entries at _PAIRING_ENTRIES.  One
     matmul by algebra.pairing_operand gives them, and _certify runs on
     them, _PAIRING_CHUNK functionals at a time, on the form divided by its
-    largest entry, so that p neither overflows nor underflows.  The
-    functionals the certificate leaves open (ranks 0, 2 and 4, non-finite
-    forms, forms near the bound), all functionals below the floor, and all
-    of an algebra without the g5,2 pattern (pairing_operand is None), are
-    ranked by numeric_rank(algebra.kirillov(...)), so the result equals
-    numeric_rank(algebra.kirillov(f), tol) row by row, and kirillov is
-    called only for those rows.
+    largest entry, so that nothing overflows or underflows.  The
+    functionals the certificates leave open (non-finite forms, forms within
+    the margins of 2), all functionals at tol below the floor or from 1/2
+    on, and all of an algebra without the g5,2 pattern (pairing_operand is
+    None), are ranked by numeric_rank(algebra.kirillov(...)), so the result
+    equals numeric_rank(algebra.kirillov(f), tol) row by row, and kirillov
+    is called only for those rows.
 
     Batched over leading axes of f; one functional gives an int.
     """
@@ -479,21 +564,22 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     if f.shape[-1:] != (DIM,):
         raise ValueError(f"kirillov_rank expects functionals of length 7, got shape {f.shape}")
     flat = f.reshape(-1, DIM)
-    certified = np.zeros(len(flat), dtype=bool)
+    rank = np.full(len(flat), -1)
     operand = algebra.pairing_operand
-    if tol >= PAIRING_TOL_FLOOR and operand is not None:
+    # The margins of 2 need s1 > 2 tol s1.
+    if PAIRING_TOL_FLOOR <= tol < 0.5 and operand is not None:
         for start in range(0, len(flat), _PAIRING_CHUNK):
             chunk = slice(start, start + _PAIRING_CHUNK)
-            certified[chunk] = _certify(operand @ flat[chunk].T, tol)[0]
-    rank = np.full(len(flat), 6)
-    if not certified.all():
-        rank[~certified] = numeric_rank(algebra.kirillov(flat[~certified]), tol)
+            rank[chunk] = _certify(operand @ flat[chunk].T, tol)[0]
+    uncertified = rank < 0
+    if uncertified.any():
+        rank[uncertified] = numeric_rank(algebra.kirillov(flat[uncertified]), tol)
     if f.ndim == 1:
         return int(rank[0])
     return rank.reshape(f.shape[:-1])
 
 
-def _pfaffian(k12, k13, a, b) -> tuple:
+def _pfaffian(k12, k13, a, b, minus: Callable = operator.sub) -> tuple:
     """p2..p5 of the Pfaffian vector p of an antisymmetric 7x7 form K on the
     g5,2 pattern, with adj K = p p^T, in any ring: float arrays in _certify,
     Polys in pfaffian_polynomials.
@@ -508,17 +594,21 @@ def _pfaffian(k12, k13, a, b) -> tuple:
     over the perfect matchings of the other six indices, and on this
     pattern the only matchings left pair 1 with 2 or 3 and two of 2..5
     with 6 and 7.
+
+    Every subtraction goes through ``minus``.  With operator.add on the
+    entries' magnitudes, the result is instead, for each entry of p, the
+    sum of the magnitudes of its terms, which bounds its rounding error.
     """
 
     def minor(j: int, k: int):
-        return a[j] * b[k] - a[k] * b[j]
+        return minus(a[j] * b[k], a[k] * b[j])
 
     m45 = minor(2, 3)
     return (
         k13 * m45,
-        -k12 * m45,
-        k12 * minor(1, 3) - k13 * minor(0, 3),
-        k13 * minor(0, 2) - k12 * minor(1, 2),
+        minus(0, k12 * m45),
+        minus(k12 * minor(1, 3), k13 * minor(0, 3)),
+        minus(k13 * minor(0, 2), k12 * minor(1, 2)),
     )
 
 
@@ -549,26 +639,72 @@ def pfaffian_polynomials(family: str) -> tuple[Poly, ...]:
 
 
 def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-six certificate of antisymmetric 7x7 forms K on the g5,2
-    pattern, given by their entries at _PAIRING_ENTRIES, one form per
-    column of ``u``, which is scaled in place.
+    """The rank certificates of kirillov_rank for antisymmetric 7x7 forms K
+    on the g5,2 pattern, given by their entries at _PAIRING_ENTRIES, one
+    form per column of ``u``, which is scaled in place.
 
     The Pfaffian vector p with adj K = p p^T comes from _pfaffian; K16,
-    K17 and K67 enter only |K|_F.
+    K17 and K67 enter only S1 = |K|_F^2 / 2.  The forms that the rank-six
+    test leaves open go on to _low_rank.
 
-    Returns whether 2^(3/2) |p| / |K|_F^3 exceeds 2 tol for each form,
-    which certifies rank six for tol at or above PAIRING_TOL_FLOOR, and
-    the Pfaffian vectors p of the forms divided by their largest entries,
-    shape (7, forms).  Zero and non-finite forms, and forms whose largest
-    entry is subnormal, turn into NaN or inf here, fail the comparison and
-    stay uncertified.
+    Returns the certified rank of each form, -1 where no certificate
+    holds, and the Pfaffian vectors p of the forms divided by their
+    largest entries, shape (7, forms).  The ranks hold for tol from
+    PAIRING_TOL_FLOOR up to 1/2.  Non-finite forms, and forms whose
+    largest entry is subnormal, turn into NaN or inf here, fail every
+    comparison and stay uncertified; a zero form is certified rank zero.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        u *= 1.0 / np.abs(u).max(axis=0, initial=0.0)
-        half_square_norm = np.einsum("ij,ij->j", u, u)
+        largest = np.abs(u).max(axis=0, initial=0.0)
+        u *= 1.0 / largest
+        s1 = np.einsum("ij,ij->j", u, u)
         p = np.zeros((DIM, u.shape[1]))
         # a and b of indices 2..5 are rows 4, 6, 8, 10 and 5, 7, 9, 11.
         p[1:5] = _pfaffian(u[0], u[1], u[4:12:2], u[5:12:2])
-        # |p| / (|K|_F^2 / 2)^(3/2) > 2 tol, squared.
-        bound = np.einsum("ij,ij->j", p, p) > 4.0 * tol * tol * half_square_norm**3
-    return bound, p
+        s3 = np.einsum("ij,ij->j", p, p)
+        rank = np.full(u.shape[1], 6)
+        # |p| / S1^(3/2) > 2 tol, squared.
+        open_ = np.flatnonzero(~(s3 > 4.0 * tol * tol * s1**3))
+        if open_.size:
+            low = _low_rank(u[:, open_], s1[open_], s3[open_], tol)
+            rank[open_] = np.where(largest[open_] == 0.0, 0, low)
+    return rank, p
+
+
+def _low_rank(u: np.ndarray, s1: np.ndarray, s3: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks six, four and two of kirillov_rank's bounds in S1, S2 and S3,
+    -1 where none holds, for scaled forms given as in _certify, with their
+    S1 and S3.
+
+    S2 sums the squares of the twenty 4x4 Pfaffians of _QUARTIC_LEFT and
+    _QUARTIC_RIGHT.  Rank six holds where (s5 / s1)^2 >= S3 / (S1 S2), from
+    s1^2 <= S1 and s1^2 s3^2 <= S2, exceeds (2 tol)^2, which certifies
+    forms with a small s3 / s1 that the test of |p| / S1^(3/2) leaves
+    open.  The bounds that divide by S2 take the ends of the ranges that
+    the allowances put around |p| and sqrt(S2), and so bound the exact
+    values of the scaled form; the rank-two bound needs no allowance (see
+    PAIRING_TOL_FLOOR), nor a test of S1 > 0: zero forms get rank zero in
+    _certify, and every other finite form has an entry of 1 here.
+    """
+    padded = np.concatenate([u, np.zeros((1, u.shape[1]))])
+    terms = padded[_QUARTIC_LEFT] * padded[_QUARTIC_RIGHT]
+    quartic = terms[:, 0] - terms[:, 1] + terms[:, 2]
+    s2 = np.einsum("ij,ij->j", quartic, quartic)
+    m = np.abs(u)
+    magnitudes = np.array(_pfaffian(m[0], m[1], m[4:12:2], m[5:12:2], operator.add))
+    p_error = _P_ROUNDING * np.sqrt(np.einsum("ij,ij->j", magnitudes, magnitudes))
+    p_lo = np.maximum(np.sqrt(s3) - p_error, 0.0) ** 2
+    p_hi = (np.sqrt(s3) + p_error) ** 2
+    s2_lo = np.maximum(np.sqrt(s2) - _QUARTIC_ALLOWANCE, 0.0) ** 2
+    s2_hi = (np.sqrt(s2) + _QUARTIC_ALLOWANCE) ** 2
+    quarter = tol * tol / 4.0
+    # S3 / (S1 S2) > (2 tol)^2, multiplied out by S1 and S2.
+    six = p_lo > 16.0 * quarter * s1 * s2_hi
+    # 9 S3 / (S1 S2) < (tol / 2)^2 and S2 / S1^2 - 18 S3 / (S1 S2) > (2 tol)^2,
+    # multiplied out by S1 and S2.
+    four = (9.0 * p_hi < quarter * s1 * s2_lo) & (
+        s2_lo * s2_lo - 18.0 * p_hi * s1 > 16.0 * quarter * s1 * s1 * s2_lo
+    )
+    # 9 S2 / S1^2 < (tol / 2)^2.
+    two = 9.0 * s2 < quarter * s1 * s1
+    return np.select([six, four, two], [6, 4, 2], -1)

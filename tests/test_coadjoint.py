@@ -220,6 +220,33 @@ def test_orbit_dimension_equals_svd_rank_on_every_grid_entry(family):
             )
 
 
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_orbit_dimension_certifies_every_stratum_without_svd(family, monkeypatch):
+    """On _probe_points at every default grid entry (generic functionals,
+    the fifteen coordinate strata of x2..x5, the G1 quadric, each scaled by
+    1, 1e-150 and 1e150), at tol 1e-9 and PAIRING_TOL_FLOOR, the orbit
+    dimension is the SVD rank row by row, and the certificates decide
+    every row, so none goes to the SVD."""
+    sent = []
+
+    def counting(m, tol=1e-9):
+        sent.append(len(m))
+        return numeric_rank(m, tol)
+
+    monkeypatch.setattr(liecore, "numeric_rank", counting)
+    for params in catalog.default_parameter_grid(family):
+        algebra = catalog.build(family, params)
+        f = _probe_points(family, *params)
+        k = algebra.kirillov(f)
+        for tol in (1e-9, PAIRING_TOL_FLOOR):
+            np.testing.assert_array_equal(
+                coadjoint.orbit_dimension(algebra, f, tol),
+                numeric_rank(k, tol),
+                err_msg=f"{family} {params} {tol}",
+            )
+    assert sent == [], family
+
+
 def test_orbit_dimension_shapes():
     """One functional gives an int, stacks keep their leading axes and
     empty batches stay empty, above and below the floor."""
@@ -320,14 +347,15 @@ PREDICATE_FAULTS = [
 @pytest.mark.parametrize("family, params, point", PREDICATE_FAULTS)
 def test_rank_predicate_faults_as_they_stand(family, params, point):
     """At each known fault the closed-form Pfaffian vector is exactly zero,
-    so the certificate stays silent, and the orbit dimension is four,
-    while the cataloged predicate says six.  A corrected predicate changes
-    the last assertion."""
+    so the rank-six certificate stays silent and the bounds in S1, S2 and
+    S3 certify rank four, the orbit dimension, while the cataloged
+    predicate says six.  A corrected predicate changes the last
+    assertion."""
     algebra = catalog.build(family, params)
     f = np.array(point)
     for tol in (1e-9, PAIRING_TOL_FLOOR):
-        certified, p = liecore._certify(algebra.pairing_operand @ f[:, None], tol)
-        assert not certified[0] and not p.any()
+        rank, p = liecore._certify(algebra.pairing_operand @ f[:, None], tol)
+        assert rank[0] == 4 and not p.any()
     assert coadjoint.orbit_dimension(algebra, f) == 4
     assert coadjoint.rank_condition(family, f) is True
 

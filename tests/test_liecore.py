@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -127,6 +127,24 @@ def test_exp_matrix_rejects_non_finite_input():
     bad[0, 0] = np.inf
     with pytest.raises(DomainError):
         exp_matrix(bad)
+
+
+def test_exp_matrix_of_finite_entries_whose_row_sum_overflows():
+    """Row 0 = (-1e308, 1e308, 0, ...) has an infinite row sum, yet its
+    exponential is finite: row 0 = (0, 1, 0, ...) and the identity's rows
+    below, with and without a fold.  A non-finite entry beside it still
+    raises."""
+    m = np.zeros((DIM, DIM))
+    m[0, :2] = (-1e308, 1e308)
+    expected = np.eye(DIM)
+    expected[0, :2] = (0.0, 1.0)
+    np.testing.assert_array_equal(exp_matrix(m), expected)
+    folded = []
+    exp_matrix(m[None], fold=lambda lo, hi, exps: folded.append(exps.copy()))
+    np.testing.assert_array_equal(folded[0][0], expected)
+    m[3, 3] = np.inf
+    with pytest.raises(DomainError, match="finite entries"):
+        exp_matrix(m)
 
 
 def test_exp_matrix_of_an_empty_stack_is_empty():
@@ -658,11 +676,27 @@ def test_pairing_rank_below_floor_sends_every_form_to_svd(monkeypatch):
     assert sent == [len(f)]
 
 
+def test_pairing_rank_from_tol_one_half_sends_every_form_to_svd(monkeypatch):
+    """From tol = 1/2 on the margins of 2 leave no room: every functional
+    goes to numeric_rank, which at tol >= 1 ranks every form zero, where
+    the rank-two bound would hold."""
+    algebra = catalog.build("G8", verify.REPRESENTATIVE_PARAMS["G8"])
+    f = rng.sample_functionals(0, 2000, "pairing-ceiling")
+    f[:500, 1:5] = 0.0
+    sent = _sent_to_svd(monkeypatch)
+    for tol in (0.5, 1.0, 2.0):
+        np.testing.assert_array_equal(
+            kirillov_rank(algebra, f, tol), numeric_rank(algebra.kirillov(f), tol)
+        )
+    assert sent == [len(f)] * 3
+
+
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_pairing_rank_equals_numeric_rank_on_scaled_forms(scale, monkeypatch):
     """Functionals scaled by 1e+-150 get the SVD ranks of their forms, and
-    are certified as often as unscaled ones: the Pfaffians of the form
-    divided by its largest entry neither overflow nor underflow."""
+    are certified, planted rank drops included, as unscaled ones are: the
+    Pfaffians of the form divided by its largest entry neither overflow
+    nor underflow, and no row of either goes to the SVD."""
     for family in catalog.FAMILIES:
         algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
         f = rng.sample_functionals(0, 300, "pairing-scaled", family)
@@ -674,7 +708,7 @@ def test_pairing_rank_equals_numeric_rank_on_scaled_forms(scale, monkeypatch):
                 kirillov_rank(algebra, f * scale), expected, err_msg=family
             )
             kirillov_rank(algebra, f)
-        assert sent[0] == sent[1], family
+        assert sent == [], family
 
 
 def test_pairing_rank_non_finite_forms_behave_as_numeric_rank():
@@ -707,28 +741,52 @@ def test_pairing_rank_shapes():
         kirillov_rank(algebra, np.zeros((3, 6)))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.floats(min_value=-10.0, max_value=-8.0),
-    st.floats(min_value=1e-100, max_value=1e100),
-)
-def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, scale):
-    """A g5,2-pattern form whose (., 7) column is c times its (., 6) column
-    plus delta w has p linear in delta, and s5 / s1 nearly so; with delta
-    set for s5 / s1 = 10^log_gap, from 1e-10 to 1e-8, around tol = 1e-9, as
-    the Kirillov form at e1: certified or not, the rank is the SVD's."""
-    c, *direction = np.random.default_rng((seed, 1)).normal(size=6)
+def _boundary_form(seed, boundary):
+    """A g5,2-pattern form on a rank boundary, a direction w off it, and
+    the index of the singular value that w moves off zero, linearly in its
+    weight: for "s5", a form whose (., 7) column is c times its (., 6)
+    column, with w in that column; for "s5-wide", the same with s3 / s1 at
+    least 0.1; for "s3", the rank-two form a ^ (e6 + c e7), with a generic
+    g5,2-pattern w."""
+    gen = np.random.default_rng((seed, 1))
+    if boundary == "s3":
+        base = np.zeros((DIM, DIM))
+        a, c = gen.normal(size=5), gen.normal()
+        base[:5, 5], base[:5, 6] = a, c * a
+        return base - base.T, _g52_forms(1, (seed, 2))[0], 2
+    c, *direction = gen.normal(size=6)
     base = _g52_forms(1, seed)[0]
     base[:5, 6] = c * base[:5, 5]
     base[6, :5] = -base[:5, 6]
+    if boundary == "s5-wide":
+        s = np.linalg.svd(base, compute_uv=False)
+        assume(s[2] >= 0.1 * s[0])
     w = np.zeros((DIM, DIM))
     w[:5, 6] = direction
-    w -= w.T
+    return base, w - w.T, 4
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([("s5", -10.0), ("s5-wide", -13.0), ("s3", -13.0)]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1e-100, max_value=1e100),
+)
+def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, case, position, scale):
+    """Forms from _boundary_form, with w weighted for s / s1 = 10^log_gap,
+    where s is s5 or s3, as the Kirillov form at e1: certified or not, the
+    rank is the SVD's at tol = 1e-9 and 1e-12.  For "s5", log_gap runs
+    from -10 to -8, around 1e-9, where |p| / S1^(3/2) certifies rank six;
+    for "s5-wide" and "s3" from -13 to -8, around both tols, across the
+    rank-six/four and rank-four/two bounds in S1, S2 and S3."""
+    boundary, low = case
+    log_gap = low + position * (-8.0 - low)
+    base, w, index = _boundary_form(seed, boundary)
 
     def ratio(delta):
         s = np.linalg.svd(base + delta * w, compute_uv=False)
-        return s[4] / s[0]
+        return s[index] / s[0]
 
     delta = 1e-9 * 10.0**log_gap / ratio(1e-9)
     assert math.isclose(ratio(delta), 10.0**log_gap, rel_tol=1e-2)
@@ -741,13 +799,14 @@ def test_pairing_rank_equals_numeric_rank_near_the_bound(seed, log_gap, scale):
 
 
 def test_kirillov_rank_certifies_catalog_functionals_without_kirillov(monkeypatch):
-    """Generic G13 functionals are certified from the pruned entries: no
-    Kirillov form is built and no SVD runs.  Planted rank drops go to
-    numeric_rank(kirillov(...)) alone, and below the floor every row does."""
+    """Generic G13 functionals and planted rank drops are certified from
+    the pruned entries: no Kirillov form is built and no SVD runs.  Below
+    the floor every row goes to numeric_rank(kirillov(...))."""
     algebra = catalog.build("G13", verify.REPRESENTATIVE_PARAMS["G13"])
     f = rng.sample_functionals(0, 3000, "kirillov-rank-certified")
     f[:7, [3, 4]] = 0.0
     expected = numeric_rank(algebra.kirillov(f))
+    assert np.all(expected[:7] < 6) and np.all(expected[7:] == 6)
     built, kirillov = [], LieAlgebra7.kirillov
 
     def counting(self, g):
@@ -757,9 +816,9 @@ def test_kirillov_rank_certifies_catalog_functionals_without_kirillov(monkeypatc
     monkeypatch.setattr(LieAlgebra7, "kirillov", counting)
     sent = _sent_to_svd(monkeypatch)
     np.testing.assert_array_equal(kirillov_rank(algebra, f), expected)
-    assert built == sent == [7]
+    assert built == sent == []
     kirillov_rank(algebra, f, 1e-13)
-    assert built == sent == [7, len(f)]
+    assert built == sent == [len(f)]
 
 
 def test_kirillov_rank_on_hand_built_algebras(monkeypatch):
@@ -767,8 +826,9 @@ def test_kirillov_rank_on_hand_built_algebras(monkeypatch):
     [e_i, e_(i+3)] = e_7 for i = 1, 2, 3, has orbit dimension six exactly
     where f7 is nonzero, and the abelian algebra has orbit dimension zero
     everywhere.  The Heisenberg algebra pairs e1 with e4, off the g5,2
-    pattern, so it has no pairing operand, and the abelian algebra's is
-    zero: the SVD ranks every functional of both."""
+    pattern, so it has no pairing operand, and the SVD ranks every one of
+    its functionals.  The abelian algebra's operand is zero, and so every
+    Kirillov form: above the floor they are certified rank zero."""
     heisenberg = LieAlgebra7("h7", (), {(0, 3): {6: 1}, (1, 4): {6: 1}, (2, 5): {6: 1}})
     abelian = LieAlgebra7("abelian", (), {})
     f = rng.sample_functionals(0, 400, "hand-built")
@@ -783,6 +843,8 @@ def test_kirillov_rank_on_hand_built_algebras(monkeypatch):
     sent = _sent_to_svd(monkeypatch)
     kirillov_rank(heisenberg, f)
     kirillov_rank(abelian, f)
+    assert sent == [len(f)]
+    kirillov_rank(abelian, f, 1e-13)
     assert sent == [len(f), len(f)]
     with pytest.raises(ValueError):
         kirillov_rank(heisenberg, np.zeros((3, 6)))
