@@ -265,23 +265,23 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     under the caller's numpy error state, and an exception raised in one is
     raised here once all have finished.
 
-    Without ``fold``, returns the stack of exponentials, in the shape of
-    ``m``.  With ``fold``, returns None and builds no such stack: each
-    chunk's exponentials, once checked finite, are handed to
+    Each chunk's exponentials, once checked finite, are handed to
     fold(lo, hi, exps) straight from the span's work rows, as a
     (hi - lo, n, n) view valid only during the call, where lo..hi are the
     chunk's rows in the stack flattened to (-1, n, n).  Each row reaches
     fold exactly once, in the thread of its span, so folds run side by
-    side on disjoint row ranges, and the exponentials are the same floats
-    as without fold.
+    side on disjoint row ranges.  With ``fold``, returns None and builds no
+    stack.  Without it, the fold copies each chunk into a stack, which is
+    returned in the shape of ``m``; the exponentials are the same floats
+    either way.
 
     Supports stacks of matrices on leading axes; an empty stack gives an
     empty stack of the same shape, and no fold call.  Raises DomainError
     for non-finite input and when the result overflows.  Each span checks
-    its chunks as it reaches them, so with fold, the chunks that come
-    before a non-finite or overflowing chunk in its span, and chunks of
-    other spans, may have reached fold when DomainError is raised; no chunk
-    with a non-finite entry or an overflowed exponential reaches fold.
+    its chunks as it reaches them, so the chunks that come before a
+    non-finite or overflowing chunk in its span, and chunks of other spans,
+    may have reached fold when DomainError is raised; no chunk with a
+    non-finite entry or an overflowed exponential reaches fold.
     """
     m = np.asarray(m, dtype=float)
     if m.size == 0:
@@ -302,12 +302,18 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     spans = max(1, min(cores, chunks // 2))
     # Row bounds of each span, on chunk boundaries.
     bounds = [min(len(mats), _EXP_CHUNK * (chunks * i // spans)) for i in range(spans + 1)]
-    result = fold if fold is not None else np.empty(mats.shape)
+    stack = None
+    if fold is None:
+        stack = np.empty(mats.shape)
+
+        def fold(lo: int, hi: int, exps: np.ndarray) -> None:
+            stack[lo:hi] = exps
+
     errors: list[BaseException] = []
 
     def span(context: contextvars.Context, i: int) -> None:
         try:
-            context.run(_exp_chunks, mats, result, bounds[i], bounds[i + 1])
+            context.run(_exp_chunks, mats, fold, bounds[i], bounds[i + 1])
         except BaseException as err:  # raised again in the calling thread
             errors.append(err)
 
@@ -318,18 +324,14 @@ def exp_matrix(m: np.ndarray, fold: Fold | None = None) -> np.ndarray | None:
     try:
         for thread in threads:
             thread.start()
-        _exp_chunks(mats, result, bounds[0], bounds[1])
+        _exp_chunks(mats, fold, bounds[0], bounds[1])
     finally:
         for thread in threads:
             if thread.ident is not None:  # started
                 thread.join()
     if errors:
         raise errors[0]
-    if fold is not None:
-        return None
-    if not np.all(np.isfinite(result)):
-        raise DomainError("matrix exponential overflowed")
-    return result.reshape(m.shape)
+    return None if stack is None else stack.reshape(m.shape)
 
 
 def _halvings(norm: float) -> int:
@@ -340,12 +342,11 @@ def _halvings(norm: float) -> int:
     return max(0, exponent - (mantissa == 0.5))
 
 
-def _exp_chunks(mats: np.ndarray, result: np.ndarray | Fold, lo: int, hi: int) -> None:
+def _exp_chunks(mats: np.ndarray, fold: Fold, lo: int, hi: int) -> None:
     """exp_matrix's chunk loop over mats[lo:hi], in chunks of _EXP_CHUNK
-    matrices from row lo, in work rows of its own.  ``result`` is either
-    the stack whose rows lo..hi receive the exponentials, or a fold, handed
-    each chunk's exponentials from the work rows once they are checked
-    finite."""
+    matrices from row lo, in work rows of its own.  Each chunk's
+    exponentials are handed to fold from the work rows once they are
+    checked finite."""
     n = mats.shape[-1]
     size = min(_EXP_CHUNK, hi - lo)
     # The work rows: (X^3, X^2, X, I), which _EXP_BLOCKS weighs, X^4 and
@@ -353,7 +354,6 @@ def _exp_chunks(mats: np.ndarray, result: np.ndarray | Fold, lo: int, hi: int) -
     work = np.empty((10, size * n * n))
     work[3] = 0.0
     work[3].reshape(size, n * n)[:, :: n + 1] = 1.0
-    folding = callable(result)
     for start in range(lo, hi, size):
         k = min(size, hi - start)
         rows = work[:, : k * n * n]
@@ -377,24 +377,20 @@ def _exp_chunks(mats: np.ndarray, result: np.ndarray | Fold, lo: int, hi: int) -
         np.matmul(x2, x1, out=x3)
         np.matmul(x2, x2, out=x4)
         np.matmul(_EXP_BLOCKS, rows[:4], out=rows[5:])
-        # Horner's rule B_0 + X^4 (B_1 + X^4 (... + X^4 B_4)), in X^3's row,
-        # which is spent, and into the result's rows at the last step.
-        target = blocks[0] if folding else result[start : start + k]
+        # Horner's rule B_0 + X^4 (B_1 + X^4 (... + X^4 B_4)), the products
+        # in X^3's row, which is spent, and each sum in the row of B_j.
         out = blocks[4]
         for j in (3, 2, 1, 0):
             np.matmul(out, x4, out=x3)
-            out = np.add(x3, blocks[j], out=target if j == 0 else blocks[j])
+            out = np.add(x3, blocks[j], out=blocks[j])
         # X^4 is spent: its row is the squarings' second buffer.
         buf = x4
         for _ in range(squarings):
             np.matmul(out, out, out=buf)
             out, buf = buf, out
-        if folding:
-            if not np.isfinite(out).all():
-                raise DomainError("matrix exponential overflowed")
-            result(start, start + k, out)
-        elif out is not target:
-            target[...] = out
+        if not np.isfinite(out).all():
+            raise DomainError("matrix exponential overflowed")
+        fold(start, start + k, out)
 
 
 _PHI1_COEFFS = tuple(1.0 / math.factorial(k + 1) for k in range(8))

@@ -62,7 +62,8 @@ def manifold_of(family: str) -> Manifold:
 
 def classify(family: str) -> FoliationType:
     """Topological type of the family's orbit foliation."""
-    return FoliationType[manifold_of(family).value.replace("V", "F")]
+    manifold = manifold_of(family)
+    return next(t for t, m in MANIFOLD_OF_TYPE.items() if m is manifold)
 
 
 def cstar_descriptor(t: FoliationType) -> str:
@@ -310,13 +311,12 @@ class LeafMap:
 
     def invert(self, v: np.ndarray) -> np.ndarray:
         """Closed-form inverse, batched over leading axes."""
-        v = np.asarray(v, dtype=float)
+        v = self._check(v)
         x2, x3 = v[..., 1], v[..., 2]
         if self.shear:
-            if np.any(x3 == 0) or np.any(v[..., 4] == 0):
-                raise DomainError(f"{self.name} inverse needs nonzero third and fifth coordinates")
+            if np.any(x3 == 0):
+                raise DomainError(f"{self.name} inverse needs a nonzero third coordinate")
             return _with_columns(v, c3=(x2 - v[..., 3]) * v[..., 4] / x3)
-        v = self._check(v)
         s, o2, o3 = _action(self.name, self.params, v)
         return _with_columns(v, c1=x2 / s - o2, c2=x3 / s - o3)
 

@@ -3,7 +3,8 @@
 Every closed-form statement shipped by the other modules is re-checked
 here against an independent computation: exact Jacobi, span and
 involutivity certificates, frozen coefficient tables for the pairing forms and matrix exponentials,
-SVD ranks against the closed-form predicates, numerically integrated
+kirillov_rank's certified orbit dimensions against the closed-form
+predicates, numerically integrated
 flows against the printed ones, and Monte Carlo constancy of the orbit
 invariants under the coadjoint action.  Campaign functions return
 CheckResult records suitable for report assembly; every sampled campaign
@@ -429,7 +430,8 @@ def rank_agreement_result(
     rank_tol: float = 1e-9,
     probes_per_pattern: int = 100,
 ) -> CheckResult:
-    """Closed-form rank predicate against SVD rank, margin-filtered.
+    """Closed-form rank predicate against kirillov_rank's certified orbit
+    dimension, margin-filtered.
 
     Alongside uniform draws, boundary probes plant exact zeros in the
     fourth, fifth, and jointly third and fifth coordinates, where the

@@ -476,6 +476,29 @@ def test_sample_orbit_names_the_first_element_whose_exponential_overflows():
     assert named == elements[first].tolist()
 
 
+def test_coadjoint_act_on_a_wide_grid_names_the_first_element_whose_exponential_overflows():
+    """Nine functionals take the stacked path, whose overflow check sits in
+    exp_matrix's spans; the error still names the first element whose own
+    exponential overflows, not merely one of the grid's."""
+    algebra = catalog.build("G12", (1e300,))
+    f = np.random.default_rng(9).normal(size=(9, 7))
+    elements = coadjoint.orbit_elements(algebra, 50, seed=9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError) as exc:
+            coadjoint.coadjoint_act(algebra, elements, f)
+        overflowing = []
+        for k, element in enumerate(elements):
+            try:
+                liecore.exp_matrix(algebra.ad(element))
+            except DomainError:
+                overflowing.append(k)
+    assert overflowing and overflowing[0] > 0, overflowing
+    message = str(exc.value)
+    assert message.startswith("matrix exponential overflowed for algebra element ["), message
+    named = [float(x) for x in re.search(r"\[(.*)\]", message)[1].split(",")]
+    assert named == elements[overflowing[0]].tolist()
+
+
 def test_orbit_points_name_the_overflowing_element_over_several_leading_axes():
     """Elements with two leading axes: the error names the one element whose
     image overflows, as it does for the same elements flattened."""

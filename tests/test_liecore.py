@@ -439,9 +439,9 @@ def test_exp_matrix_splits_whole_chunks_into_one_span_per_core(n, cores, spans, 
     seen = []
     inner = liecore._exp_chunks
 
-    def recording(mats, result, lo, hi):
+    def recording(mats, fold, lo, hi):
         seen.append((lo, hi, threading.current_thread()))
-        inner(mats, result, lo, hi)
+        inner(mats, fold, lo, hi)
 
     monkeypatch.setattr(liecore, "_exp_chunks", recording)
     _on_cores(monkeypatch, cores)
@@ -491,10 +491,10 @@ def test_exp_matrix_raises_what_a_span_thread_raised(monkeypatch):
     thread has finished."""
     inner = liecore._exp_chunks
 
-    def planted(mats, result, lo, hi):
+    def planted(mats, fold, lo, hi):
         if lo > 0:
             raise _Planted(f"span from row {lo}")
-        inner(mats, result, lo, hi)
+        inner(mats, fold, lo, hi)
 
     monkeypatch.setattr(liecore, "_exp_chunks", planted)
     _on_cores(monkeypatch, 2)

@@ -257,12 +257,19 @@ def test_every_affine_map_is_affine_in_the_second_and_third_coordinates():
                 assert residual.max() <= 1e-12, (map_obj.name, f.__name__, k)
 
 
-def test_first_map_inverse_needs_nonzero_coordinates():
-    """h1's inverse refuses points with a vanishing third coordinate."""
+@pytest.mark.parametrize("index, value", [(2, 0.0), (3, 0.0), (3, np.nan), (3, np.inf)])
+def test_first_map_inverse_needs_nonzero_coordinates(index, value):
+    """h1's inverse refuses points with a vanishing third coordinate, and,
+    as its forward map does, points off V1: a vanishing or non-finite
+    fourth coordinate."""
     h1 = topology.leaf_map("h1", ())
-    w = np.array([1.0, 1.0, 0.0, 0.5, 1.0, 0.0, 0.0])
+    w = np.array([1.0, 1.0, 3.0, 0.5, 1.0, 0.0, 0.0])
+    w[index] = value
     with pytest.raises(DomainError):
         h1.invert(w)
+    if index == 3:
+        with pytest.raises(DomainError):
+            h1.apply(w)
 
 
 def test_composites_transport_source_invariants():
