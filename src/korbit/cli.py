@@ -196,15 +196,7 @@ def _run_report(
     args: argparse.Namespace,
 ) -> tuple[dict[str, Any], list[verify.CheckResult]]:
     start = time.perf_counter()
-    results = verify.run_family_suite(
-        family,
-        params,
-        samples=args.samples,
-        seed=args.seed,
-        rank_tol=args.rank_tol,
-        inv_tol=args.inv_tol,
-        flow_tol=args.flow_tol,
-    )
+    results = verify.run_family_suite(family, params, args.samples, args.seed)
     wall_ms = (time.perf_counter() - start) * 1000.0
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -380,13 +372,6 @@ def _finite_float(value: str) -> float:
     return x
 
 
-def _positive_float(value: str) -> float:
-    x = float(value)
-    if not (x > 0.0 and math.isfinite(x)):
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return x
-
-
 #: Arguments read as negative numbers, not options: argparse's own pattern
 #: misses scientific notation and ``-inf``.
 _NEGATIVE_NUMBER = re.compile(
@@ -439,18 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample budget per check (default 500)",
     )
     p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_verify.add_argument(
-        "--rank-tol", type=_positive_float, default=1e-9,
-        help="singular-value cutoff for numeric rank (default 1e-9)",
-    )
-    p_verify.add_argument(
-        "--inv-tol", type=_positive_float, default=1e-7,
-        help="relative tolerance for invariant constancy (default 1e-7)",
-    )
-    p_verify.add_argument(
-        "--flow-tol", type=_positive_float, default=1e-6,
-        help="tolerance for closed-form versus integrated flows (default 1e-6)",
-    )
     p_verify.add_argument("--out", metavar="PATH", help="write the report to PATH atomically")
     p_verify.add_argument("--json", action="store_true", help="print the report as JSON")
     p_verify.set_defaults(func=cmd_verify)

@@ -173,22 +173,20 @@ class OrbitType(enum.Enum):
     LOWER_DIMENSIONAL = "LowerDimensional"
 
 
-def orbit_type(
-    algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9, *, dimension: int | None = None
-) -> OrbitType:
+def orbit_type(algebra: LieAlgebra7, f: np.ndarray, *, dimension: int | None = None) -> OrbitType:
     """Classify the orbit through a single functional f.
 
     Six-dimensional orbits through the foliated manifold are generic;
     six-dimensional orbits outside it are maximal without being generic;
     everything else is lower dimensional.  A caller that already holds
-    orbit_dimension(algebra, f, tol) passes it as dimension, and it is not
+    orbit_dimension(algebra, f) passes it as dimension, and it is not
     computed again.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim != 1:
         raise ValueError("orbit_type classifies one functional at a time")
     if dimension is None:
-        dimension = orbit_dimension(algebra, f, tol)
+        dimension = orbit_dimension(algebra, f)
     if dimension < 6:
         return OrbitType.LOWER_DIMENSIONAL
     if topology.contains(topology.manifold_of(algebra.family), f):

@@ -110,21 +110,6 @@ def boundary_margin(manifold: Manifold, v: np.ndarray) -> np.ndarray:
     return np.hypot(x4, x5)
 
 
-def component_of(manifold: Manifold, v: np.ndarray) -> str:
-    """Connected-component label of a single point of the manifold."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("component_of labels one point at a time")
-    if not contains(manifold, v):
-        raise DomainError(f"point lies outside {manifold.value}")
-    x4, x5 = float(v[3]), float(v[4])
-    if manifold is Manifold.V1:
-        return ("+" if x4 > 0 else "-") + ("+" if x5 > 0 else "-")
-    if manifold is Manifold.V2:
-        return "+" if x5 > 0 else "-"
-    return "single"
-
-
 def ratio_angle(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """arctan(num/den) extended by its one-sided limit at den = 0."""
     num = np.asarray(num, dtype=float)
@@ -134,21 +119,17 @@ def ratio_angle(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def fibration_value(t: FoliationType, v: np.ndarray) -> np.ndarray:
-    """Representative fibration of the type, evaluated pointwise.
+    """Representative fibration of the type, evaluated pointwise: the
+    printed invariant of the type's representative family (_FIBRATIONS).
 
     Each map is a surjective submersion of the type's manifold whose fibers
-    are connected unions of leaves over each component.
+    are connected unions of leaves over each component.  Raises DomainError
+    off the manifold.
     """
-    v = np.asarray(v, dtype=float)
-    inside = contains(MANIFOLD_OF_TYPE[t], v)
-    if not np.all(inside):
-        raise DomainError(f"point lies outside {MANIFOLD_OF_TYPE[t].value}")
-    x2, x3, x4, x5 = v[..., 1], v[..., 2], v[..., 3], v[..., 4]
-    if t is FoliationType.F1:
-        return x2 - x3 * x4 / x5
-    if t is FoliationType.F2:
-        return (x2 - x3 * x4 / x5) * np.exp(-x4 / x5)
-    return (x2 * x5 - x3 * x4) / (x4 * x4 + x5 * x5)
+    from . import foliation  # foliation reads the manifolds from this module
+
+    family, params = _FIBRATIONS[t]
+    return foliation.invariant(family, params, v)
 
 
 def fibration_gradient(t: FoliationType, v: np.ndarray) -> np.ndarray:
@@ -275,6 +256,12 @@ class LeafMap:
     shear: bool = False
 
     @property
+    def source_params(self) -> tuple[Fraction, ...]:
+        """Parameters of the source's parameter-zero member, whose invariant
+        the map carries."""
+        return (Fraction(0),) * catalog.record(self.source).arity
+
+    @property
     def manifold(self) -> Manifold:
         """The manifold the map acts on, the target family's (and the
         source's)."""
@@ -343,6 +330,15 @@ _LEAF_MAPS: dict[str, LeafMap] = {
 }
 
 LEAF_MAP_NAMES: tuple[str, ...] = tuple(_LEAF_MAPS)
+
+#: Each type's representative family and parameters: the parameter-zero
+#: member of a leaf-map source that prints an invariant, which is G2 for
+#: F1 and G12 and G13 at λ = 0 for F2 and F3.
+_FIBRATIONS: dict[FoliationType, tuple[str, tuple[Fraction, ...]]] = {
+    classify(m.source): (m.source, m.source_params)
+    for m in _LEAF_MAPS.values()
+    if catalog.has(m.source, catalog.ClosedForm.INVARIANT)
+}
 
 
 def leaf_map(name: str, params: tuple[Real, ...] | None = None) -> LeafMap:

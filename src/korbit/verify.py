@@ -404,7 +404,7 @@ def rank_bound_result(
     """Orbit dimension never exceeds six and reaches six somewhere."""
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
-    per = max(samples // len(params_list), 1)
+    per = max(samples // max(len(params_list), 1), 1)
     tally = _Tally()
     attained = False
     for params in params_list:
@@ -441,7 +441,7 @@ def rank_agreement_result(
         return _unsupported("rank_agreement", ClosedForm.PREDICATE.value)
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
-    per = max(samples // len(params_list), 1)
+    per = max(samples // max(len(params_list), 1), 1)
     tally = _Tally()
     disagreements = 0
     for params in params_list:
@@ -543,6 +543,7 @@ def golden_exponential_result(
     if params_list is None:
         params_list = catalog.default_parameter_grid(family)
     tally = _Tally()
+    cells = 0
     for params in params_list:
         algebra = catalog.build(family, params)
         u = rng.sample_coordinates(seed, samples, "exp-golden", family, *params)
@@ -550,11 +551,12 @@ def golden_exponential_result(
         gold, checked = _golden_exp(family, params, u)
         residual = np.abs(numeric - gold) / (1.0 + np.abs(gold))
         residual = np.where(checked, residual, 0.0)
-        tally.fold(residual.reshape(samples, -1).max(axis=1), u)
+        tally.fold(residual.max(axis=(-2, -1)), u)
+        cells = int(checked.sum())
     return tally.result(
         "golden_exponential",
         tol,
-        details=f"{int(checked.sum())} cells per draw, {len(params_list)} parameter choice(s)",
+        details=f"{cells} cells per draw, {len(params_list)} parameter choice(s)",
     )
 
 
@@ -582,15 +584,9 @@ def _printed_value(family: str, params: tuple[Real, ...]) -> Callable[[np.ndarra
     return value
 
 
-def _base_params(map_obj: topology.LeafMap) -> tuple[Fraction, ...]:
-    """Parameters of the source's parameter-zero member, whose invariant
-    the map carries."""
-    return (Fraction(0),) * catalog.record(map_obj.source).arity
-
-
 def _derived_value(map_obj: topology.LeafMap) -> Callable[[np.ndarray], np.ndarray]:
     src_manifold = topology.manifold_of(map_obj.source)
-    src_params = _base_params(map_obj)
+    src_params = map_obj.source_params
 
     def value(points: np.ndarray) -> np.ndarray:
         pre = map_obj.invert(points)
@@ -878,7 +874,7 @@ def leaf_residual_result(
     map_obj = topology.leaf_map(map_name)
     if map_obj.check != "residual":
         return _unsupported(f"leaf_residual_{map_name}", "invariant pair")
-    src_params = _base_params(map_obj)
+    src_params = map_obj.source_params
     points = rng.sample_coordinates(
         seed, 2 * samples, "leaf-residual", map_name, *map_obj.params
     )
@@ -1027,25 +1023,25 @@ def run_family_suite(
     params: tuple[Real, ...],
     samples: int = 500,
     seed: int = 0,
-    rank_tol: float = 1e-9,
-    inv_tol: float = 1e-7,
-    flow_tol: float = 1e-6,
 ) -> list[CheckResult]:
-    """Every check applicable to one family at one parameter point."""
+    """Every check applicable to one family at one parameter point.
+
+    Each check runs at its campaign's default tolerance, which is stated
+    only in the campaign's signature and printed in its CheckResult."""
     params = exact_params(tuple(params))
     grid = (params,)
     results = [
         jacobi_result(family, params, draws=10, seed=seed),
         golden_pairing_result(family, grid),
-        rank_bound_result(family, grid, samples, seed, rank_tol),
-        rank_agreement_result(family, grid, samples, seed, rank_tol),
+        rank_bound_result(family, grid, samples, seed),
+        rank_agreement_result(family, grid, samples, seed),
         golden_exponential_result(family, grid, min(samples, 200), seed),
-        orbit_constancy_result(family, params, min(samples, 500), seed, inv_tol),
-        invariant_constancy_result(family, params, 50, min(samples, 500), seed, inv_tol),
+        orbit_constancy_result(family, params, min(samples, 500), seed),
+        invariant_constancy_result(family, params, 50, min(samples, 500), seed),
         distribution_result(family, params),
         involutivity_result(family, params),
         measure_invariance_result(family, params, samples, seed),
-        flow_result(family, params, min(samples, 200), seed, flow_tol),
+        flow_result(family, params, min(samples, 200), seed),
     ]
     for map_name in topology.LEAF_MAP_NAMES:
         map_obj = topology.leaf_map(map_name)
@@ -1055,7 +1051,5 @@ def run_family_suite(
         if map_obj.check == "residual":
             results.append(leaf_residual_result(map_name, samples, seed))
         if map_obj.check == "constancy":
-            results.append(
-                leaf_constancy_result(map_name, 50, min(samples, 200), seed, inv_tol)
-            )
+            results.append(leaf_constancy_result(map_name, 50, min(samples, 200), seed))
     return results

@@ -65,15 +65,6 @@ def test_non_finite_points_lie_outside_every_manifold(bad, column):
             topology.leaf_map(name).apply(v)
 
 
-def test_connected_components():
-    """Component labels follow the signs of the deciding coordinates."""
-    assert topology.component_of(topology.Manifold.V1, np.array([0.0, 0, 0, 1, -1, 0, 0])) == "+-"
-    assert topology.component_of(topology.Manifold.V2, np.array([0.0, 0, 0, 0, -2, 0, 0])) == "-"
-    assert topology.component_of(topology.Manifold.V3, np.array([0.0, 0, 0, 1, 0, 0, 0])) == "single"
-    with pytest.raises(DomainError):
-        topology.component_of(topology.Manifold.V1, np.array([0.0, 0, 0, 1, 0, 0, 0]))
-
-
 def test_fibration_values():
     """Hand values of the three fibrations."""
     v = np.array([0.0, 2.0, 3.0, 1.0, 2.0, 0.0, 0.0])
@@ -81,6 +72,44 @@ def test_fibration_values():
     expected = 0.5 * math.exp(-0.5)
     assert math.isclose(float(topology.fibration_value(topology.FoliationType.F2, v)), expected)
     assert math.isclose(float(topology.fibration_value(topology.FoliationType.F3, v)), 0.2)
+
+
+@pytest.mark.parametrize(
+    "t, family, params",
+    [
+        (topology.FoliationType.F1, "G2", ()),
+        (topology.FoliationType.F2, "G12", (Fraction(0),)),
+        (topology.FoliationType.F3, "G13", (Fraction(0),)),
+    ],
+)
+def test_each_type_is_fibred_by_its_parameter_zero_source(t, family, params):
+    """The representative of each type is the parameter-zero member of a
+    leaf-map source that prints an invariant."""
+    assert topology._FIBRATIONS[t] == (family, params)
+    assert catalog.has(family, catalog.ClosedForm.INVARIANT)
+    assert topology.classify(family) is t
+
+
+def _printed_fibration(t, v):
+    """The three fibrations as the paper prints them."""
+    x2, x3, x4, x5 = v[:, 1], v[:, 2], v[:, 3], v[:, 4]
+    if t is topology.FoliationType.F1:
+        return x2 - x3 * x4 / x5
+    if t is topology.FoliationType.F2:
+        return (x2 - x3 * x4 / x5) * np.exp(-x4 / x5)
+    return (x2 * x5 - x3 * x4) / (x4 * x4 + x5 * x5)
+
+
+@pytest.mark.parametrize("t", list(topology.FoliationType), ids=lambda t: t.value)
+def test_fibration_value_is_the_printed_fibration_on_samples(t):
+    """The invariant of the type's representative agrees with the printed
+    fibration to rounding at sampled points of the type's manifold."""
+    pts = rng.sample_coordinates(5, 400, "printed-fibration", t.value)
+    pts = pts[topology.boundary_margin(topology.MANIFOLD_OF_TYPE[t], pts) > 0.05]
+    assert len(pts) > 100
+    np.testing.assert_allclose(
+        topology.fibration_value(t, pts), _printed_fibration(t, pts), rtol=1e-13, atol=0
+    )
 
 
 def test_fibration_gradient_nonzero_on_samples():
@@ -138,6 +167,17 @@ def test_leaf_map_parameter_validation():
         topology.leaf_map("h8", (-1,))
     with pytest.raises(ValueError):
         topology.leaf_map("h12")
+
+
+@pytest.mark.parametrize("name", topology.LEAF_MAP_NAMES)
+def test_source_params_are_the_sources_parameter_zero_member(name):
+    """A map carries the invariant of its source at all-zero parameters,
+    which the source family accepts."""
+    leaf = topology.leaf_map(name)
+    params = leaf.source_params
+    assert len(params) == catalog.record(leaf.source).arity
+    assert all(p == 0 for p in params)
+    catalog.validate_params(leaf.source, params)
 
 
 def test_leaf_map_at_its_default_parameters_is_the_default_record():

@@ -93,6 +93,24 @@ def test_a_check_that_evaluates_nothing_fails():
     assert not check.passed
 
 
+@pytest.mark.parametrize(
+    "campaign, kwargs",
+    [
+        (verify.rank_bound_result, {"params_list": ()}),
+        (verify.rank_agreement_result, {"params_list": ()}),
+        (verify.golden_exponential_result, {"params_list": ()}),
+        (verify.golden_exponential_result, {"samples": 0}),
+    ],
+    ids=["bound-no-grid", "agreement-no-grid", "exp-no-grid", "exp-no-samples"],
+)
+def test_a_grid_campaign_on_nothing_fails_without_raising(campaign, kwargs):
+    """An empty parameter grid or a zero sample count evaluates nothing,
+    which is a failed check, not an exception."""
+    check = campaign("G4", **kwargs)
+    assert check.status == "fail"
+    assert check.n_evaluated == 0
+
+
 #: Checks of the seed-0 suite at the representative parameters that record
 #: no worst sample: the exact certificates (the Jacobi sums, span and
 #: involutivity, which draw no point), the unsupported checks, and the
