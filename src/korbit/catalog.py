@@ -12,9 +12,11 @@ records.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
+from types import MappingProxyType
 from typing import Callable
 
 from .liecore import LieAlgebra7, ParameterError, UnsupportedFamilyError
@@ -285,9 +287,28 @@ def build(family: str, params: tuple[Real, ...] = ()) -> LieAlgebra7:
 
     Pass fractions as parameters to keep the structure constants exact;
     floats are carried through unchanged.  With a Poly per parameter the
-    structure constants are exact polynomials in the parameters.
+    structure constants are exact polynomials in the parameters, built
+    afresh on every call.  Otherwise every call at one parameter point
+    returns the same algebra, with its bracket table read-only, so its
+    tensor and operands are derived once (see _shared).
     """
     params = tuple(params)
+    if any(isinstance(p, Poly) for p in params):
+        return _build(family, params)
+    return _shared(family, tuple(map(str, params)), *params)
+
+
+#: One acceptance pass builds 66 recurring and 16 random points and one
+#: verify-all pass 25; 128 holds either.
+@functools.lru_cache(maxsize=128, typed=True)
+def _shared(family: str, spelled: tuple[str, ...], *params: Real) -> LieAlgebra7:
+    """build's algebra at a point, keyed on each parameter's type and value,
+    since Fraction(1, 2) and 0.5 give different bracket tables, and on its
+    str, which keys rng streams and tells -0.0 from 0.0."""
+    return _build(family, params)
+
+
+def _build(family: str, params: tuple[Real, ...]) -> LieAlgebra7:
     a, b, central = derivation_pair(family, params)
     brackets: dict[tuple[int, int], dict[int, Real]] = {
         (0, 1): {3: 1},
@@ -303,7 +324,8 @@ def build(family: str, params: tuple[Real, ...] = ()) -> LieAlgebra7:
     img_c = {k: central[k] for k in range(5) if central[k] != 0}
     if img_c:
         brackets[(5, 6)] = img_c
-    return LieAlgebra7(family=family, params=params, brackets=brackets)
+    frozen = MappingProxyType({pair: MappingProxyType(image) for pair, image in brackets.items()})
+    return LieAlgebra7(family=family, params=params, brackets=frozen)
 
 
 def default_parameter_grid(family: str) -> tuple[tuple[Fraction, ...], ...]:

@@ -493,6 +493,14 @@ _QUARTIC_ALLOWANCE = 18 * np.finfo(float).eps
 #: s5 > 1.99 tol s1.  Either way the computed s3 ... s7 fall on the sides
 #: of tol s1 that the certified rank says.  A fixed constant, not a
 #: setting.
+#:
+#: Where 2^-300 < S1 < 2^300 the rank-six test needs no scaling: every
+#: entry is below 2^150, so |p|^2 < 2^910, and the threshold
+#: 4 tol^2 S1^3, with 2^-80 < tol^2 < 1/4, lies between 2^-978 and 2^900,
+#: normal floats, as is every |p|^2 above it.  A product that underflows
+#: on the way errs by at most 2^-1074, and by 2^-924 once multiplied by a
+#: third entry, far inside the allowances against |p| > 2^-489 there, so
+#: the bounds hold as on scaled forms.
 PAIRING_TOL_FLOOR = 1e-12
 
 #: Forms per chunk in kirillov_rank: the entries, minors and Pfaffians of
@@ -545,8 +553,9 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     On the nilradical g5,2 of every catalog algebra, p has the closed form
     of _certify in the Kirillov form's entries at _PAIRING_ENTRIES.  One
     matmul by algebra.pairing_operand gives them, and _certify runs on
-    them, _PAIRING_CHUNK functionals at a time, on the form divided by its
-    largest entry, so that nothing overflows or underflows.  The
+    them, _PAIRING_CHUNK functionals at a time: on the entries as given
+    where the rank-six test can neither overflow nor underflow, else on
+    the form divided by its largest entry.  The
     functionals the certificates leave open (non-finite forms, forms within
     the margins of 2), all functionals at tol below the floor or from 1/2
     on, and all of an algebra without the g5,2 pattern (pairing_operand is
@@ -566,7 +575,7 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     if PAIRING_TOL_FLOOR <= tol < 0.5 and operand is not None:
         for start in range(0, len(flat), _PAIRING_CHUNK):
             chunk = slice(start, start + _PAIRING_CHUNK)
-            rank[chunk] = _certify(operand @ flat[chunk].T, tol)[0]
+            rank[chunk] = _certify(operand @ flat[chunk].T, tol)
     uncertified = rank < 0
     if uncertified.any():
         rank[uncertified] = numeric_rank(algebra.kirillov(flat[uncertified]), tol)
@@ -634,37 +643,46 @@ def pfaffian_polynomials(family: str) -> tuple[Poly, ...]:
     return (Poly(), *_pfaffian(entry(0, 1), entry(0, 2), a, b), Poly(), Poly())
 
 
-def _certify(u: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _certify(u: np.ndarray, tol: float) -> np.ndarray:
     """The rank certificates of kirillov_rank for antisymmetric 7x7 forms K
     on the g5,2 pattern, given by their entries at _PAIRING_ENTRIES, one
-    form per column of ``u``, which is scaled in place.
+    form per column of ``u``.
 
     The Pfaffian vector p with adj K = p p^T comes from _pfaffian; K16,
-    K17 and K67 enter only S1 = |K|_F^2 / 2.  The forms that the rank-six
-    test leaves open go on to _low_rank.
+    K17 and K67 enter only S1 = |K|_F^2 / 2.  Where 2^-300 < S1 < 2^300
+    the rank-six test runs on the entries as given (see
+    PAIRING_TOL_FLOOR).  The forms it leaves open are divided by their
+    largest entries, tested again, and go on to _low_rank.
 
     Returns the certified rank of each form, -1 where no certificate
-    holds, and the Pfaffian vectors p of the forms divided by their
-    largest entries, shape (7, forms).  The ranks hold for tol from
-    PAIRING_TOL_FLOOR up to 1/2.  Non-finite forms, and forms whose
-    largest entry is subnormal, turn into NaN or inf here, fail every
-    comparison and stay uncertified; a zero form is certified rank zero.
+    holds.  The ranks hold for tol from PAIRING_TOL_FLOOR up to 1/2.
+    Non-finite forms, and forms whose largest entry is subnormal, turn
+    into NaN or inf here, fail every comparison and stay uncertified; a
+    zero form is certified rank zero.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        largest = np.abs(u).max(axis=0, initial=0.0)
-        u *= 1.0 / largest
-        s1 = np.einsum("ij,ij->j", u, u)
-        p = np.zeros((DIM, u.shape[1]))
-        # a and b of indices 2..5 are rows 4, 6, 8, 10 and 5, 7, 9, 11.
-        p[1:5] = _pfaffian(u[0], u[1], u[4:12:2], u[5:12:2])
-        s3 = np.einsum("ij,ij->j", p, p)
+        s1, s3 = _squares(u)
         rank = np.full(u.shape[1], 6)
         # |p| / S1^(3/2) > 2 tol, squared.
-        open_ = np.flatnonzero(~(s3 > 4.0 * tol * tol * s1**3))
+        open_ = np.flatnonzero(
+            ~((s3 > 4.0 * tol * tol * s1 * s1 * s1) & (2.0**-300 < s1) & (s1 < 2.0**300))
+        )
         if open_.size:
-            low = _low_rank(u[:, open_], s1[open_], s3[open_], tol)
-            rank[open_] = np.where(largest[open_] == 0.0, 0, low)
-    return rank, p
+            u = u[:, open_]
+            largest = np.abs(u).max(axis=0, initial=0.0)
+            u *= 1.0 / largest
+            s1, s3 = _squares(u)
+            six = s3 > 4.0 * tol * tol * s1**3
+            low = _low_rank(u, s1, s3, tol)
+            rank[open_] = np.select([largest == 0.0, six], [0, 6], low)
+    return rank
+
+
+def _squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S1 and S3 = |p|^2 of the forms given as in _certify."""
+    # a and b of indices 2..5 are rows 4, 6, 8, 10 and 5, 7, 9, 11.
+    p = np.array(_pfaffian(u[0], u[1], u[4:12:2], u[5:12:2]))
+    return np.einsum("ij,ij->j", u, u), np.einsum("ij,ij->j", p, p)
 
 
 def _low_rank(u: np.ndarray, s1: np.ndarray, s3: np.ndarray, tol: float) -> np.ndarray:

@@ -182,14 +182,23 @@ def _valid(family: str, params: tuple[Fraction, ...]) -> bool:
     return True
 
 
-def _random_rational_params(family: str, gen: np.random.Generator) -> tuple[Fraction, ...]:
+def _rational_draws(family: str, gen: np.random.Generator, draws: int) -> list[tuple[Fraction, ...]]:
+    """``draws`` random parameter points of the family, each parameter n / d
+    with n uniform in -6..6 and d in 1..6, a point drawn again whole until
+    the family's constraints admit it.  The numerators and denominators
+    come in blocks of one gen.integers call each, read in order, which
+    gives the draws of one scalar call per numerator and denominator."""
     arity = catalog.PARAM_ARITY[family]
-    while True:
-        draw = tuple(
-            Fraction(int(gen.integers(-6, 7)), int(gen.integers(1, 7))) for _ in range(arity)
-        )
-        if _valid(family, draw):
-            return draw
+    lows = np.tile([-6, 1], arity * draws)
+    trials: list[tuple[Fraction, ...]] = []
+    while len(trials) < draws:
+        for point in gen.integers(lows, 7).reshape(draws, arity, 2).tolist():
+            trial = tuple(Fraction(n, d) for n, d in point)
+            if _valid(family, trial):
+                trials.append(trial)
+                if len(trials) == draws:
+                    break
+    return trials
 
 
 def _jacobi_polynomials(family: str) -> tuple[list[Poly], int]:
@@ -244,7 +253,7 @@ def jacobi_result(
     trials: list[tuple[Fraction, ...]] = []
     if params is not None:
         trials.append(exact_params(tuple(params)))
-    trials.extend(_random_rational_params(family, gen) for _ in range(draws))
+    trials.extend(_rational_draws(family, gen, draws))
     polynomials, bound = _jacobi_polynomials(family)
     names = catalog.record(family).param_names
     arity = len(names)
@@ -366,7 +375,9 @@ def golden_pairing_result(
     params_list: tuple[tuple[Real, ...], ...] | None = None,
 ) -> CheckResult:
     """Coefficient-exact match of computed pairing matrices against the
-    frozen linear-form tables, tested one basis functional at a time."""
+    frozen linear-form tables, at each basis functional: the pairing
+    matrices of all seven come from one kirillov call and are compared with
+    the table's as one (7, 7, 7) stack."""
     if not catalog.has(family, ClosedForm.PAIRING):
         return _unsupported("golden_pairing", ClosedForm.PAIRING.value)
     if params_list is None:
@@ -374,16 +385,13 @@ def golden_pairing_result(
     tally = _Tally()
     basis = np.eye(7)
     for params in params_list:
-        algebra = catalog.build(family, params)
-        table = _golden_pairing(family, params)
-        diff = np.zeros(7)
-        for k in range(1, 8):
-            golden = np.zeros((7, 7))
-            for (i, j), poly in table.items():
-                coeff = float(poly.get(k, 0))
-                golden[i - 1, j - 1] += coeff
-                golden[j - 1, i - 1] -= coeff
-            diff[k - 1] = np.abs(algebra.kirillov(basis[k - 1]) - golden).max()
+        golden = np.zeros((7, 7, 7))
+        for (i, j), form in _golden_pairing(family, params).items():
+            for k, coeff in form.items():
+                golden[k - 1, i - 1, j - 1] += float(coeff)
+                golden[k - 1, j - 1, i - 1] -= float(coeff)
+        computed = catalog.build(family, params).kirillov(basis)
+        diff = np.abs(computed - golden).max(axis=(1, 2))
         bad = diff != 0.0
         tally.fold(diff[bad], basis[bad], evaluated=7)
     return tally.result(
@@ -418,7 +426,11 @@ def rank_bound_result(
         "rank_bound",
         passed=tally.count > 0 and excess <= 0 and attained,
         max_residual=max(excess, 0.0),
-        details=f"max rank {6 + int(excess)}; rank six attained: {attained}",
+        details=(
+            f"max rank {6 + int(excess)}; rank six attained: {attained}"
+            if tally.count
+            else "no functional evaluated"
+        ),
     )
 
 

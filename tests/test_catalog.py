@@ -132,6 +132,49 @@ def test_exact_parameters_are_carried_unchanged():
     assert algebra.tensor[1, 5, 1] == -float(1 + Fraction(1, 3))
 
 
+def test_equal_typed_parameters_share_one_algebra():
+    """build returns one algebra per family and typed parameter point, so
+    its tensor and operands are derived once."""
+    assert catalog.build("G8", (HALF,)) is catalog.build("G8", [Fraction(2, 4)])
+    assert catalog.build("G2") is catalog.build("G2", ())
+    assert catalog.build("G8", (HALF,)).tensor is catalog.build("G8", (HALF,)).tensor
+
+
+def test_a_fraction_and_a_float_build_distinct_algebras():
+    """Fraction(1, 2) == 0.5, but each keeps its type in the parameters and
+    the bracket table, and -0.0 == 0.0, but its str keys another rng
+    stream."""
+    exact, floating = catalog.build("G8", (HALF,)), catalog.build("G8", (0.5,))
+    assert exact is not floating
+    assert type(exact.params[0]) is Fraction and type(floating.params[0]) is float
+    assert type(exact.brackets[(0, 5)][0]) is int
+    assert type(exact.brackets[(1, 5)][1]) is Fraction
+    assert type(floating.brackets[(1, 5)][1]) is float
+    assert str(catalog.build("G8", (-0.0,)).params[0]) == "-0.0"
+    assert str(catalog.build("G8", (0.0,)).params[0]) == "0.0"
+
+
+def test_polynomial_parameters_build_afresh():
+    variables = (Poly.variable(0),)
+    assert catalog.build("G8", variables) is not catalog.build("G8", variables)
+
+
+def test_the_shared_bracket_table_is_read_only():
+    brackets = catalog.build("G8", (HALF,)).brackets
+    with pytest.raises(TypeError):
+        brackets[(0, 1)] = {3: 2}
+    with pytest.raises(TypeError):
+        brackets[(0, 1)][3] = 2
+    assert catalog.build("G8", (HALF,)).brackets[(0, 1)] == {3: 1}
+
+
+def test_the_algebra_cache_stays_within_its_bound():
+    for n in range(300):
+        catalog.build("G8", (Fraction(n, 301),))
+    info = catalog._shared.cache_info()
+    assert info.maxsize == 128 and info.currsize <= 128
+
+
 def test_default_parameter_grid_shapes():
     """Default grids: four singles, valid pairs only, one empty tuple."""
     assert catalog.default_parameter_grid("G2") == ((),)

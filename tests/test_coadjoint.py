@@ -353,9 +353,11 @@ def test_rank_predicate_faults_as_they_stand(family, params, point):
     assertion."""
     algebra = catalog.build(family, params)
     f = np.array(point)
+    u = algebra.pairing_operand @ f
+    u = u * (1.0 / np.abs(u).max())
+    assert not np.any(liecore._pfaffian(u[0], u[1], u[4:12:2], u[5:12:2]))
     for tol in (1e-9, PAIRING_TOL_FLOOR):
-        rank, p = liecore._certify(algebra.pairing_operand @ f[:, None], tol)
-        assert rank[0] == 4 and not p.any()
+        assert liecore._certify(algebra.pairing_operand @ f[:, None], tol)[0] == 4
     assert coadjoint.orbit_dimension(algebra, f) == 4
     assert coadjoint.rank_condition(family, f) is True
 
