@@ -266,25 +266,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
         runs = [(args.family, entry) for entry in grid]
     for family, params in runs:
         catalog.validate_params(family, params)
-    reports = []
-    all_results: list[verify.CheckResult] = []
-    human_parts: list[str] = []
-    for family, params in runs:
-        report, results = _run_report(family, verify.exact_params(params), args)
-        reports.append(report)
-        all_results.extend(results)
-        human_parts.append(_human_report(report, results))
+    runs_out = [_run_report(family, verify.exact_params(params), args) for family, params in runs]
+    reports = [report for report, _ in runs_out]
+    all_results = [r for _, results in runs_out for r in results]
     payload: Any = reports[0] if len(reports) == 1 else reports
     failures = [r for r in all_results if not r.passed and not r.graded]
     findings = [r for r in all_results if not r.passed and r.graded]
-    summary = ""
-    if len(reports) > 1:
-        summary = (
-            f"total: {sum(len(r['checks']) for r in reports)} checks over "
-            f"{len(reports)} runs, {len(failures)} failure(s), "
-            f"{len(findings)} graded finding(s)\n"
-        )
-    _emit(payload, args.out, args.json, "".join(human_parts) + summary)
+    human = ""
+    if not args.json and args.out is None:  # the one case _emit prints it
+        human = "".join(_human_report(report, results) for report, results in runs_out)
+        if len(reports) > 1:
+            human += (
+                f"total: {sum(len(r['checks']) for r in reports)} checks over "
+                f"{len(reports)} runs, {len(failures)} failure(s), "
+                f"{len(findings)} graded finding(s)\n"
+            )
+    _emit(payload, args.out, args.json, human)
     return 1 if failures else 0
 
 
@@ -365,6 +362,14 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _seed(value: str) -> int:
+    """A seed that fits the uint64 word of rng.generator's Philox key."""
+    n = int(value)
+    if not 0 <= n < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in 0..2^64 - 1, got {value!r}")
+    return n
+
+
 def _finite_float(value: str) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -423,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=_positive_int, default=500,
         help="sample budget per check (default 500)",
     )
-    p_verify.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_verify.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p_verify.add_argument("--out", metavar="PATH", help="write the report to PATH atomically")
     p_verify.add_argument("--json", action="store_true", help="print the report as JSON")
     p_verify.set_defaults(func=cmd_verify)
@@ -443,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument(
         "--n", type=_positive_int, default=200, help="number of orbit points (default 200)"
     )
-    p_orbit.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p_orbit.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p_orbit.add_argument("--out", metavar="PATH", help="write JSON to PATH atomically")
     p_orbit.add_argument("--json", action="store_true", help="print JSON (default)")
     p_orbit.set_defaults(func=cmd_orbit)

@@ -21,6 +21,7 @@ comparing branch bins of the exactly known phase shift.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,27 +202,34 @@ def _rational_draws(family: str, gen: np.random.Generator, draws: int) -> list[t
     return trials
 
 
-def _jacobi_polynomials(family: str) -> tuple[list[Poly], int]:
+@functools.cache
+def _jacobi_polynomials(family: str) -> tuple[tuple[Poly, ...], int]:
     """The nonzero entries of the family's Jacobiator as exact polynomials
     in its parameters, and the bound 2d on their degree.
 
     liecore._jacobiator runs on the bracket table built with one Poly
     variable per parameter; each of its terms is a product of two table
     entries, so 2d bounds the degree, d the largest parameter degree of an
-    entry.  The list is empty exactly when the Jacobi identity holds for
+    entry.  The tuple is empty exactly when the Jacobi identity holds for
     every parameter value.  A table with no parameters, or a term that
     involves none, gives a plain number, which Poly() + x lifts to a
-    constant."""
+    constant.
+
+    The polynomials do not depend on the parameters, so each family's are
+    derived once per process and shared; callers only evaluate them.  That
+    saves work only where one process runs a family again (a benchmark's
+    passes, a test session): a single ``korbit verify`` run derives each
+    family once either way."""
     variables = tuple(Poly.variable(i) for i in range(catalog.PARAM_ARITY[family]))
     table = catalog.build(family, variables).brackets
     d = max(
         (c.degree for image in table.values() for c in image.values() if isinstance(c, Poly)),
         default=0,
     )
-    return [Poly() + x for x in _jacobiator(table, table).values()], 2 * d
+    return tuple(Poly() + x for x in _jacobiator(table, table).values()), 2 * d
 
 
-def _jacobi_residual(polynomials: list[Poly], params: tuple[Fraction, ...]) -> Fraction:
+def _jacobi_residual(polynomials: tuple[Poly, ...], params: tuple[Fraction, ...]) -> Fraction:
     """Largest absolute entry of the Jacobiator at params, as verify_jacobi
     reports it."""
     return max((abs(p(params)) for p in polynomials), default=Fraction(0))
@@ -240,12 +248,13 @@ def jacobi_result(
     """Exact Jacobi residual over random rational parameters of the family.
 
     The residuals come from the family's Jacobiator as exact polynomials
-    in the parameters (_jacobi_polynomials), evaluated at the configured
-    parameters, when given (converted to exact rationals, which is
-    lossless for floats), and at every draw.  verify_jacobi, the same
-    exact form on the built algebra itself, runs once, at the configured
-    parameters, else at the first draw, else at REPRESENTATIVE_PARAMS, and
-    must give the polynomials' value there.  Only nonzero residuals are
+    in the parameters (_jacobi_polynomials, derived once per family and
+    process), evaluated at the configured parameters, when given
+    (converted to exact rationals, which is lossless for floats), and at
+    every draw.  verify_jacobi, the same exact form on the built algebra
+    itself, runs on every call, at the configured parameters, else at the
+    first draw, else at REPRESENTATIVE_PARAMS, and must give the
+    polynomials' value there.  Only nonzero residuals are
     folded into the tally, so the worst sample is the worst draw on a
     failure and None on a pass; with nothing evaluated the check fails.
     """
@@ -602,10 +611,9 @@ def _derived_value(map_obj: topology.LeafMap) -> Callable[[np.ndarray], np.ndarr
 
     def value(points: np.ndarray) -> np.ndarray:
         pre = map_obj.invert(points)
-        good = topology.boundary_margin(src_manifold, pre) > MARGIN
-        out = np.full(points.shape[:-1], np.nan)
-        if np.any(good):
-            out[good] = foliation.invariant(map_obj.source, src_params, pre[good])
+        at = np.flatnonzero(topology.boundary_margin(src_manifold, pre) > MARGIN)
+        out = np.full(len(points), np.nan)
+        out[at] = foliation.invariant(map_obj.source, src_params, pre.take(at, axis=0))
         return out
 
     return value
@@ -638,6 +646,8 @@ def _constancy_campaign(
 
     Pairs are dropped when the image misses the manifold margin, fails
     ``extra``, crosses the branch ``locus``, or evaluates non-finite.
+    ``value`` sees the kept images as rows, in grid order, gathered by one
+    flat index into the grid; the residuals are written back through it.
     """
     tally = _Tally()
     if f.size == 0:
@@ -648,18 +658,16 @@ def _constancy_campaign(
         keep &= extra(images)
     if locus is not None:
         keep &= same_branch(f, u, locus)
+    at = np.flatnonzero(keep)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        base = value(f)
-        moved = np.full(keep.shape, np.nan)
-        if np.any(keep):
-            moved[keep] = value(images[keep])
-    spread = np.broadcast_to(base, keep.shape)
-    ok = keep & np.isfinite(moved) & np.isfinite(spread)
+        base = value(f).take(at % len(f))
+        moved = value(images.reshape(-1, 7).take(at, axis=0))
+    ok = np.isfinite(moved) & np.isfinite(base)
+    at, moved, base = at[ok], moved[ok], base[ok]
     residual = np.zeros(keep.shape)
-    residual[ok] = np.abs(moved[ok] - spread[ok]) / (1.0 + np.abs(spread[ok]))
-    evaluated = int(np.count_nonzero(ok))
-    if evaluated:
-        tally.fold(residual, f, evaluated)
+    residual.flat[at] = np.abs(moved - base) / (1.0 + np.abs(base))
+    if at.size:
+        tally.fold(residual, f, at.size)
     return tally
 
 
@@ -821,12 +829,11 @@ def flow_result(
 
 # --- Leaf maps --------------------------------------------------------------
 
-def _map_samples(
-    map_obj: topology.LeafMap, samples: int, seed: int, key: str
-) -> list[np.ndarray]:
-    """Margin-filtered sample batches: points clearing the map's margin,
-    plus, on the third manifold, batches with an exactly planted zero in
-    either deciding coordinate."""
+def _map_samples(map_obj: topology.LeafMap, samples: int, seed: int, key: str) -> np.ndarray:
+    """Margin-filtered samples as one array: the points clearing the map's
+    margin, then, on the third manifold, the points with an exactly
+    planted zero in the fourth and then in the fifth coordinate whose
+    other deciding coordinate clears it."""
     points = rng.sample_coordinates(seed, samples, key, map_obj.name, *map_obj.params)
     batches = [points[map_obj.margin(points) > MARGIN]]
     if map_obj.manifold is topology.Manifold.V3:
@@ -838,7 +845,7 @@ def _map_samples(
             zero4[np.abs(zero4[:, 4]) > MARGIN],
             zero5[np.abs(zero5[:, 3]) > MARGIN],
         ]
-    return batches
+    return np.concatenate(batches)
 
 
 def leaf_roundtrip_result(
@@ -849,26 +856,23 @@ def leaf_roundtrip_result(
 ) -> CheckResult:
     """Inverse-after-forward and forward-after-inverse both recover the
     input, including on the planted degenerate branches.  The inverse
-    direction keeps the points whose preimage clears the manifold margin."""
+    direction keeps the points whose preimage clears the manifold margin.
+    Each direction maps all its samples, planted zeros after the drawn
+    points, in one batch and folds them once, so the worst sample is the
+    first largest residual, or the first NaN, in that order."""
     map_obj = topology.leaf_map(map_name)
     tally = _Tally()
     for direction in ("forward", "inverse"):
-        for batch in _map_samples(map_obj, samples, seed, f"roundtrip-{direction}"):
-            if batch.size == 0:
-                continue
-            if direction == "forward":
-                back = map_obj.invert(map_obj.apply(batch))
-            else:
-                pre = map_obj.invert(batch)
-                ok = topology.boundary_margin(map_obj.manifold, pre) > MARGIN
-                batch, pre = batch[ok], pre[ok]
-                if batch.size == 0:
-                    continue
-                back = map_obj.apply(pre)
-            residual = np.abs(back - batch).max(axis=-1) / (
-                1.0 + np.abs(batch).max(axis=-1)
-            )
-            tally.fold(residual, batch)
+        batch = _map_samples(map_obj, samples, seed, f"roundtrip-{direction}")
+        if direction == "forward":
+            back = map_obj.invert(map_obj.apply(batch))
+        else:
+            pre = map_obj.invert(batch)
+            at = np.flatnonzero(topology.boundary_margin(map_obj.manifold, pre) > MARGIN)
+            batch = batch.take(at, axis=0)
+            back = map_obj.apply(pre.take(at, axis=0))
+        residual = np.abs(back - batch).max(axis=-1) / (1.0 + np.abs(batch).max(axis=-1))
+        tally.fold(residual, batch)
     return tally.result(f"leaf_roundtrip_{map_name}", tol)
 
 

@@ -387,3 +387,47 @@ def test_verify_builds_each_exact_system_once_per_process(tmp_path, monkeypatch)
     builds.clear()
     assert cli.main(["verify", "--family", "G14", "--out", str(tmp_path / "G14.json")]) == 0
     assert builds == ["G14"]
+
+
+@pytest.mark.parametrize("command", [["verify", "--family", "G2"], ["orbit", "G2", *"1111100"]])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_seed_outside_the_philox_key_is_a_usage_error(command, seed, capsys):
+    """rng.generator keys Philox with the seed as one uint64 word, so a
+    seed outside 0..2^64 - 1 is refused by the parser, not by an
+    OverflowError at the first draw."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--seed", seed])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "must be in 0..2^64 - 1" in err
+    assert "Traceback" not in err
+
+
+def test_the_largest_seed_is_accepted(capsys):
+    code, out, _ = _run(
+        ["verify", "--family", "G2", "--samples", "60", "--seed", str(2**64 - 1), "--json"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "output, printed", [([], True), (["--json"], False), (["--out", "report.json"], False)]
+)
+def test_the_human_report_is_built_only_when_printed(output, printed, tmp_path, monkeypatch, capsys):
+    """With --json or --out the human report is not printed, so it is not
+    built either."""
+    built = []
+    inner = cli._human_report
+
+    def counting(report, results):
+        built.append(report["family"])
+        return inner(report, results)
+
+    monkeypatch.setattr(cli, "_human_report", counting)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(["verify", "--family", "G2", *VERIFY_FAST, *output], capsys)
+    assert code == 0
+    assert built == (["G2"] if printed else [])
+    assert ("checks passed" in out) == printed

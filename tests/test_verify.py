@@ -1,7 +1,8 @@
 """The campaign tally's worst-sample rule, which checks of a fixed-seed
 suite record no worst sample, how the foliation checks decided their
 points, the leaf-map campaign lists, which checks each family's record
-supports, and the Jacobi certificate."""
+supports, the constancy and round-trip campaigns against their masked and
+per-batch oracles, and the Jacobi certificate."""
 from __future__ import annotations
 
 import functools
@@ -291,6 +292,192 @@ def test_orbit_boundary_reports_the_functional_of_its_largest_invariant():
 
 
 
+def _masked_constancy(algebra, f, u, value, locus=None, extra=None):
+    """verify._constancy_campaign with boolean masks over the grid: the
+    oracle of the indexed campaign."""
+    tally = _Tally()
+    if f.size == 0:
+        return tally
+    images = coadjoint.coadjoint_act(algebra, u, f)
+    keep = topology.boundary_margin(topology.manifold_of(algebra.family), images) > verify.MARGIN
+    if extra is not None:
+        keep &= extra(images)
+    if locus is not None:
+        keep &= verify.same_branch(f, u, locus)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        base = value(f)
+        moved = np.full(keep.shape, np.nan)
+        if np.any(keep):
+            moved[keep] = value(images[keep])
+    spread = np.broadcast_to(base, keep.shape)
+    ok = keep & np.isfinite(moved) & np.isfinite(spread)
+    residual = np.zeros(keep.shape)
+    residual[ok] = np.abs(moved[ok] - spread[ok]) / (1.0 + np.abs(spread[ok]))
+    evaluated = int(np.count_nonzero(ok))
+    if evaluated:
+        tally.fold(residual, f, evaluated)
+    return tally
+
+
+def _masked_derived_value(map_obj):
+    """verify._derived_value with a boolean mask over the preimages."""
+    src_manifold = topology.manifold_of(map_obj.source)
+
+    def value(points):
+        pre = map_obj.invert(points)
+        good = topology.boundary_margin(src_manifold, pre) > verify.MARGIN
+        out = np.full(points.shape[:-1], np.nan)
+        if np.any(good):
+            out[good] = foliation.invariant(map_obj.source, map_obj.source_params, pre[good])
+        return out
+
+    return value
+
+
+def _constancy_runs(seed):
+    """The three constancy campaigns at ``seed``, every family or map they
+    evaluate, at their default volumes."""
+    for family in catalog.FAMILIES:
+        if catalog.has(family, ClosedForm.INVARIANT):
+            params = verify.REPRESENTATIVE_PARAMS[family]
+            yield verify.invariant_constancy_result(family, params, seed=seed)
+            yield verify.orbit_constancy_result(family, params, seed=seed)
+    for name in verify.DERIVED_MAPS:
+        yield verify.leaf_constancy_result(name, seed=seed)
+
+
+def test_indexed_constancy_equals_the_masked_tally(monkeypatch):
+    """Gathering the kept images by one flat index gives the worst residual,
+    its sample and the count of the boolean-mask campaign, for every
+    constancy campaign at seeds 0-3."""
+    for seed in range(4):
+        indexed = list(_constancy_runs(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_constancy_campaign", _masked_constancy)
+            patch.setattr(verify, "_derived_value", _masked_derived_value)
+            masked = list(_constancy_runs(seed))
+        assert len(indexed) == len(masked) == 29
+        assert [vars(r) for r in indexed] == [vars(r) for r in masked], seed
+
+
+def _planted_values(kind):
+    """G13's printed invariant with planted NaN and inf values, with finite
+    values whose differences overflow, or with no finite value at all."""
+    printed = verify._printed_value("G13", verify.REPRESENTATIVE_PARAMS["G13"])
+
+    def value(points):
+        out = np.array(printed(points), dtype=float)
+        if kind == "non-finite":
+            out[points[:, 0] > 1.0] = np.nan
+            out[points[:, 1] < -1.0] = np.inf
+        elif kind == "overflow":
+            out[:] = np.where(points[:, 2] > 0, 1.5e308, -1.5e308)
+        elif kind == "dropped":
+            out[:] = np.nan
+        return out
+
+    return value
+
+
+@pytest.mark.parametrize("kind", ["printed", "non-finite", "overflow", "dropped", "rejected"])
+def test_indexed_constancy_equals_the_masked_tally_on_planted_values(kind):
+    """Non-finite values drop their pairs, an overflowing difference of
+    finite values stays counted as an infinite residual, and a grid where
+    every pair is dropped, by its values or by ``extra``, counts nothing
+    and fails: the same under both gathers."""
+    family = "G13"
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    algebra = catalog.build(family, params)
+    f = verify._generic_functionals(family, params, 5, 0, "invariant", None)
+    u = rng.sample_coordinates(0, 40, "invariant-u", family, *params)
+    locus = catalog.record(family).locus
+    value = _planted_values(kind)
+    extra = (lambda images: np.zeros(images.shape[:-1], dtype=bool)) if kind == "rejected" else None
+    with np.errstate(over="ignore"):
+        indexed = verify._constancy_campaign(algebra, f, u, value, locus, extra)
+        masked = _masked_constancy(algebra, f, u, value, locus, extra)
+    assert (indexed.worst, indexed.sample, indexed.count) == (
+        masked.worst, masked.sample, masked.count,
+    )
+    kept = verify._constancy_campaign(algebra, f, u, _planted_values("printed"), locus).count
+    expected = {"printed": kept, "overflow": kept, "dropped": 0, "rejected": 0}
+    assert indexed.count == expected.get(kind, indexed.count)
+    if kind == "non-finite":
+        assert 0 < indexed.count < kept
+    if kind == "overflow":
+        assert indexed.worst == math.inf
+    assert indexed.result("planted", 1e-7).passed == (kind in ("printed", "non-finite"))
+
+
+def _batched_roundtrip(map_name, samples, seed, tol=1e-10):
+    """verify.leaf_roundtrip_result folding each planted batch on its own:
+    the oracle of the one-batch round trip."""
+    map_obj = topology.leaf_map(map_name)
+    tally = _Tally()
+    for direction in ("forward", "inverse"):
+        points = rng.sample_coordinates(
+            seed, samples, f"roundtrip-{direction}", map_name, *map_obj.params
+        )
+        batches = [points[map_obj.margin(points) > verify.MARGIN]]
+        if map_obj.manifold is topology.Manifold.V3:
+            for zero, other in ((3, 4), (4, 3)):
+                planted = np.array(points, copy=True)
+                planted[:, zero] = 0.0
+                batches.append(planted[np.abs(planted[:, other]) > verify.MARGIN])
+        for batch in batches:
+            if batch.size == 0:
+                continue
+            if direction == "forward":
+                back = map_obj.invert(map_obj.apply(batch))
+            else:
+                pre = map_obj.invert(batch)
+                ok = topology.boundary_margin(map_obj.manifold, pre) > verify.MARGIN
+                batch, pre = batch[ok], pre[ok]
+                if batch.size == 0:
+                    continue
+                back = map_obj.apply(pre)
+            residual = np.abs(back - batch).max(axis=-1) / (1.0 + np.abs(batch).max(axis=-1))
+            tally.fold(residual, batch)
+    return tally.result(f"leaf_roundtrip_{map_name}", tol)
+
+
+def test_one_roundtrip_fold_equals_the_per_batch_folds():
+    for name in topology.LEAF_MAP_NAMES:
+        for seed in range(4):
+            result = verify.leaf_roundtrip_result(name, seed=seed)
+            assert vars(result) == vars(_batched_roundtrip(name, 200, seed)), (name, seed)
+
+
+@pytest.mark.parametrize("nan", [False, True])
+def test_one_roundtrip_fold_keeps_the_first_batch_on_a_tie_and_a_later_nan(nan, monkeypatch):
+    """The x4 = 0 and x5 = 0 copies of one forward point of h11 both
+    recover x1 as inf, a tie across two batches that the earlier wins;
+    NaNs planted in both copies of a later point outrank it, and the first
+    is kept.  The one-batch fold and the per-batch folds report the same
+    worst sample."""
+    name, seed = "h11", 0
+    map_obj = topology.leaf_map(name)
+    points = rng.sample_coordinates(seed, 200, "roundtrip-forward", name, *map_obj.params)
+    clear = np.flatnonzero(np.minimum(np.abs(points[:, 3]), np.abs(points[:, 4])) > verify.MARGIN)
+    tie, late = points[clear[0]], points[clear[1]]
+    invert = topology.LeafMap.invert
+
+    def planted(self, v):
+        out = invert(self, v)
+        copies = (v[:, 3] == 0.0) | (v[:, 4] == 0.0)
+        out[copies & (v[:, 0] == tie[0]), 0] = np.inf
+        if nan:
+            out[copies & (v[:, 0] == late[0]), 0] = np.nan
+        return out
+
+    monkeypatch.setattr(topology.LeafMap, "invert", planted)
+    result = verify.leaf_roundtrip_result(name, seed=seed)
+    assert repr(result) == repr(_batched_roundtrip(name, 200, seed))
+    worst = late if nan else tie
+    assert result.worst_sample == (*worst[:3], 0.0, *worst[4:])
+    assert math.isnan(result.max_residual) if nan else result.max_residual == math.inf
+
+
 def _planting(entry):
     """derivation_pair with ``entry(params)`` added to the e1 coefficient of
     [e6, e7] in G8, which breaks the Jacobi identity."""
@@ -307,10 +494,14 @@ def _planting(entry):
 
 def _plant(patch, derivation_pair):
     """Put derivation_pair in place of the catalog's, with an empty algebra
-    cache, so no algebra built before the plant masks it; the patch's undo
-    restores the real cache, which never saw the plant."""
+    cache and an empty Jacobiator cache, so no algebra or polynomial
+    derived before the plant masks it; the patch's undo restores the real
+    caches, which never saw the plant."""
     patch.setattr(catalog, "derivation_pair", derivation_pair)
     patch.setattr(catalog, "_shared", functools.lru_cache(typed=True)(catalog._shared.__wrapped__))
+    patch.setattr(
+        verify, "_jacobi_polynomials", functools.cache(verify._jacobi_polynomials.__wrapped__)
+    )
 
 
 def _draws(family, draws, seed):
@@ -384,6 +575,19 @@ def test_a_cubic_bracket_sets_the_degree_bound(monkeypatch):
     result = verify.jacobi_result("G8", draws=10, seed=0)
     assert not result.passed
     assert "degree 6 in (λ): 1 of 7 coefficient tensors nonzero;" in result.details
+
+
+def test_a_plant_after_a_warm_cache_is_reported():
+    """The Jacobiator polynomials are derived once per family and process;
+    a fault planted after G8's were derived still fails the campaign, and
+    once the plant is undone the real polynomials pass again."""
+    assert verify.jacobi_result("G8", draws=10, seed=0).passed
+    with pytest.MonkeyPatch.context() as patch:
+        _plant(patch, _planting(lambda p: p[0]))
+        planted = verify.jacobi_result("G8", draws=10, seed=0)
+    assert not planted.passed and planted.max_residual > 0
+    assert "0 of" not in planted.details
+    assert verify.jacobi_result("G8", draws=10, seed=0).passed
 
 
 def test_zero_evaluations_fail_with_the_cross_check_at_the_representative():
