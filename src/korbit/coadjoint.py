@@ -124,14 +124,16 @@ def rank_condition(family: str, f: np.ndarray) -> np.ndarray | bool:
     catalog.require(family, ClosedForm.PREDICATE)
     f = np.asarray(f, dtype=float)
     a2, a3, a4, a5 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
+    # (a, b) != 0 as (a != 0) | (b != 0): hypot(a, b) != 0 on every float,
+    # signed zeros, NaN, infinities and subnormals included.
     if family == "G1":
-        out = (a5 != 0) & (np.hypot(a2, a4) != 0)
+        out = (a5 != 0) & ((a2 != 0) | (a4 != 0))
     elif family in ("G4", "G5", "G6"):
-        out = np.where(a4 == 0, a2 * a5 != 0, np.hypot(a3, a5) != 0)
+        out = np.where(a4 == 0, a2 * a5 != 0, (a3 != 0) | (a5 != 0))
     elif family in ("G7", "G8", "G11", "G12"):
         out = (a5 != 0) | (a3 * a4 != 0)
     else:  # G13..G16
-        out = np.hypot(a4, a5) != 0
+        out = (a4 != 0) | (a5 != 0)
     if np.ndim(out) == 0:
         return bool(out)
     return out

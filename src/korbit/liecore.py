@@ -555,7 +555,12 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     matmul by algebra.pairing_operand gives them, and _certify runs on
     them, _PAIRING_CHUNK functionals at a time: on the entries as given
     where the rank-six test can neither overflow nor underflow, else on
-    the form divided by its largest entry.  The
+    the form divided by its largest entry.  The rank-six test runs first
+    with p4^2 in place of |p|^2: the computed |p|^2 is a sum of rounded
+    squares that includes p4 p4, and rounding is monotone, so it is at
+    least p4 p4, and a form this pretest certifies is one the full test
+    certifies.  p4 is nonzero for every family and decides the generic
+    forms; only the forms it leaves open get all of p.  The
     functionals the certificates leave open (non-finite forms, forms within
     the margins of 2), all functionals at tol below the floor or from 1/2
     on, and all of an algebra without the g5,2 pattern (pairing_operand is
@@ -604,17 +609,24 @@ def _pfaffian(k12, k13, a, b, minus: Callable = operator.sub) -> tuple:
     entries' magnitudes, the result is instead, for each entry of p, the
     sum of the magnitudes of its terms, which bounds its rounding error.
     """
-
-    def minor(j: int, k: int):
-        return minus(a[j] * b[k], a[k] * b[j])
-
-    m45 = minor(2, 3)
+    m45 = _minor(a, b, 2, 3, minus)
     return (
         k13 * m45,
         minus(0, k12 * m45),
-        minus(k12 * minor(1, 3), k13 * minor(0, 3)),
-        minus(k13 * minor(0, 2), k12 * minor(1, 2)),
+        _pfaffian_p4(k12, k13, a, b, minus),
+        minus(k13 * _minor(a, b, 0, 2, minus), k12 * _minor(a, b, 1, 2, minus)),
     )
+
+
+def _pfaffian_p4(k12, k13, a, b, minus: Callable = operator.sub):
+    """p4 = K12 m35 - K13 m25, the third entry of _pfaffian, which reads it
+    from here, so that _certify's one-entry pretest has the same floats."""
+    return minus(k12 * _minor(a, b, 1, 3, minus), k13 * _minor(a, b, 0, 3, minus))
+
+
+def _minor(a, b, j: int, k: int, minus: Callable = operator.sub):
+    """The 2x2 minor a[j] b[k] - a[k] b[j] of _pfaffian."""
+    return minus(a[j] * b[k], a[k] * b[j])
 
 
 def geometry_variables(arity: int) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
@@ -651,8 +663,16 @@ def _certify(u: np.ndarray, tol: float) -> np.ndarray:
     The Pfaffian vector p with adj K = p p^T comes from _pfaffian; K16,
     K17 and K67 enter only S1 = |K|_F^2 / 2.  Where 2^-300 < S1 < 2^300
     the rank-six test runs on the entries as given (see
-    PAIRING_TOL_FLOOR).  The forms it leaves open are divided by their
-    largest entries, tested again, and go on to _low_rank.
+    PAIRING_TOL_FLOOR), first on p4 alone, with p4^2 in place of
+    S3 = |p|^2.  p4 is nonzero for every family (and the only nonzero
+    entry on G1), and decides the generic forms.  The pretest reads p4
+    from _pfaffian_p4, the same floats as _pfaffian's third entry, so the
+    computed S3, a sum of non-negative rounded squares that includes
+    p4 p4, is at least p4 p4, rounding being monotone: every form that
+    p4 certifies, the S3 test certifies too, and the pretest changes no
+    rank.  Only the forms it leaves open get the full S3.  The forms that
+    S3 leaves open are divided by their largest entries, tested again,
+    and go on to _low_rank.
 
     Returns the certified rank of each form, -1 where no certificate
     holds.  The ranks hold for tol from PAIRING_TOL_FLOOR up to 1/2.
@@ -661,28 +681,31 @@ def _certify(u: np.ndarray, tol: float) -> np.ndarray:
     zero form is certified rank zero.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        s1, s3 = _squares(u)
+        s1 = np.einsum("ij,ij->j", u, u)
         rank = np.full(u.shape[1], 6)
-        # |p| / S1^(3/2) > 2 tol, squared.
-        open_ = np.flatnonzero(
-            ~((s3 > 4.0 * tol * tol * s1 * s1 * s1) & (2.0**-300 < s1) & (s1 < 2.0**300))
-        )
+        # |p| / S1^(3/2) > 2 tol, squared, tested first with p4^2 <= |p|^2.
+        inside = (2.0**-300 < s1) & (s1 < 2.0**300)
+        bound = np.where(inside, 4.0 * tol * tol * s1 * s1 * s1, np.inf)
+        p4 = _pfaffian_p4(u[0], u[1], u[4:12:2], u[5:12:2])
+        open_ = np.flatnonzero(~(p4 * p4 > bound))
+        if open_.size:
+            open_ = open_[~(_s3(u[:, open_]) > bound[open_])]
         if open_.size:
             u = u[:, open_]
             largest = np.abs(u).max(axis=0, initial=0.0)
             u *= 1.0 / largest
-            s1, s3 = _squares(u)
+            s1, s3 = np.einsum("ij,ij->j", u, u), _s3(u)
             six = s3 > 4.0 * tol * tol * s1**3
             low = _low_rank(u, s1, s3, tol)
             rank[open_] = np.select([largest == 0.0, six], [0, 6], low)
     return rank
 
 
-def _squares(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S1 and S3 = |p|^2 of the forms given as in _certify."""
+def _s3(u: np.ndarray) -> np.ndarray:
+    """S3 = |p|^2 of the forms given as in _certify."""
     # a and b of indices 2..5 are rows 4, 6, 8, 10 and 5, 7, 9, 11.
     p = np.array(_pfaffian(u[0], u[1], u[4:12:2], u[5:12:2]))
-    return np.einsum("ij,ij->j", u, u), np.einsum("ij,ij->j", p, p)
+    return np.einsum("ij,ij->j", p, p)
 
 
 def _low_rank(u: np.ndarray, s1: np.ndarray, s3: np.ndarray, tol: float) -> np.ndarray:

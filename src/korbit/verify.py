@@ -175,27 +175,22 @@ def exact_params(params: tuple[Real, ...]) -> tuple[Fraction, ...]:
 
 # --- Jacobi ---------------------------------------------------------------
 
-def _valid(family: str, params: tuple[Fraction, ...]) -> bool:
-    try:
-        catalog.validate_params(family, params)
-    except catalog.ParameterError:
-        return False
-    return True
-
-
 def _rational_draws(family: str, gen: np.random.Generator, draws: int) -> list[tuple[Fraction, ...]]:
     """``draws`` random parameter points of the family, each parameter n / d
     with n uniform in -6..6 and d in 1..6, a point drawn again whole until
     the family's constraints admit it.  The numerators and denominators
     come in blocks of one gen.integers call each, read in order, which
-    gives the draws of one scalar call per numerator and denominator."""
+    gives the draws of one scalar call per numerator and denominator.
+    The record's clauses decide each point: validate_params's arity and
+    Poly checks cannot fail on a drawn tuple of Fractions."""
     arity = catalog.PARAM_ARITY[family]
+    clauses = [holds for _, holds in catalog.record(family).clauses]
     lows = np.tile([-6, 1], arity * draws)
     trials: list[tuple[Fraction, ...]] = []
     while len(trials) < draws:
         for point in gen.integers(lows, 7).reshape(draws, arity, 2).tolist():
             trial = tuple(Fraction(n, d) for n, d in point)
-            if _valid(family, trial):
+            if all(holds(*trial) for holds in clauses):
                 trials.append(trial)
                 if len(trials) == draws:
                     break
@@ -475,7 +470,7 @@ def rank_agreement_result(
             probe[:, list(pattern)] = 0.0
             pool.append(probe)
         f = np.concatenate(pool, axis=0)
-        kept = f[coadjoint.condition_margin(family, f) > MARGIN]
+        kept = f.take(np.flatnonzero(coadjoint.condition_margin(family, f) > MARGIN), axis=0)
         predicted = np.asarray(coadjoint.rank_condition(family, kept))
         observed = np.asarray(coadjoint.orbit_dimension(algebra, kept, rank_tol)) == 6
         bad = predicted != observed
@@ -659,13 +654,15 @@ def _constancy_campaign(
     if locus is not None:
         keep &= same_branch(f, u, locus)
     at = np.flatnonzero(keep)
+    residual = np.zeros(keep.shape)
+    # Two finite values may differ by more than the largest float: their
+    # residual is inf, counted as such.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         base = value(f).take(at % len(f))
         moved = value(images.reshape(-1, 7).take(at, axis=0))
-    ok = np.isfinite(moved) & np.isfinite(base)
-    at, moved, base = at[ok], moved[ok], base[ok]
-    residual = np.zeros(keep.shape)
-    residual.flat[at] = np.abs(moved - base) / (1.0 + np.abs(base))
+        ok = np.isfinite(moved) & np.isfinite(base)
+        at, moved, base = at[ok], moved[ok], base[ok]
+        residual.flat[at] = np.abs(moved - base) / (1.0 + np.abs(base))
     if at.size:
         tally.fold(residual, f, at.size)
     return tally

@@ -362,6 +362,48 @@ def test_rank_predicate_faults_as_they_stand(family, params, point):
     assert coadjoint.rank_condition(family, f) is True
 
 
+def _hypot_rank_condition(family, f):
+    """rank_condition with the pairs (a, b) != 0 tested as
+    np.hypot(a, b) != 0: the oracle of the comparisons with zero."""
+    a2, a3, a4, a5 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
+    if family == "G1":
+        return (a5 != 0) & (np.hypot(a2, a4) != 0)
+    if family in ("G4", "G5", "G6"):
+        return np.where(a4 == 0, a2 * a5 != 0, np.hypot(a3, a5) != 0)
+    if family in ("G7", "G8", "G11", "G12"):
+        return (a5 != 0) | (a3 * a4 != 0)
+    return np.hypot(a4, a5) != 0
+
+
+@pytest.mark.parametrize("family", sorted(coadjoint.RANK_CONDITION_FAMILIES))
+def test_rank_condition_equals_the_hypot_form_on_special_floats(family):
+    """Every combination of +-0.0, NaN, +-inf, the smallest subnormal and
+    1.0 in a2..a5 gets the verdict of the hypot form."""
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0]
+    f = np.zeros((len(special) ** 4, 7))
+    f[:, 1:5] = list(itertools.product(special, repeat=4))
+    with np.errstate(invalid="ignore"):
+        np.testing.assert_array_equal(
+            coadjoint.rank_condition(family, f), _hypot_rank_condition(family, f)
+        )
+
+
+def test_orbit_dimension_ranks_finite_functionals_whose_sum_overflows():
+    """Entries of +-1.5e308 are finite, though their sum is not: the
+    functionals are ranked, as their signs are, with no DomainError, on
+    families whose pairing entries stay finite at that scale."""
+    for family in ("G1", "G2", "G3", "G9"):
+        algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+        signs = np.sign(rng.sample_functionals(0, 50, "huge-functionals", family))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite((1.5e308 * signs).sum())
+        np.testing.assert_array_equal(
+            coadjoint.orbit_dimension(algebra, 1.5e308 * signs),
+            coadjoint.orbit_dimension(algebra, signs),
+            err_msg=family,
+        )
+
+
 def test_rank_condition_rejects_unsupported_family():
     """Families without a cataloged predicate raise."""
     with pytest.raises(UnsupportedFamilyError):

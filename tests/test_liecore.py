@@ -1,6 +1,7 @@
 """Core linear algebra: exponentials, ranks, and exact Jacobi sums."""
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -734,6 +735,59 @@ def test_pairing_rank_non_finite_forms_behave_as_numeric_rank():
                 numeric_rank(algebra.kirillov(f))
             with pytest.raises(np.linalg.LinAlgError):
                 kirillov_rank(algebra, f)
+
+
+def _strata_points(*key):
+    """Generic functionals, the fifteen coordinate strata of x2..x5 and the
+    G1 quadric x2 = x3 x4 / x5."""
+    generic = rng.sample_functionals(0, 100, "pretest-strata", *key)
+    pool = [generic]
+    for size in range(1, 5):
+        for zeros in itertools.combinations(range(1, 5), size):
+            stratum = generic[:10].copy()
+            stratum[:, list(zeros)] = 0.0
+            pool.append(stratum)
+    quadric = generic[:20].copy()
+    quadric[:, 1] = quadric[:, 2] * quadric[:, 3] / quadric[:, 4]
+    pool.append(quadric)
+    return np.concatenate(pool)
+
+
+@pytest.mark.parametrize("family", catalog.FAMILIES)
+def test_p4_pretest_only_narrows_the_rank_six_test(family):
+    """_certify's pretest, p4^2 > 4 tol^2 S1^3 on the entries as given,
+    reads the same floats as _pfaffian's third entry, and every form it
+    certifies the test of S3 = |p|^2 certifies too, on the strata points at
+    the representative parameters and every default grid entry, scaled by
+    1, 1e+-150, 2^-151 and 2^149, at tol 1e-9 and 1e-12; the pretest
+    decides every generic functional at scale 1.  kirillov_rank equals
+    numeric_rank of the Kirillov forms row by row."""
+    grid = (verify.REPRESENTATIVE_PARAMS[family],) + catalog.default_parameter_grid(family)
+    for params in grid:
+        algebra = catalog.build(family, params)
+        points = _strata_points(family, *params)
+        for scale in (1.0, 1e150, 1e-150, 2.0**-151, 2.0**149):
+            f = points * scale
+            u = algebra.pairing_operand @ f.T
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                s1 = np.einsum("ij,ij->j", u, u)
+                p = np.array(liecore._pfaffian(u[0], u[1], u[4:12:2], u[5:12:2]))
+                p4 = liecore._pfaffian_p4(u[0], u[1], u[4:12:2], u[5:12:2])
+                s3 = np.einsum("ij,ij->j", p, p)
+                inside = (2.0**-300 < s1) & (s1 < 2.0**300)
+                np.testing.assert_array_equal(p4, p[2])
+                for tol in (1e-9, 1e-12):
+                    bound = 4.0 * tol * tol * s1 * s1 * s1
+                    pretest = inside & (p4 * p4 > bound)
+                    assert np.all(s3[pretest] > bound[pretest]), (family, params, scale, tol)
+                    if scale == 1.0:
+                        assert pretest[:100].all(), (family, params, tol)
+            for tol in (1e-9, 1e-12):
+                np.testing.assert_array_equal(
+                    kirillov_rank(algebra, f, tol),
+                    numeric_rank(algebra.kirillov(f), tol),
+                    err_msg=f"{family} {params} {scale} {tol}",
+                )
 
 
 def test_pairing_rank_shapes():

@@ -409,6 +409,22 @@ def test_indexed_constancy_equals_the_masked_tally_on_planted_values(kind):
     assert indexed.result("planted", 1e-7).passed == (kind in ("printed", "non-finite"))
 
 
+def test_an_overflowing_difference_counts_as_an_infinite_residual():
+    """Finite values whose difference overflows give an inf residual, with
+    no RuntimeWarning (an error under this suite's settings) on the way."""
+    family = "G13"
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    algebra = catalog.build(family, params)
+    f = verify._generic_functionals(family, params, 5, 0, "invariant", None)
+    u = rng.sample_coordinates(0, 40, "invariant-u", family, *params)
+    locus = catalog.record(family).locus
+    tally = verify._constancy_campaign(algebra, f, u, _planted_values("overflow"), locus)
+    assert tally.worst == math.inf
+    assert tally.count == verify._constancy_campaign(
+        algebra, f, u, _planted_values("printed"), locus
+    ).count
+
+
 def _batched_roundtrip(map_name, samples, seed, tol=1e-10):
     """verify.leaf_roundtrip_result folding each planted batch on its own:
     the oracle of the one-batch round trip."""
@@ -504,6 +520,15 @@ def _plant(patch, derivation_pair):
     )
 
 
+def _admitted(family, params):
+    """Whether catalog.validate_params accepts the parameter point."""
+    try:
+        catalog.validate_params(family, params)
+    except catalog.ParameterError:
+        return False
+    return True
+
+
 def _draws(family, draws, seed):
     """The Jacobi campaign's parameter draws, one gen.integers call per
     numerator and denominator: the oracle of verify._rational_draws."""
@@ -514,7 +539,7 @@ def _draws(family, draws, seed):
         trial = tuple(
             Fraction(int(gen.integers(-6, 7)), int(gen.integers(1, 7))) for _ in range(arity)
         )
-        if verify._valid(family, trial):
+        if _admitted(family, trial):
             trials.append(trial)
     return trials
 
@@ -626,7 +651,7 @@ def test_certificate_equals_the_loop_at_random_rationals(family, planted, raw):
     (1 + s) e2, where s is the sum of the parameters.  Without parameters
     (G2, for one) the planted entries are plain numbers."""
     params = raw[: catalog.PARAM_ARITY[family]]
-    if not verify._valid(family, params):
+    if not _admitted(family, params):
         return
     original = catalog.derivation_pair
 
