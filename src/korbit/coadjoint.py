@@ -125,13 +125,15 @@ def rank_condition(family: str, f: np.ndarray) -> np.ndarray | bool:
     f = np.asarray(f, dtype=float)
     a2, a3, a4, a5 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
     # (a, b) != 0 as (a != 0) | (b != 0): hypot(a, b) != 0 on every float,
-    # signed zeros, NaN, infinities and subnormals included.
+    # signed zeros, NaN, infinities and subnormals included.  Likewise
+    # a b != 0 as (a != 0) & (b != 0): the float product underflows to zero
+    # and makes NaN of inf times zero.
     if family == "G1":
         out = (a5 != 0) & ((a2 != 0) | (a4 != 0))
     elif family in ("G4", "G5", "G6"):
-        out = np.where(a4 == 0, a2 * a5 != 0, (a3 != 0) | (a5 != 0))
+        out = np.where(a4 == 0, (a2 != 0) & (a5 != 0), (a3 != 0) | (a5 != 0))
     elif family in ("G7", "G8", "G11", "G12"):
-        out = (a5 != 0) | (a3 * a4 != 0)
+        out = (a5 != 0) | ((a3 != 0) & (a4 != 0))
     else:  # G13..G16
         out = (a4 != 0) | (a5 != 0)
     if np.ndim(out) == 0:
@@ -156,13 +158,13 @@ def condition_margin(family: str, f: np.ndarray) -> np.ndarray:
             a5 == 0, np.inf, np.minimum(np.abs(a5), np.abs(a3 * a4 - a2 * a5))
         )
     if family in ("G4", "G5", "G6"):
-        axial = np.where(a2 * a5 == 0, np.inf, np.abs(a2 * a5))
+        axial = np.where((a2 == 0) | (a5 == 0), np.inf, np.abs(a2 * a5))
         rot = np.hypot(a3, a5)
         off = np.minimum(np.abs(a4), np.where(rot == 0, np.inf, rot))
         return np.where(a4 == 0, axial, off)
     if family in ("G7", "G8", "G11", "G12"):
         strength = np.maximum(np.abs(a5), np.abs(a3 * a4))
-        return np.where(strength == 0, np.inf, strength)
+        return np.where((a5 == 0) & ((a3 == 0) | (a4 == 0)), np.inf, strength)
     norm = np.hypot(a4, a5)  # G13..G16
     return np.where(norm == 0, np.inf, norm)
 

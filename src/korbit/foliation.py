@@ -210,17 +210,33 @@ def flow_numeric(
 def invariant(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarray:
     """Scalar leaf label, constant along every generic orbit of the family.
 
-    Raises DomainError off the family's foliated manifold and
-    UnsupportedFamilyError where no closed form is cataloged.  Fractional
-    powers act on absolute values, so every sign component is covered; the
-    angle-bearing forms jump across their branch loci, which orbit+-sampling
-    campaigns must reject.
+    Raises UnsupportedFamilyError where no closed form is cataloged,
+    ParameterError on parameters the catalog rejects, and DomainError
+    unless every point is finite and on the family's foliated manifold;
+    then evaluates invariant_formula.  Fractional powers act on absolute
+    values, so every sign component is covered; the angle-bearing forms
+    jump across their branch loci, which orbit-sampling campaigns must
+    reject.
     """
     catalog.require(family, ClosedForm.INVARIANT)
     catalog.validate_params(family, tuple(params))
     v = np.asarray(v, dtype=float)
     if not np.all(topology.contains(topology.manifold_of(family), v)):
         raise DomainError(f"point lies outside {topology.manifold_of(family).value}")
+    return invariant_formula(family, params, v)
+
+
+def invariant_formula(family: str, params: tuple[Real, ...], v: np.ndarray) -> np.ndarray:
+    """The formula core of invariant, without its checks: the family's
+    printed invariant at every row of v, batched over leading axes.
+
+    The family must catalog an invariant and the parameters must be valid.
+    Rows off the foliated manifold, or non-finite, give whatever the
+    formula's floats give there (inf, NaN or a number) and may emit
+    numpy's RuntimeWarnings; the constancy campaigns evaluate it on whole
+    grids under np.errstate and mask those rows out.
+    """
+    v = np.asarray(v, dtype=float)
     x2, x3, x4, x5 = v[..., 1], v[..., 2], v[..., 3], v[..., 4]
     if family == "G1":
         return np.array(x4, copy=True)

@@ -568,6 +568,12 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     equals numeric_rank(algebra.kirillov(f), tol) row by row, and kirillov
     is called only for those rows.
 
+    Rank is invariant under scaling f, so a finite functional whose form
+    overflows (entries near the float maximum) is ranked as f / 2^k, k the
+    binary exponent of its largest |f_i|, through the same certificate
+    and SVD: the power of two scales exactly, and the largest coordinate
+    ends below one.
+
     Batched over leading axes of f; one functional gives an int.
     """
     f = np.asarray(f, dtype=float)
@@ -578,12 +584,23 @@ def kirillov_rank(algebra: LieAlgebra7, f: np.ndarray, tol: float = 1e-9) -> np.
     operand = algebra.pairing_operand
     # The margins of 2 need s1 > 2 tol s1.
     if PAIRING_TOL_FLOOR <= tol < 0.5 and operand is not None:
-        for start in range(0, len(flat), _PAIRING_CHUNK):
-            chunk = slice(start, start + _PAIRING_CHUNK)
-            rank[chunk] = _certify(operand @ flat[chunk].T, tol)
-    uncertified = rank < 0
-    if uncertified.any():
-        rank[uncertified] = numeric_rank(algebra.kirillov(flat[uncertified]), tol)
+        with np.errstate(over="ignore"):
+            for start in range(0, len(flat), _PAIRING_CHUNK):
+                chunk = slice(start, start + _PAIRING_CHUNK)
+                rank[chunk] = _certify(operand @ flat[chunk].T, tol)
+    uncertified = np.flatnonzero(rank < 0)
+    if uncertified.size:
+        rows = flat[uncertified]
+        with np.errstate(over="ignore"):
+            forms = algebra.kirillov(rows)
+        top = np.abs(rows).max(axis=1)
+        huge = (1.0 <= top) & (top < np.inf) & ~np.isfinite(forms).all(axis=(1, 2))
+        if huge.any():
+            _, k = np.frexp(top[huge])
+            scaled = np.ldexp(rows[huge], -k[:, None])
+            rank[uncertified[huge]] = kirillov_rank(algebra, scaled, tol)
+            uncertified, forms = uncertified[~huge], forms[~huge]
+        rank[uncertified] = numeric_rank(forms, tol)
     if f.ndim == 1:
         return int(rank[0])
     return rank.reshape(f.shape[:-1])

@@ -7,7 +7,6 @@ never shifts the samples of the others.
 from __future__ import annotations
 
 import functools
-import hashlib
 
 import numpy as np
 
@@ -30,8 +29,11 @@ def generator(seed: int, *key_parts: object) -> np.random.Generator:
     overwrites it, which took more than half of each call's time.  The
     class is made on first use: importing numpy.random, which numpy 2
     defers until it is used, took 7 to 10 ms on a 2-core x86-64 machine,
-    which every ``import korbit`` would pay.
+    which every ``import korbit`` would pay.  hashlib is imported here for
+    the same reason: loading it (OpenSSL) took about 5 ms.
     """
+    import hashlib
+
     digest = hashlib.sha256("\x1f".join(str(p) for p in key_parts).encode()).digest()
     subkey = int.from_bytes(digest[:8], "little")
     key = _key_sequence()(np.array([seed, subkey], dtype=np.uint64))

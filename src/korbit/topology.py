@@ -244,6 +244,12 @@ class LeafMap:
     ``catalog.FamilyRecord.locus``, and ``graded`` marks a map whose
     constancy failure is reported as a finding about the catalog rather
     than breaking the run.
+
+    ``apply`` and ``invert`` raise DomainError unless every point is
+    finite and on the map's manifold (_check), and ``invert`` also where
+    the shear meets x3 = 0.  ``inverse_formula`` is invert's formula core
+    without these checks: leaf_constancy calls it on every row of its
+    coadjoint grid and masks the rows that miss the margins.
     """
 
     name: str
@@ -268,6 +274,8 @@ class LeafMap:
         return manifold_of(self.target)
 
     def _check(self, v: np.ndarray) -> np.ndarray:
+        """v as floats, or DomainError unless every point is finite and on
+        the map's manifold."""
         v = np.asarray(v, dtype=float)
         if not np.all(contains(self.manifold, v)):
             raise DomainError(f"{self.name} needs points of {self.manifold.value}")
@@ -297,12 +305,23 @@ class LeafMap:
         return _with_columns(v, c1=(x2 + o2) * s, c2=(x3 + o3) * s)
 
     def invert(self, v: np.ndarray) -> np.ndarray:
-        """Closed-form inverse, batched over leading axes."""
+        """Closed-form inverse, batched over leading axes: inverse_formula
+        after _check and, for the shear, which divides by x3, a test that
+        every x3 is nonzero."""
         v = self._check(v)
+        if self.shear and np.any(v[..., 2] == 0):
+            raise DomainError(f"{self.name} inverse needs a nonzero third coordinate")
+        return self.inverse_formula(v)
+
+    def inverse_formula(self, v: np.ndarray) -> np.ndarray:
+        """The formula core of invert, without its checks.  Rows off the
+        manifold, or with x3 = 0 for the shear, give whatever the
+        formula's floats give there and may emit numpy's RuntimeWarnings;
+        leaf_constancy evaluates it on whole grids under np.errstate and
+        masks those rows out."""
+        v = np.asarray(v, dtype=float)
         x2, x3 = v[..., 1], v[..., 2]
         if self.shear:
-            if np.any(x3 == 0):
-                raise DomainError(f"{self.name} inverse needs a nonzero third coordinate")
             return _with_columns(v, c3=(x2 - v[..., 3]) * v[..., 4] / x3)
         s, o2, o3 = _action(self.name, self.params, v)
         return _with_columns(v, c1=x2 / s - o2, c2=x3 / s - o3)

@@ -594,22 +594,28 @@ def _generic_functionals(
 
 
 def _printed_value(family: str, params: tuple[Real, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The family's printed invariant on every row, on the manifold or not
+    (foliation.invariant_formula): rows off it give inf, NaN or a number,
+    which _constancy_campaign masks, and no RuntimeWarning."""
     def value(points: np.ndarray) -> np.ndarray:
-        return np.asarray(foliation.invariant(family, params, points))
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            return foliation.invariant_formula(family, params, points)
 
     return value
 
 
 def _derived_value(map_obj: topology.LeafMap) -> Callable[[np.ndarray], np.ndarray]:
+    """The source invariant pulled back by the map on every row, as
+    _printed_value: NaN where the preimage misses the source margin."""
     src_manifold = topology.manifold_of(map_obj.source)
     src_params = map_obj.source_params
 
     def value(points: np.ndarray) -> np.ndarray:
-        pre = map_obj.invert(points)
-        at = np.flatnonzero(topology.boundary_margin(src_manifold, pre) > MARGIN)
-        out = np.full(len(points), np.nan)
-        out[at] = foliation.invariant(map_obj.source, src_params, pre.take(at, axis=0))
-        return out
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            pre = map_obj.inverse_formula(points)
+            inside = topology.boundary_margin(src_manifold, pre) > MARGIN
+            pulled = foliation.invariant_formula(map_obj.source, src_params, pre)
+        return np.where(inside, pulled, np.nan)
 
     return value
 
@@ -641,8 +647,9 @@ def _constancy_campaign(
 
     Pairs are dropped when the image misses the manifold margin, fails
     ``extra``, crosses the branch ``locus``, or evaluates non-finite.
-    ``value`` sees the kept images as rows, in grid order, gathered by one
-    flat index into the grid; the residuals are written back through it.
+    ``value`` sees every image of the grid as a row, in grid order, kept
+    or not, so it must return without raising on rows off the manifold;
+    the masks then select the residuals, zero elsewhere.
     """
     tally = _Tally()
     if f.size == 0:
@@ -653,18 +660,16 @@ def _constancy_campaign(
         keep &= extra(images)
     if locus is not None:
         keep &= same_branch(f, u, locus)
-    at = np.flatnonzero(keep)
-    residual = np.zeros(keep.shape)
     # Two finite values may differ by more than the largest float: their
     # residual is inf, counted as such.
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        base = value(f).take(at % len(f))
-        moved = value(images.reshape(-1, 7).take(at, axis=0))
-        ok = np.isfinite(moved) & np.isfinite(base)
-        at, moved, base = at[ok], moved[ok], base[ok]
-        residual.flat[at] = np.abs(moved - base) / (1.0 + np.abs(base))
-    if at.size:
-        tally.fold(residual, f, at.size)
+        base = value(f)
+        moved = value(images.reshape(-1, 7)).reshape(keep.shape)
+        keep &= np.isfinite(moved) & np.isfinite(base)
+        residual = np.where(keep, np.abs(moved - base) / (1.0 + np.abs(base)), 0.0)
+    evaluated = int(np.count_nonzero(keep))
+    if evaluated:
+        tally.fold(residual, f, evaluated)
     return tally
 
 

@@ -364,14 +364,19 @@ def test_rank_predicate_faults_as_they_stand(family, params, point):
 
 def _hypot_rank_condition(family, f):
     """rank_condition with the pairs (a, b) != 0 tested as
-    np.hypot(a, b) != 0: the oracle of the comparisons with zero."""
+    np.hypot(a, b) != 0 and the products a b != 0 as
+    np.fmin(|a|, |b|) != 0: the oracle of the comparisons with zero."""
     a2, a3, a4, a5 = f[..., 1], f[..., 2], f[..., 3], f[..., 4]
+
+    def product_nonzero(a, b):
+        return np.fmin(np.abs(a), np.abs(b)) != 0
+
     if family == "G1":
         return (a5 != 0) & (np.hypot(a2, a4) != 0)
     if family in ("G4", "G5", "G6"):
-        return np.where(a4 == 0, a2 * a5 != 0, np.hypot(a3, a5) != 0)
+        return np.where(a4 == 0, product_nonzero(a2, a5), np.hypot(a3, a5) != 0)
     if family in ("G7", "G8", "G11", "G12"):
-        return (a5 != 0) | (a3 * a4 != 0)
+        return (a5 != 0) | product_nonzero(a3, a4)
     return np.hypot(a4, a5) != 0
 
 
@@ -382,17 +387,35 @@ def test_rank_condition_equals_the_hypot_form_on_special_floats(family):
     special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0]
     f = np.zeros((len(special) ** 4, 7))
     f[:, 1:5] = list(itertools.product(special, repeat=4))
-    with np.errstate(invalid="ignore"):
-        np.testing.assert_array_equal(
-            coadjoint.rank_condition(family, f), _hypot_rank_condition(family, f)
-        )
+    np.testing.assert_array_equal(
+        coadjoint.rank_condition(family, f), _hypot_rank_condition(family, f)
+    )
+
+
+@pytest.mark.parametrize(
+    "family, f",
+    [
+        ("G4", [0.0, 1e-200, 1e-200, 0.0, 1e-200, 0.0, 0.0]),
+        ("G8", [0.0, 0.0, 1e-200, 1e-200, 0.0, 0.0, 0.0]),
+    ],
+)
+@pytest.mark.parametrize("scale", [1.0, 1e190])
+def test_rank_condition_decides_products_that_underflow(family, f, scale):
+    """a2 a5 and a3 a4 underflow to zero at 1e-200, yet the orbit is
+    six-dimensional: the predicate tests each factor, so it agrees with
+    the orbit dimension there and at the same points scaled by 1e190."""
+    f = scale * np.array(f)
+    algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
+    assert coadjoint.orbit_dimension(algebra, f) == 6
+    assert coadjoint.rank_condition(family, f) is True
 
 
 def test_orbit_dimension_ranks_finite_functionals_whose_sum_overflows():
     """Entries of +-1.5e308 are finite, though their sum is not: the
-    functionals are ranked, as their signs are, with no DomainError, on
-    families whose pairing entries stay finite at that scale."""
-    for family in ("G1", "G2", "G3", "G9"):
+    functionals are ranked, as their signs are, with no DomainError and
+    no RuntimeWarning, on every family, including those whose pairing
+    entries overflow at that scale."""
+    for family in catalog.FAMILIES:
         algebra = catalog.build(family, verify.REPRESENTATIVE_PARAMS[family])
         signs = np.sign(rng.sample_functionals(0, 50, "huge-functionals", family))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -54,3 +54,22 @@ def test_import_leaves_numpy_random_unimported():
         env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120,
     )
+
+
+def test_import_leaves_hashlib_unimported():
+    """Loading hashlib (OpenSSL) takes milliseconds; korbit, with catalog
+    and verify, imports it at the first draw, for the key's SHA-256."""
+    script = (
+        "import sys\n"
+        "import korbit\n"
+        "from korbit import catalog, verify\n"
+        "assert 'hashlib' not in sys.modules, 'hashlib imported'\n"
+        "korbit.rng.generator(0, 'x').random()\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from korbit import catalog, coadjoint, foliation, rng, topology, verify
 from korbit.catalog import ClosedForm
-from korbit.liecore import UnsupportedFamilyError, verify_jacobi
+from korbit.liecore import DomainError, UnsupportedFamilyError, verify_jacobi
 from korbit.verify import _Tally
 
 POINTS = np.arange(21.0).reshape(3, 7)
@@ -294,7 +294,7 @@ def test_orbit_boundary_reports_the_functional_of_its_largest_invariant():
 
 def _masked_constancy(algebra, f, u, value, locus=None, extra=None):
     """verify._constancy_campaign with boolean masks over the grid: the
-    oracle of the indexed campaign."""
+    oracle of the campaign that evaluates every image of the grid."""
     tally = _Tally()
     if f.size == 0:
         return tally
@@ -347,9 +347,9 @@ def _constancy_runs(seed):
 
 
 def test_indexed_constancy_equals_the_masked_tally(monkeypatch):
-    """Gathering the kept images by one flat index gives the worst residual,
-    its sample and the count of the boolean-mask campaign, for every
-    constancy campaign at seeds 0-3."""
+    """Evaluating every image of the grid and masking the residuals gives
+    the worst residual, its sample and the count of the boolean-mask
+    campaign, for every constancy campaign at seeds 0-3."""
     for seed in range(4):
         indexed = list(_constancy_runs(seed))
         with pytest.MonkeyPatch.context() as patch:
@@ -358,6 +358,80 @@ def test_indexed_constancy_equals_the_masked_tally(monkeypatch):
             masked = list(_constancy_runs(seed))
         assert len(indexed) == len(masked) == 29
         assert [vars(r) for r in indexed] == [vars(r) for r in masked], seed
+
+
+INVARIANT_FAMILIES = sorted(catalog.families_with(ClosedForm.INVARIANT))
+
+
+@pytest.mark.parametrize("family", INVARIANT_FAMILIES)
+def test_invariant_formula_is_the_checked_invariant(family):
+    """The formula core gives, bit for bit, the floats of the validating
+    foliation.invariant on margin-kept draws, one by one and as a grid."""
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    f = verify._generic_functionals(family, params, 200, 0, "formula-core", None)
+    assert len(f) > 100
+    np.testing.assert_array_equal(
+        foliation.invariant_formula(family, params, f), foliation.invariant(family, params, f)
+    )
+    grid = f[:120].reshape(4, 30, 7)
+    np.testing.assert_array_equal(
+        foliation.invariant_formula(family, params, grid),
+        foliation.invariant(family, params, grid),
+    )
+
+
+@pytest.mark.parametrize("name", topology.LEAF_MAP_NAMES)
+def test_inverse_formula_is_the_checked_inverse(name):
+    """The formula core gives, bit for bit, the floats of the validating
+    LeafMap.invert on margin-kept draws."""
+    map_obj = topology.leaf_map(name)
+    points = rng.sample_coordinates(0, 200, "formula-core", name)
+    points = points[map_obj.margin(points) > verify.MARGIN]
+    assert len(points) > 50
+    np.testing.assert_array_equal(map_obj.inverse_formula(points), map_obj.invert(points))
+
+
+def _off_manifold(manifold):
+    """Draws moved off the manifold: x4 = x5 = 0 on V3, x5 = 0 on V1 and
+    V2, with x3 = 0 on every other row for the shear's inverse."""
+    points = rng.sample_coordinates(0, 20, "off-manifold")
+    points[:, 4] = 0.0
+    if manifold is topology.Manifold.V3:
+        points[:, 3] = 0.0
+    points[::2, 2] = 0.0
+    return points
+
+
+@pytest.mark.parametrize("family", INVARIANT_FAMILIES)
+def test_printed_value_masks_what_invariant_rejects(family):
+    """foliation.invariant still raises DomainError off the manifold, while
+    the campaign's value closure returns there without raising or warning
+    (warnings are errors in this suite)."""
+    params = verify.REPRESENTATIVE_PARAMS[family]
+    points = _off_manifold(topology.manifold_of(family))
+    with pytest.raises(DomainError):
+        foliation.invariant(family, params, points)
+    with pytest.raises(DomainError):
+        foliation.invariant(family, params, points[0])
+    assert verify._printed_value(family, params)(points).shape == (20,)
+
+
+@pytest.mark.parametrize("name", verify.DERIVED_MAPS)
+def test_derived_value_masks_what_invert_rejects(name):
+    """LeafMap.invert still raises DomainError off the manifold, and the
+    shear's inverse at x3 = 0, while the campaign's value closure returns
+    NaN there without raising or warning."""
+    map_obj = topology.leaf_map(name)
+    points = _off_manifold(map_obj.manifold)
+    with pytest.raises(DomainError):
+        map_obj.invert(points)
+    value = verify._derived_value(map_obj)(points)
+    assert value.shape == (20,) and np.isnan(value).all()
+    if map_obj.shear:
+        points[:, 3:5] = 1.0
+        with pytest.raises(DomainError, match="third coordinate"):
+            map_obj.invert(points)
+        assert np.isnan(verify._derived_value(map_obj)(points)[::2]).all()
 
 
 def _planted_values(kind):
@@ -384,7 +458,7 @@ def test_indexed_constancy_equals_the_masked_tally_on_planted_values(kind):
     """Non-finite values drop their pairs, an overflowing difference of
     finite values stays counted as an infinite residual, and a grid where
     every pair is dropped, by its values or by ``extra``, counts nothing
-    and fails: the same under both gathers."""
+    and fails: the same under the grid evaluation and the masked gather."""
     family = "G13"
     params = verify.REPRESENTATIVE_PARAMS[family]
     algebra = catalog.build(family, params)
